@@ -23,16 +23,6 @@ LATER_THAN = Symbol("later-than")
 RELATIVE = Symbol("relative")
 ABSOLUTE = Symbol("absolute")
 
-_labels = itertools.count(1)
-
-
-def reset_labels() -> None:
-    """Restart the fresh-label sequence; call at program start so repeated
-    runs in one process produce identical traces."""
-    global _labels
-    _labels = itertools.count(1)
-
-
 def tick(now) -> Record:
     return Record(TICK, (now,))
 
@@ -49,8 +39,9 @@ def later_than(msecs) -> Record:
     return Record(LATER_THAN, (msecs,))
 
 
-def fresh_label() -> Record:
-    return Record(Symbol("timer-label"), (next(_labels),))
+def fresh_label(facet: Facet) -> Record:
+    """A timer label unique to ``facet``'s actor, and so across actors."""
+    return Record(Symbol("timer-label"), (facet.runtime.fresh_tag(),))
 
 
 class Clock:
@@ -162,7 +153,7 @@ def timestate_driver():
 
     def boot(f: Facet):
         def serve(inner: Facet, msecs):
-            label = fresh_label()
+            label = fresh_label(inner)
             inner.on_start(lambda: inner.send(set_timer(label, msecs, ABSOLUTE)))
             inner.on_message(
                 timer_expired(label, WILDCARD),
@@ -176,11 +167,6 @@ def timestate_driver():
 
 def stop_when_timeout(facet: Facet, msecs, continuation: Optional[Callable] = None) -> None:
     """Stop ``facet`` once ``msecs`` of (driver-served) time have passed."""
-    label = fresh_label()
+    label = fresh_label(facet)
     facet.on_start(lambda: facet.send(set_timer(label, msecs, RELATIVE)))
     facet.stop_when_message(timer_expired(label, WILDCARD), continuation)
-
-
-# Conventional aliases.
-spawn_timer_driver = timer_driver
-spawn_timestate_driver = timestate_driver

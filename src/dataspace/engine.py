@@ -21,6 +21,7 @@ from .patch import (
     Patch,
     RETRACT_ALL,
     apply_patch,
+    diff,
     drop_message,
     drop_outbound,
     lift_inbound,
@@ -50,7 +51,12 @@ class Message:
 
 @dataclass(frozen=True)
 class Spawn:
-    """Request to create an actor; ``boot`` returns (handler, startup actions)."""
+    """Request to create an actor; ``boot(identity)`` returns (handler,
+    startup actions).
+
+    The engine assigns the identity: the spawning dataspace's path plus
+    the new actor's ``name#sid``, unique across nested layers.
+    """
 
     boot: Callable
     name: str = "actor"
@@ -163,7 +169,7 @@ class Dataspace(Actor):
         self.names[sid] = f"{action.name}#{sid}"
         seq = self._trace("actor-spawned", sid, action.name, cause)
         try:
-            handler, startup = action.boot()
+            handler, startup = action.boot(self.path + (self.names[sid],))
         except Exception as e:  # crash during boot kills only the new actor
             self._report_crash(sid, e)
             self._kill(sid, seq)
@@ -261,8 +267,8 @@ def _describe(action) -> str:
 def spawn_dataspace(boot_actions: List[Action], name: str = "ds") -> Spawn:
     """A spawn request for a nested dataspace layer."""
 
-    def boot():
-        ds = Dataspace(boot_actions, name=name)
+    def boot(identity):
+        ds = Dataspace(boot_actions, name=identity[-1], path=identity[:-1])
         return ds, ds.run()
 
     return Spawn(boot, name)
@@ -325,10 +331,7 @@ class FullStateActor(Actor):
             return []
         self.state, wanted, messages = result
         actions: List[Action] = []
-        delta = Patch(
-            trie.subtract(wanted, self.published),
-            trie.subtract(self.published, wanted),
-        )
+        delta = diff(self.published, wanted)
         if delta.is_non_empty():
             actions.append(delta)
         self.published = wanted
@@ -342,12 +345,8 @@ class FullStateActor(Actor):
 
 
 def spawn_full_state(behavior, state, initial: trie.Trie = trie.EMPTY, name="actor") -> Spawn:
-    def boot():
+    def boot(_identity):
         actor = FullStateActor(behavior, state, initial)
         return actor, actor.boot_actions()
 
     return Spawn(boot, name)
-
-
-#: Alias: adapt a whole-assertion-set behavior to patches.
-wrap_monolithic = FullStateActor

@@ -8,16 +8,22 @@ runtime turns incoming patches and messages into handler activations,
 tracks field reads through a dataflow graph so computed assertions stay
 current, and emits the minimal patch describing what changed during the
 turn.
+
+The runtime keeps the endpoints of its living facets in one table in
+creation order, and an incoming event is dispatched to them in that
+order.  Stopping a facet runs the stop handlers of its subtree parent
+first, in pre-order.  A facet left with no children, no endpoints and
+no pending scripts is inert and stops at the end of the turn.
 """
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from . import trie
 from .dataflow import Graph
 from .engine import Actor, Message, QUIT, Spawn
-from .patch import Patch, apply_patch
+from .patch import Patch, apply_patch, diff
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
@@ -36,7 +42,6 @@ from .values import (
 PRIORITY_QUERY_RETRACT = 0
 PRIORITY_QUERY_ADD = 1
 PRIORITY_DEFAULT = 2
-PRIORITY_DATAFLOW = 3
 
 _INSTANCE = Symbol("instance")
 
@@ -85,9 +90,7 @@ class Endpoint:
         "on",  # sub: "asserted" | "retracted" | "message"
         "handler",  # sub: fn(*captures)
         "guard",  # sub: optional fn(*captures) -> bool
-        "stop",  # sub: stop the owning facet when triggered
         "priority",
-        "live",
         "current",  # trie contributed to the actor's published set
         "current_pattern",  # sub: pattern with Field refs resolved
     )
@@ -101,9 +104,7 @@ class Endpoint:
         self.on = None
         self.handler = None
         self.guard = None
-        self.stop = False
         self.priority = PRIORITY_DEFAULT
-        self.live = True
         self.current = EMPTY
         self.current_pattern = None
 
@@ -234,13 +235,12 @@ class Facet:
 
     def query_set(self, pattern, name="query-set") -> Field:
         f = self.field(frozenset(), name)
-        single = _capture_count(pattern) == 1
 
         def add(*caps):
-            f.value = f.value | {caps[0] if single else caps}
+            f.value = f.value | {caps[0] if len(caps) == 1 else caps}
 
         def rem(*caps):
-            f.value = f.value - {caps[0] if single else caps}
+            f.value = f.value - {caps[0] if len(caps) == 1 else caps}
 
         self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
         self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
@@ -248,10 +248,9 @@ class Facet:
 
     def query_value(self, pattern, default=None, name="query-value") -> Field:
         f = self.field(default, name)
-        single = _capture_count(pattern) <= 1
 
         def add(*caps):
-            f.value = caps[0] if single else caps
+            f.value = caps[0] if len(caps) == 1 else caps
 
         def rem(*_caps):
             f.value = default
@@ -294,19 +293,15 @@ class Facet:
         self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
         return f
 
-    # -- misc ---------------------------------------------------------------
-
-    def live_endpoints(self) -> List[Endpoint]:
-        return [ep for ep in self.endpoints if ep.live]
-
 
 class ActorRuntime(Actor):
-    def __init__(self, name: str, boot: Callable[[Facet], None]):
-        self.name = name
+    def __init__(self, path: tuple, boot: Callable[[Facet], None]):
+        self.path = path  # identity assigned by the engine
         self._boot = boot
         self.knowledge: Trie = EMPTY
         self.graph = Graph()
         self.root = Facet(self, None)
+        self.endpoints: Dict[int, Endpoint] = {}  # of living facets, by eid
         self.published: Trie = EMPTY
         self.adhoc: Trie = EMPTY
         self._queue: list = []
@@ -315,9 +310,10 @@ class ActorRuntime(Actor):
         self._tag = 0
         self._actions: List[object] = []
 
-    def fresh_tag(self):
+    def fresh_tag(self) -> tuple:
+        """A value no other tag in any layer equals."""
         self._tag += 1
-        return (Symbol(self.name), self._tag)
+        return self.path + (self._tag,)
 
     # -- engine interface ---------------------------------------------------
 
@@ -335,21 +331,25 @@ class ActorRuntime(Actor):
             before = self.knowledge
             after = apply_patch(before, event)
             self.knowledge = after
-            for ep in self._all_subs():
-                if ep.on != "message":
+            for ep in self.endpoints.values():
+                if ep.kind == "sub" and ep.on != "message":
                     self._dispatch_patch(ep, event, before, after)
         elif isinstance(event, Message):
-            for ep in self._all_subs():
+            for ep in self.endpoints.values():
                 if ep.on == "message":
                     self._dispatch_message(ep, event.body)
+        idle: List[Facet] = []
         while self._queue:
             _, _, facet, thunk = heapq.heappop(self._queue)
             if facet is not None:
                 facet.pending_scripts -= 1
+                if facet.pending_scripts == 0:
+                    idle.append(facet)
                 if not facet.alive:
                     continue
             thunk()
-        self._sweep_inert()
+        for facet in idle:
+            self._maybe_prune(facet)
         self._flush()
         actions = self._actions
         self._actions = []
@@ -365,6 +365,7 @@ class ActorRuntime(Actor):
         ep = Endpoint(self._eid, facet, kind)
         self._eid += 1
         facet.endpoints.append(ep)
+        self.endpoints[ep.eid] = ep
         return ep
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
@@ -383,14 +384,9 @@ class ActorRuntime(Actor):
         def fire(*_caps):
             self._stop_facet(facet, continuation)
 
-        ep = self._add_sub(facet, pattern, on, fire)
-        ep.stop = True
-        return ep
+        return self._add_sub(facet, pattern, on, fire)
 
     def _refresh_endpoint(self, ep: Endpoint) -> None:
-        if not ep.live:
-            ep.current = EMPTY
-            return
         if ep.kind == "assert":
             v = self.graph.with_subject(ep, ep.compute)
             ep.current = EMPTY if v is None else trie.compile_pattern((), v)
@@ -400,17 +396,6 @@ class ActorRuntime(Actor):
             ep.current = trie.compile_pattern((), observe(_wildify(pat)))
 
     # -- dispatch -----------------------------------------------------------
-
-    def _all_subs(self) -> List[Endpoint]:
-        out: List[Endpoint] = []
-
-        def go(f: Facet):
-            out.extend(ep for ep in f.endpoints if ep.live and ep.kind == "sub")
-            for c in f.children:
-                go(c)
-
-        go(self.root)
-        return out
 
     def _dispatch_patch(self, ep: Endpoint, delta: Patch, before: Trie, after: Trie) -> None:
         side = delta.added if ep.on == "asserted" else delta.removed
@@ -442,11 +427,8 @@ class ActorRuntime(Actor):
         self._activate(ep, tuple(caps))
 
     def _activate(self, ep: Endpoint, caps: tuple) -> None:
-        def thunk():
-            if ep.live:
-                ep.handler(*caps)
-
-        self._schedule(ep.priority, ep.facet, thunk)
+        # The turn loop drops the script if ep's facet has stopped by then.
+        self._schedule(ep.priority, ep.facet, lambda: ep.handler(*caps))
 
     def _schedule(self, priority: int, facet: Optional[Facet], thunk: Callable) -> None:
         if facet is not None:
@@ -457,6 +439,10 @@ class ActorRuntime(Actor):
     # -- facet lifecycle ----------------------------------------------------
 
     def _add_facet(self, parent: Facet, body: Callable[[Facet], None]) -> Facet:
+        if not parent.alive:
+            # Nothing would ever stop it, so its endpoints would outlive
+            # the whole subtree.
+            raise RuntimeError("cannot add a facet to a stopped facet")
         facet = Facet(self, parent)
         body(facet)
         self._maybe_prune(facet)
@@ -465,31 +451,21 @@ class ActorRuntime(Actor):
     def _stop_facet(self, facet: Facet, continuation: Optional[Callable] = None) -> None:
         if not facet.alive or facet is self.root:
             return
-
-        def mark(f: Facet):
+        subtree: List[Facet] = []  # pre-order: parents before children
+        stack = [facet]
+        while stack:
+            f = stack.pop()
+            subtree.append(f)
+            stack.extend(reversed(f.children))
+        for f in subtree:
             f.alive = False
             for ep in f.endpoints:
-                ep.live = False
-                ep.current = EMPTY
-            for c in f.children:
-                mark(c)
-
-        def run_stops(f: Facet):
+                del self.endpoints[ep.eid]
+                self.graph.forget_subject(ep)
+        for f in subtree:
             for h in f.stop_handlers:
                 h()
-            for c in f.children:
-                run_stops(c)
-
-        def cleanup(f: Facet):
-            for ep in f.endpoints:
-                self.graph.forget_subject(ep)
-            for c in f.children:
-                cleanup(c)
-
         parent = facet.parent
-        mark(facet)
-        run_stops(facet)
-        cleanup(facet)
         if parent is not None and facet in parent.children:
             parent.children.remove(facet)
         if continuation is not None:
@@ -497,42 +473,16 @@ class ActorRuntime(Actor):
         self._maybe_prune(parent)
 
     def _maybe_prune(self, facet: Optional[Facet]) -> None:
+        """Stop ``facet`` if it has become inert: nothing left to do or wait for."""
         if (
             facet is not None
             and facet is not self.root
             and facet.alive
             and not facet.children
-            and not facet.live_endpoints()
+            and not facet.endpoints
             and facet.pending_scripts == 0
         ):
             self._stop_facet(facet)
-
-    def _sweep_inert(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for facet in self._all_facets():
-                if (
-                    facet is not self.root
-                    and facet.alive
-                    and not facet.children
-                    and not facet.live_endpoints()
-                    and facet.pending_scripts == 0
-                ):
-                    self._stop_facet(facet)
-                    changed = True
-                    break
-
-    def _all_facets(self) -> List[Facet]:
-        out: List[Facet] = []
-
-        def go(f: Facet):
-            out.append(f)
-            for c in list(f.children):
-                go(c)
-
-        go(self.root)
-        return out
 
     # -- output -------------------------------------------------------------
 
@@ -550,12 +500,9 @@ class ActorRuntime(Actor):
     def _flush(self) -> None:
         self.graph.repair_damage(self._repair_subject)
         desired = self.adhoc
-        for ep in self._live_endpoints():
+        for ep in self.endpoints.values():
             desired = trie.union(desired, ep.current)
-        delta = Patch(
-            trie.subtract(desired, self.published),
-            trie.subtract(self.published, desired),
-        )
+        delta = diff(self.published, desired)
         if delta.is_non_empty():
             self._actions.append(delta)
             self.published = desired
@@ -564,21 +511,10 @@ class ActorRuntime(Actor):
         if isinstance(subject, Endpoint):
             self._refresh_endpoint(subject)
 
-    def _live_endpoints(self) -> List[Endpoint]:
-        out: List[Endpoint] = []
-
-        def go(f: Facet):
-            out.extend(ep for ep in f.endpoints if ep.live)
-            for c in f.children:
-                go(c)
-
-        go(self.root)
-        return out
-
 
 def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
-    def make():
-        rt = ActorRuntime(name, boot)
+    def make(identity):
+        rt = ActorRuntime(identity, boot)
         return rt, rt.startup()
 
     return Spawn(make, name)
@@ -588,50 +524,28 @@ def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
 # Pattern helpers
 
 
-def _resolve(pattern):
-    """Replace embedded Field references with their current values."""
-    if isinstance(pattern, Field):
-        return pattern.value
+def _rebuild(pattern, leaf: Callable):
+    """Copy ``pattern``, replacing each non-compound part ``p`` by ``leaf(p)``."""
     if is_compound(pattern):
         label, fields = decompose(pattern)
-        resolved = tuple(_resolve(f) for f in fields)
-        return resolved if label is None else Record(label, resolved)
-    return pattern
+        out = tuple(_rebuild(f, leaf) for f in fields)
+        return out if label is None else Record(label, out)
+    return leaf(pattern)
+
+
+def _resolve(pattern):
+    """Replace embedded Field references with their current values."""
+    return _rebuild(pattern, lambda p: p.value if isinstance(p, Field) else p)
 
 
 def _wildify(pattern):
     """Capture marks become plain wildcards for subscription purposes."""
-    if pattern is CAPTURE:
-        return WILDCARD
-    if is_compound(pattern):
-        label, fields = decompose(pattern)
-        out = tuple(_wildify(f) for f in fields)
-        return out if label is None else Record(label, out)
-    return pattern
-
-
-def _capture_count(pattern) -> int:
-    if pattern is CAPTURE:
-        return 1
-    if is_compound(pattern):
-        _, fields = decompose(pattern)
-        return sum(_capture_count(f) for f in fields)
-    return 0
+    return _rebuild(pattern, lambda p: WILDCARD if p is CAPTURE else p)
 
 
 def _instantiate(pattern, caps):
     caps = list(caps)
-
-    def go(p):
-        if p is CAPTURE:
-            return caps.pop(0)
-        if is_compound(p):
-            label, fields = decompose(p)
-            out = tuple(go(f) for f in fields)
-            return out if label is None else Record(label, out)
-        return p
-
-    result = go(pattern)
+    result = _rebuild(pattern, lambda p: caps.pop(0) if p is CAPTURE else p)
     assert not caps, "capture arity mismatch"
     return result
 

@@ -58,9 +58,6 @@ class Mux:
         del self.streams[sid]
         return [(target, p) for target, p in events if target != sid]
 
-    def assertions_of(self, sid: StreamId) -> Trie:
-        return self.streams[sid]
-
     def all_assertions(self) -> Trie:
         return trie.relabel(lambda ids: () if ids else None, self.routes)
 

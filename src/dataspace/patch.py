@@ -75,7 +75,9 @@ def apply_patch(base: Trie, delta: Patch) -> Trie:
     return trie.union(trie.subtract(base, delta.removed), delta.added)
 
 
-apply = apply_patch
+def diff(old: Trie, new: Trie) -> Patch:
+    """The patch taking the set ``old`` to the set ``new``."""
+    return Patch(trie.subtract(new, old), trie.subtract(old, new))
 
 
 def intersect(p: Patch, bound: Trie) -> Patch:

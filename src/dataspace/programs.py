@@ -71,13 +71,12 @@ def run_box(out: Out, virtual_ms=0, tracer: Optional[Tracer] = None) -> Dataspac
 
 
 def run_flip_flop(out: Out, virtual_ms=3500, tracer: Optional[Tracer] = None) -> Dataspace:
-    drivers.reset_labels()
     clock = drivers.VirtualClock()
 
     def toggler(f: Facet):
         state = f.field(False, "state")
         f.assert_(lambda: Record(S("flip-flop"), (state.value,)))
-        label = drivers.fresh_label()
+        label = drivers.fresh_label(f)
 
         def arm():
             f.send(drivers.set_timer(label, 1000, drivers.RELATIVE))
@@ -104,7 +103,7 @@ def run_flip_flop(out: Out, virtual_ms=3500, tracer: Optional[Tracer] = None) ->
 
     return ground_run(
         [
-            drivers.spawn_timer_driver(clock),
+            drivers.timer_driver(clock),
             spawn_actor("flip-flop", toggler),
             spawn_actor("monitor", monitor),
         ],
@@ -345,7 +344,6 @@ def run_cross_layer(out: Out, virtual_ms=0, tracer: Optional[Tracer] = None) -> 
 
 
 def run_ticker(out: Out, virtual_ms=11000, tracer: Optional[Tracer] = None) -> Dataspace:
-    drivers.reset_labels()
     clock = drivers.VirtualClock()
 
     def ticker(f: Facet):
@@ -367,8 +365,8 @@ def run_ticker(out: Out, virtual_ms=11000, tracer: Optional[Tracer] = None) -> D
 
     return ground_run(
         [
-            drivers.spawn_timer_driver(clock),
-            drivers.spawn_timestate_driver(),
+            drivers.timer_driver(clock),
+            drivers.timestate_driver(),
             spawn_actor("ticker", ticker),
         ],
         injector=drivers.VirtualClockInjector(clock, virtual_ms),
@@ -381,7 +379,6 @@ def run_ticker(out: Out, virtual_ms=11000, tracer: Optional[Tracer] = None) -> D
 
 
 def run_timeout(out: Out, virtual_ms=6000, tracer: Optional[Tracer] = None) -> Dataspace:
-    drivers.reset_labels()
     clock = drivers.VirtualClock()
 
     def impatient(f: Facet):
@@ -394,7 +391,7 @@ def run_timeout(out: Out, virtual_ms=6000, tracer: Optional[Tracer] = None) -> D
         f.react(attempt)
 
     return ground_run(
-        [drivers.spawn_timer_driver(clock), spawn_actor("impatient", impatient)],
+        [drivers.timer_driver(clock), spawn_actor("impatient", impatient)],
         injector=drivers.VirtualClockInjector(clock, virtual_ms),
         tracer=tracer,
     )

@@ -72,8 +72,6 @@ class _Capture:
 
 #: Pattern element matching any single value.
 WILDCARD = _Wildcard()
-#: Alias used in projection specs where a position is skipped.
-DISCARD = WILDCARD
 #: Projection-spec element capturing the whole value at its position.
 CAPTURE = _Capture()
 
@@ -83,7 +81,6 @@ Value = Union[bool, int, float, str, Symbol, tuple, Record]
 OBSERVE = Symbol("observe")
 OUTBOUND = Symbol("outbound")
 INBOUND = Symbol("inbound")
-_RESERVED = (OBSERVE, OUTBOUND, INBOUND)
 
 _ATOM_KIND_RANK = {"bool": 0, "int": 1, "float": 2, "str": 3, "symbol": 4}
 
@@ -125,12 +122,6 @@ def decompose(v) -> tuple:
     if isinstance(v, Record):
         return v.label, v.fields
     return None, v
-
-
-def wrap(ctor: Symbol, v: Value) -> Record:
-    if ctor not in _RESERVED:
-        raise NotAValue(f"{ctor} is not a reserved wrapper")
-    return Record(ctor, (v,))
 
 
 def unwrap(ctor: Symbol, v) -> Optional[Value]:

@@ -17,9 +17,8 @@ S = Symbol
 
 
 def timed_run(boot_fn, budget, extra=()):
-    drivers.reset_labels()
     clock = VirtualClock()
-    actions = [drivers.spawn_timer_driver(clock)]
+    actions = [drivers.timer_driver(clock)]
     actions.extend(extra)
     actions.append(spawn_actor("subject", boot_fn))
     return ground_run(actions, injector=VirtualClockInjector(clock, budget))
@@ -77,7 +76,7 @@ def test_timestate_asserts_later_than():
         f.during(later_than(500), reached)
 
     timed_run(
-        subject, 1000, extra=[drivers.spawn_timestate_driver()]
+        subject, 1000, extra=[drivers.timestate_driver()]
     )
     assert log == ["reached"]
 

@@ -1,14 +1,12 @@
 from dataspace import trie
 from dataspace.engine import (
     Dataspace,
-    FullStateActor,
     Message,
     QUIT,
     Spawn,
     ground_run,
     spawn_dataspace,
     spawn_full_state,
-    wrap_monolithic,
 )
 from dataspace.facet import spawn_actor
 from dataspace.patch import Patch, assert_patch, from_sets, retract_patch
@@ -31,7 +29,7 @@ class Probe:
 
 
 def spawn_probe(probe, startup, name="probe"):
-    return Spawn(lambda: (probe, list(startup)), name)
+    return Spawn(lambda _identity: (probe, list(startup)), name)
 
 
 def test_spawned_actor_initial_assertions_visible():
@@ -209,7 +207,6 @@ def test_full_state_adapter_emits_minimal_patches():
         assert_patch(lvl(0)),
         from_sets(added=[lvl(5)], removed=[lvl(0)]),
     ]
-    assert wrap_monolithic is FullStateActor
 
 
 def test_layer_assertions_hide_relay_bookkeeping():

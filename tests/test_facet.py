@@ -1,4 +1,4 @@
-from dataspace.engine import ground_run
+from dataspace.engine import ground_run, spawn_dataspace
 from dataspace.facet import (
     InfiniteMatchSet,
     PRIORITY_QUERY_ADD,
@@ -212,3 +212,111 @@ def test_adhoc_assertions_survive_facet_stop():
 
     ground_run([spawn_actor("a", asserter), spawn_actor("w", watcher)])
     assert seen == [1]
+
+
+def test_same_named_supervisors_keep_their_workers_apart():
+    log = []
+
+    def demand(f):
+        for i in (1, 2):
+
+            def era(g, i=i):
+                g.assert_(rec("want", i))
+                g.stop_when_message(rec("drop", i))
+
+            f.react(era)
+
+    def supervisor(i):
+        def boot(f):
+            def body(g):
+                log.append(("up", i))
+                g.on_stop(lambda: log.append(("down", i)))
+                if i == 1:
+                    g.on_start(lambda: g.send(rec("drop", 1)))
+
+            f.during_spawn(rec("want", i), "worker", body)
+
+        return boot
+
+    ds = ground_run(
+        [
+            spawn_actor("demand", demand),
+            spawn_actor("sup", supervisor(1)),
+            spawn_actor("sup", supervisor(2)),
+        ]
+    )
+    # withdrawing the first demand stops only the first supervisor's worker
+    assert sorted(log) == [("down", 1), ("up", 1), ("up", 2)]
+    assert len([n for n in ds.living_names() if n.startswith("worker")]) == 1
+
+
+def test_fresh_tags_differ_across_layers():
+    tags = []
+
+    def actor(f):
+        tags.append(f.runtime.fresh_tag())
+
+    ground_run(
+        [
+            spawn_actor("a", actor),
+            spawn_dataspace([spawn_actor("a", actor)], name="inner"),
+        ]
+    )
+    assert tags == [("ground", "a#1", 1), ("ground", "inner#2", "a#1", 1)]
+
+
+def test_facet_with_only_a_start_script_is_pruned():
+    log = []
+
+    def actor(f):
+        def child(g):
+            g.on_start(lambda: log.append("start"))
+            g.on_stop(lambda: log.append("stop"))
+
+        f.react(child)
+
+    ds = ground_run([spawn_actor("brief", actor)])
+    assert log == ["start", "stop"]
+    assert ds.living_names() == set()
+
+
+def test_stop_handlers_run_parent_first_in_preorder():
+    log = []
+
+    def node(name, *kids):
+        def body(g):
+            g.assert_(rec("node", S(name)))
+            g.on_stop(lambda: log.append(name))
+            for kid in kids:
+                g.react(kid)
+
+        return body
+
+    def actor(f):
+        top = node("a", node("b", node("c")), node("d"))
+
+        def root(g):
+            top(g)
+            g.stop_when_message(S("go"))
+
+        f.react(root)
+        f.on_start(lambda: f.send(S("go")))
+
+    ground_run([spawn_actor("tree", actor)])
+    assert log == ["a", "b", "c", "d"]
+
+
+def test_stop_handler_cannot_react_inside_its_stopping_facet():
+    def actor(f):
+        f.assert_(rec("anchor"))
+
+        def child(g):
+            g.stop_when_message(S("go"))
+            g.on_stop(lambda: g.react(lambda h: h.assert_(rec("orphan"))))
+
+        f.react(child)
+        f.on_start(lambda: f.send(S("go")))
+
+    ds = ground_run([spawn_actor("a", actor)])
+    assert any(isinstance(e, RuntimeError) for e in ds.crashes.values())
+    assert ds.living_names() == set()
