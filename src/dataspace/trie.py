@@ -7,10 +7,22 @@ consumes one whole value) plus token-labeled edges.  Canonical form
 drops edges indistinguishable from the default and collapses empty
 branches, so two canonical tries denote the same set exactly when they
 are structurally equal.
+
+Equality is structural, with an identity fast path, and walks the two
+tries with an explicit stack, so deep tries compare without recursion.
+A node's hash is computed on first use and cached (a branch's from its
+default and its edge set); the set operations never hash a node, so a
+rebuilt node does no per-edge work for the edges it carries over.
+Canonical form is likewise kept per rebuilt edge: ``combine`` checks
+only the edges it recomputes, because an edge copied unchanged from a
+canonical operand, under that operand's own default, stays canonical.
+An edge is redundant when its child is ``make_tail(arity, default)``;
+``_redundant`` finds that by walking the child, without building the
+tail.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .values import (
     AtomTok,
@@ -20,9 +32,9 @@ from .values import (
     Value,
     WILDCARD,
     CAPTURE,
+    atom_kind,
     atom_token,
     decompose,
-    format_value,
     is_atom,
     is_compound,
     is_well_formed,
@@ -55,23 +67,16 @@ EMPTY = _Empty()
 
 
 class Ok(Trie):
-    __slots__ = ("value", "_hash")
+    __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
-        self._hash = hash(("ok", value))
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Ok)
-            and self._hash == other._hash
-            and self.value == other.value
-        )
+        return self is other or (isinstance(other, Ok) and self.value == other.value)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(("ok", self.value))
 
     def __repr__(self) -> str:
         return f"ok({_format_leaf(self.value)})"
@@ -84,26 +89,49 @@ class Branch(Trie):
         # Callers must go through branch(); this constructor trusts its input.
         self.default = default
         self.edges = edges
-        self._hash = hash(("br", default, frozenset(edges.items())))
+        self._hash = None
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Branch)
-            and self._hash == other._hash
-            and self.default == other.default
-            and self.edges == other.edges
-        )
+        return self is other or (isinstance(other, Branch) and _same(self, other))
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("br", self.default, frozenset(self.edges.items())))
+        return h
 
     def __repr__(self) -> str:
         return render(self)
 
 
 UNIT = Ok(())
+
+
+def _same(a: Trie, b: Trie) -> bool:
+    """Structural equality of two tries, without recursion."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        if type(a) is Ok:
+            if a.value != b.value:
+                return False
+            continue
+        # Hashes, where both are already known, tell unequal nodes apart.
+        if a._hash is not None and b._hash is not None and a._hash != b._hash:
+            return False
+        if len(a.edges) != len(b.edges):
+            return False
+        for tok, child in a.edges.items():
+            other = b.edges.get(tok)
+            if other is None:
+                return False
+            todo.append((child, other))
+        todo.append((a.default, b.default))
+    return True
 
 
 def _format_leaf(value) -> str:
@@ -123,11 +151,23 @@ def make_tail(n: int, t: Trie) -> Trie:
     return t
 
 
+def _redundant(child: Trie, arity: int, default: Trie) -> bool:
+    """Whether an edge of this arity to ``child`` is implied by ``default``,
+    that is, ``child == make_tail(arity, default)``."""
+    if default is EMPTY:
+        return child is EMPTY
+    for _ in range(arity):
+        if type(child) is not Branch or child.edges:
+            return False
+        child = child.default
+    return child is default or child == default
+
+
 def branch(default: Trie, edges: dict) -> Trie:
     """Canonicalizing branch constructor."""
     pruned = None
     for tok, child in edges.items():
-        if child == make_tail(tok.arity, default):
+        if _redundant(child, tok.arity, default):
             if pruned is None:
                 pruned = dict(edges)
             del pruned[tok]
@@ -155,19 +195,20 @@ def compile_pattern(alpha, pattern) -> Trie:
 
 
 def _compile(p, k: Trie) -> Trie:
+    # k is never EMPTY, so each node is canonical as built.
+    if is_compound(p):
+        label, fields = decompose(p)
+        for f in reversed(fields):
+            k = _compile(f, k)
+        return Branch(EMPTY, {PushTok(label, len(fields)): k})
     if p is WILDCARD:
-        return branch(k, {})
+        return Branch(k, {})
     if p is CAPTURE:
         raise ValueError("capture marks are not allowed in plain patterns")
-    if is_atom(p):
-        return branch(EMPTY, {atom_token(p): k})
-    if is_compound(p):
-        _, fields = decompose(p)
-        inner = k
-        for f in reversed(fields):
-            inner = _compile(f, inner)
-        return branch(EMPTY, {push_token(p): inner})
-    raise ValueError(f"not a pattern: {p!r}")
+    kind = atom_kind(p)
+    if kind is None:
+        raise ValueError(f"not a pattern: {p!r}")
+    return Branch(EMPTY, {AtomTok(kind, p): k})
 
 
 def assertion_set(values: Iterable[Value]) -> Trie:
@@ -306,56 +347,56 @@ def combine(t1: Trie, t2: Trie, f: Callable, left_only=KEEP, right_only=KEEP) ->
 
     ``f`` combines leaves (both arguments are Ok nodes).  ``left_only``
     and ``right_only`` state what happens to subtrees present on only
-    one side: KEEP, DROP, or a callable mapping the subtree.
+    one side: KEEP or DROP.
     """
-    if left_only is KEEP:
-        lo = _identity
-    elif left_only is DROP:
-        lo = _drop
-    else:
-        lo = left_only
-    if right_only is KEEP:
-        ro = _identity
-    elif right_only is DROP:
-        ro = _drop
-    else:
-        ro = right_only
+    if left_only not in (KEEP, DROP) or right_only not in (KEEP, DROP):
+        raise ValueError("one-sided handlers must be KEEP or DROP")
+    keep_left = left_only == KEEP
+    keep_right = right_only == KEEP
 
     def go(a: Trie, b: Trie) -> Trie:
         if a is EMPTY:
-            return ro(b)
+            return b if keep_right else EMPTY
         if b is EMPTY:
-            return lo(a)
-        if isinstance(a, Ok) or isinstance(b, Ok):
+            return a if keep_left else EMPTY
+        if type(a) is Ok or type(b) is Ok:
             return f(a, b)
-        w = go(a.default, b.default)
+        w = a.default
+        if w is not EMPTY or b.default is not EMPTY:
+            w = go(w, b.default)
         # Iterate the smaller edge map; ties go to the left operand.
         left_small = len(a.edges) <= len(b.edges)
-        small = a if left_small else b
-        large = b if left_small else a
-        large_handler = ro if left_small else lo
-        if small.default is EMPTY and large_handler is _drop:
+        small, large = (a, b) if left_small else (b, a)
+        small_edges, large_edges = small.edges, large.edges
+        if small.default is not EMPTY:
             edges = {}
-        elif small.default is EMPTY and large_handler is _identity:
-            edges = dict(large.edges)
+            for tok, child in large_edges.items():
+                if tok not in small_edges:
+                    tail = make_tail(tok.arity, small.default)
+                    child = go(tail, child) if left_small else go(child, tail)
+                    if not _redundant(child, tok.arity, w):
+                        edges[tok] = child
+        elif keep_right if left_small else keep_left:
+            # The large side's edges carry over unchanged, and w is its
+            # default, so they stay canonical: only the small side's
+            # edges, recomputed below, are checked.
+            edges = dict(large_edges)
         else:
             edges = {}
-            for tok in large.edges:
-                if tok not in small.edges:
-                    edges[tok] = go(_edge(a, tok), _edge(b, tok))
-        for tok in small.edges:
-            edges[tok] = go(_edge(a, tok), _edge(b, tok))
-        return branch(w, edges)
+        for tok, child in small_edges.items():
+            other = large_edges.get(tok)
+            if other is None:
+                other = make_tail(tok.arity, large.default)
+            child = go(child, other) if left_small else go(other, child)
+            if not _redundant(child, tok.arity, w):
+                edges[tok] = child
+            elif tok in edges:
+                del edges[tok]
+        if not edges and w is EMPTY:
+            return EMPTY
+        return Branch(w, edges)
 
     return go(t1, t2)
-
-
-def _identity(t: Trie) -> Trie:
-    return t
-
-
-def _drop(_t: Trie) -> Trie:
-    return EMPTY
 
 
 def _leaf_left(a: Ok, _b: Ok) -> Trie:
@@ -366,15 +407,31 @@ def _leaf_none(_a: Ok, _b: Ok) -> Trie:
     return EMPTY
 
 
+# union, intersect and subtract answer at once when an operand is EMPTY
+# or both are the same trie.
+
+
 def union(t1: Trie, t2: Trie) -> Trie:
+    if t1 is EMPTY or t1 is t2:
+        return t2
+    if t2 is EMPTY:
+        return t1
     return combine(t1, t2, _leaf_left)
 
 
 def intersect(t1: Trie, t2: Trie) -> Trie:
+    if t1 is EMPTY or t2 is EMPTY:
+        return EMPTY
+    if t1 is t2:
+        return t1
     return combine(t1, t2, _leaf_left, DROP, DROP)
 
 
 def subtract(t1: Trie, t2: Trie) -> Trie:
+    if t1 is EMPTY or t1 is t2:
+        return EMPTY
+    if t2 is EMPTY:
+        return t1
     return combine(t1, t2, _leaf_none, KEEP, DROP)
 
 
@@ -424,13 +481,20 @@ def relabel(f: Callable, t: Trie) -> Trie:
     """Map (or drop) leaf values; f returns the new leaf value or None."""
     if t is EMPTY:
         return EMPTY
-    if isinstance(t, Ok):
+    if type(t) is Ok:
         new = f(t.value)
         return EMPTY if new is None else Ok(new)
+    default = t.default
+    if default is not EMPTY:
+        default = relabel(f, default)
     edges = {}
     for tok, child in t.edges.items():
-        edges[tok] = relabel(f, child)
-    return branch(relabel(f, t.default), edges)
+        child = relabel(f, child)
+        if not _redundant(child, tok.arity, default):
+            edges[tok] = child
+    if not edges and default is EMPTY:
+        return EMPTY
+    return Branch(default, edges)
 
 
 def leaf_union(t: Trie) -> frozenset:
@@ -440,7 +504,7 @@ def leaf_union(t: Trie) -> frozenset:
     def go(t: Trie):
         if t is EMPTY:
             return
-        if isinstance(t, Ok):
+        if type(t) is Ok:
             acc.update(t.value)
             return
         go(t.default)

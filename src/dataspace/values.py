@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 
 class Symbol:
     """An interned identifier atom, distinct from strings."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
     _interned: dict = {}
 
     def __new__(cls, name: str) -> "Symbol":
@@ -26,6 +26,7 @@ class Symbol:
         if sym is None:
             sym = super().__new__(cls)
             object.__setattr__(sym, "name", name)
+            object.__setattr__(sym, "_hash", hash(("symbol", name)))
             cls._interned[name] = sym
         return sym
 
@@ -39,7 +40,7 @@ class Symbol:
         return self is other or (isinstance(other, Symbol) and self.name == other.name)
 
     def __hash__(self) -> int:
-        return hash(("symbol", self.name))
+        return self._hash
 
     def __lt__(self, other: "Symbol") -> bool:
         return self.name < other.name
@@ -146,12 +147,31 @@ def inbound(v: Value) -> Record:
 # Tokens
 
 
-@dataclass(frozen=True)
+# Tokens are trie edge labels, so they are hashed on every edge lookup
+# and insertion: each computes its hash once, when it is made.  Treat
+# them as immutable.  Equality compares the atom kind as well as the
+# payload, so 1, 1.0 and True are three different tokens.
+
+
 class AtomTok:
-    kind: str
-    payload: object
+    __slots__ = ("kind", "payload", "_hash")
 
     arity = 0
+
+    def __init__(self, kind: str, payload):
+        self.kind = kind
+        self.payload = payload
+        self._hash = hash((kind, payload))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not AtomTok:
+            return NotImplemented
+        return self.kind == other.kind and self.payload == other.payload
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
         return (0, _ATOM_KIND_RANK[self.kind], self.payload)
@@ -160,10 +180,25 @@ class AtomTok:
         return format_value(self.payload)
 
 
-@dataclass(frozen=True)
 class PushTok:
-    label: Optional[Symbol]
-    arity: int
+    __slots__ = ("label", "arity", "_hash")
+
+    def __init__(self, label: Optional[Symbol], arity: int):
+        self.label = label
+        self.arity = arity
+        self._hash = hash((label, arity))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if type(other) is not PushTok:
+            return NotImplemented
+        return self.arity == other.arity and (
+            self.label is other.label or self.label == other.label
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sort_key(self):
         label_key = (0, "") if self.label is None else (1, self.label.name)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dataspace import trie
+from dataspace.engine import ground_run
+from dataspace.facet import spawn_actor
 from dataspace.trie import (
     EMPTY,
     Branch,
@@ -23,8 +25,10 @@ from dataspace.trie import (
     search_wild,
     serialize_wild,
     union,
+    union_routes,
     intersect,
     subtract,
+    subtract_routes,
     universe,
 )
 from dataspace.values import (
@@ -33,10 +37,12 @@ from dataspace.values import (
     Record,
     Symbol,
     WILDCARD,
+    atom_token,
+    push_token,
     serialize,
 )
 
-from oracles import ATOMS, build_universe, match, meaning, random_pattern, _hashable
+from oracles import build_universe, match, random_pattern, _hashable
 
 S = Symbol
 U = build_universe()
@@ -104,6 +110,7 @@ def test_insertion_order_irrelevant(xs, ys):
     both = list(xs) + list(ys)
     rev = list(reversed(both))
     assert assertion_set(both) == assertion_set(rev)
+    assert hash(assertion_set(both)) == hash(assertion_set(rev))
 
 
 def test_key_set_refuses_infinite():
@@ -220,3 +227,71 @@ def test_relabel_drops_and_maps():
 def test_pattern_set_reads_back_finite_sets(values):
     t = assertion_set(values)
     assert trie.pattern_set(t) == key_set(t)
+
+
+def assert_canonical(t):
+    """No branch is empty and no edge is implied by its branch's default."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if not isinstance(t, Branch):
+            continue
+        assert t.edges or t.default is not EMPTY
+        for tok, child in t.edges.items():
+            assert child != make_tail(tok.arity, t.default)
+            todo.append(child)
+        todo.append(t.default)
+
+
+# Many patterns per operand, wildcards included, so that defaults are
+# not EMPTY and combine copies, recomputes and prunes edges under them.
+wide_operands = st.lists(patterns, min_size=4, max_size=16)
+# Values the chains' results are checked on.
+WITNESSES = U[::8]
+
+
+@given(wide_operands, st.lists(st.tuples(st.integers(0, 2), wide_operands), max_size=6))
+def test_set_op_chains_stay_canonical(first, steps):
+    t = assertion_set(first)
+    inside = {_hashable(v) for v in WITNESSES if any(match(p, v) for p in first)}
+    for op, ps in steps:
+        t = (union, intersect, subtract)[op](t, assertion_set(ps))
+        assert_canonical(t)
+        assert check_wf(t, 1)
+        hit = {_hashable(v) for v in WITNESSES if any(match(p, v) for p in ps)}
+        inside = (inside | hit, inside & hit, inside - hit)[op]
+    assert {_hashable(v) for v in WITNESSES if contains(t, v)} == inside
+
+
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), wide_operands), max_size=8))
+def test_route_chains_stay_canonical(steps):
+    routes = EMPTY
+    want = {_hashable(v): set() for v in WITNESSES}
+    for add, sid, ps in steps:
+        tagged = trie.relabel(lambda _: frozenset({sid}), assertion_set(ps))
+        routes = (union_routes if add else subtract_routes)(routes, tagged)
+        assert_canonical(routes)
+        for v in WITNESSES:
+            if any(match(p, v) for p in ps):
+                ids = want[_hashable(v)]
+                if add:
+                    ids.add(sid)
+                else:
+                    ids.discard(sid)
+    for v in WITNESSES:
+        assert (search(serialize(v), routes) or set()) == want[_hashable(v)]
+
+
+def test_tokens_keep_atom_kinds_apart():
+    atoms = (1, 1.0, True, "1", Symbol("1"))
+    keys = {atom_token(a): i for i, a in enumerate(atoms)}
+    assert len(keys) == len(atoms)
+    assert [keys[atom_token(a)] for a in atoms] == list(range(len(atoms)))
+    pushes = {push_token(()): 0, push_token((1,)): 1, push_token(Record(S("a"), (1,))): 2}
+    assert len(pushes) == 3 and pushes[push_token((2,))] == 1
+
+
+def test_wide_tuple_assertion_publishes():
+    wide = tuple(range(900))
+    ds = ground_run([spawn_actor("wide", lambda f: f.assert_(wide))])
+    assert contains(ds.assertions(), wide)
