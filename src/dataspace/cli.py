@@ -8,9 +8,8 @@ import click
 
 from . import trace as trace_mod
 from .mux import Mux
-from .patch import Patch, assert_patch, from_sets, retract_patch
+from .patch import assert_patch, from_sets, retract_patch
 from .programs import PROGRAMS
-from .trie import assertion_set
 from .values import Record, Symbol, WILDCARD, observe
 
 S = Symbol

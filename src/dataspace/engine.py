@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from . import trie
 from .patch import (
     EMPTY_PATCH,
     Patch,
-    RETRACT_ALL,
     apply_patch,
     diff,
     drop_message,
@@ -30,18 +29,7 @@ from .patch import (
 )
 from .mux import Mux, StreamId
 from .trace import Tracer
-from .values import (
-    INBOUND,
-    OBSERVE,
-    OUTBOUND,
-    Value,
-    WILDCARD,
-    format_value,
-    inbound,
-    observe,
-    outbound,
-    unwrap,
-)
+from .values import Value, WILDCARD, format_value, inbound, observe, outbound
 
 
 @dataclass(frozen=True)
@@ -119,14 +107,16 @@ class Dataspace(Actor):
 
     # -- internals ----------------------------------------------------------
 
-    def _trace(self, kind: str, who, payload: str, cause: int = -1) -> int:
+    def _trace(self, kind: str, who, payload, cause: int = -1) -> int:
+        """Record a trace event; ``payload`` (an action, an event or a
+        text) is rendered only when a tracer is set."""
         if self.tracer is None:
             return -1
         path = self.path + ((self.names.get(who, str(who)),) if who is not None else ())
-        return self.tracer.record(kind, path, payload, cause)
+        return self.tracer.record(kind, path, _describe(payload), cause)
 
     def _enqueue(self, author: StreamId, action: Action, cause: int) -> None:
-        seq = self._trace("action-produced", author, _describe(action), cause)
+        seq = self._trace("action-produced", author, action, cause)
         self.pending.append((author, action, seq))
 
     def run(self) -> List[Action]:
@@ -134,7 +124,7 @@ class Dataspace(Actor):
         outward: List[Action] = []
         while self.pending:
             author, action, cause = self.pending.popleft()
-            seq = self._trace("action-interpreted", author, _describe(action), cause)
+            seq = self._trace("action-interpreted", author, action, cause)
             if isinstance(action, Patch):
                 self._interpret_patch(author, action, seq, outward)
             elif isinstance(action, Message):
@@ -177,7 +167,7 @@ class Dataspace(Actor):
         self.actors[sid] = handler
         front = []
         for a in startup:
-            s = self._trace("action-produced", sid, _describe(a), seq)
+            s = self._trace("action-produced", sid, a, seq)
             front.append((sid, a, s))
         self.pending.extendleft(reversed(front))
 
@@ -189,13 +179,13 @@ class Dataspace(Actor):
         if target == META:
             out = _outward(event)
             if out is not None:
-                self._trace("event-delivered", META, _describe(out), cause)
+                self._trace("event-delivered", META, out, cause)
                 outward.append(out)
             return
         handler = self.actors.get(target)
         if handler is None:
             return  # exited actors receive nothing further
-        seq = self._trace("event-delivered", target, _describe(event), cause)
+        seq = self._trace("event-delivered", target, event, cause)
         try:
             actions = handler.handle(event)
         except Exception as e:
@@ -208,7 +198,7 @@ class Dataspace(Actor):
         self.actors.pop(sid, None)
         self._trace("actor-exited", sid, "", cause)
         # The retraction of a dead actor's assertions survives its death.
-        seq = self._trace("action-produced", sid, "retire", cause)
+        seq = self._trace("action-produced", sid, _RETIRE, cause)
         self.pending.append((sid, _RETIRE, seq))
 
     def _report_crash(self, sid: StreamId, e: Exception) -> None:
@@ -251,6 +241,8 @@ def _outward(event: Event):
 
 
 def _describe(action) -> str:
+    if isinstance(action, str):
+        return action
     if isinstance(action, Patch):
         return render(action)
     if isinstance(action, Message):

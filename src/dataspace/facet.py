@@ -338,18 +338,21 @@ class ActorRuntime(Actor):
             for ep in self.endpoints.values():
                 if ep.on == "message":
                     self._dispatch_message(ep, event.body)
-        idle: List[Facet] = []
+        # Pruning runs stop handlers, which may schedule more scripts:
+        # drain and prune again until the queue stays empty.
         while self._queue:
-            _, _, facet, thunk = heapq.heappop(self._queue)
-            if facet is not None:
-                facet.pending_scripts -= 1
-                if facet.pending_scripts == 0:
-                    idle.append(facet)
-                if not facet.alive:
-                    continue
-            thunk()
-        for facet in idle:
-            self._maybe_prune(facet)
+            idle: List[Facet] = []
+            while self._queue:
+                _, _, facet, thunk = heapq.heappop(self._queue)
+                if facet is not None:
+                    facet.pending_scripts -= 1
+                    if facet.pending_scripts == 0:
+                        idle.append(facet)
+                    if not facet.alive:
+                        continue
+                thunk()
+            for facet in idle:
+                self._maybe_prune(facet)
         self._flush()
         actions = self._actions
         self._actions = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Value, format_value, observe
+from .values import INBOUND, OBSERVE, OUTBOUND, Value, format_value
 from .trie import EMPTY, Trie
 
 

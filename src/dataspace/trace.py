@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO
 
-from .values import Record, Symbol, Value, format_value, parse_text
+from .values import Record, Symbol, format_value, parse_text
 
 KINDS = (
     "action-produced",

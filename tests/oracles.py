@@ -10,7 +10,6 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from dataspace.values import (
     CAPTURE,
-    Record,
     Symbol,
     WILDCARD,
     decompose,

@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from dataspace import trie
 from dataspace.cli import (
     bench_broadcast,
     bench_scn_flat,

@@ -1,6 +1,5 @@
 from dataspace import trie
 from dataspace.engine import (
-    Dataspace,
     Message,
     QUIT,
     Spawn,
@@ -8,9 +7,8 @@ from dataspace.engine import (
     spawn_dataspace,
     spawn_full_state,
 )
-from dataspace.facet import spawn_actor
 from dataspace.patch import Patch, assert_patch, from_sets, retract_patch
-from dataspace.trie import EMPTY, assertion_set
+from dataspace.trie import assertion_set
 from dataspace.values import Record, Symbol, WILDCARD, inbound, observe, outbound
 
 S = Symbol

@@ -4,6 +4,7 @@ from dataspace.facet import (
     PRIORITY_QUERY_ADD,
     spawn_actor,
 )
+from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, observe
 
 S = Symbol
@@ -320,3 +321,18 @@ def test_stop_handler_cannot_react_inside_its_stopping_facet():
     ds = ground_run([spawn_actor("a", actor)])
     assert any(isinstance(e, RuntimeError) for e in ds.crashes.values())
     assert ds.living_names() == set()
+
+
+def test_script_scheduled_while_pruning_runs_in_the_same_turn():
+    def actor(f):
+        f.assert_(rec("here", 1))
+
+        def child(g):
+            g.on_start(lambda: None)
+            g.on_stop(f.stop)
+
+        f.react(child)
+
+    ds = ground_run([spawn_actor("a", actor)])
+    assert ds.living_names() == set()
+    assert ds.assertions() is EMPTY

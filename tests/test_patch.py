@@ -1,11 +1,8 @@
-import random
-
 from hypothesis import given, strategies as st
 
 from dataspace import trie
 from dataspace.patch import (
     EMPTY_PATCH,
-    Patch,
     aggregate_visibility,
     apply_patch,
     compose,
@@ -18,7 +15,7 @@ from dataspace.patch import (
     unwrap_patch,
 )
 from dataspace.trie import EMPTY, assertion_set
-from dataspace.values import INBOUND, OUTBOUND, Symbol, observe, outbound, inbound
+from dataspace.values import INBOUND, Symbol, observe, outbound, inbound
 
 from oracles import build_universe
 

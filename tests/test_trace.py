@@ -1,8 +1,11 @@
-from dataspace import trace
+import pytest
+
+from dataspace import engine, trace
 from dataspace.engine import ground_run
 from dataspace.facet import spawn_actor
+from dataspace.programs import PROGRAMS
 from dataspace.trace import Tracer, TraceRecord, load, render_sequence_diagram
-from dataspace.values import Symbol, observe
+from dataspace.values import Symbol
 
 
 def _sample_run(path=None):
@@ -95,3 +98,12 @@ def test_env_var_controls_tracing(tmp_path, monkeypatch):
     tracer.record("actor-spawned", ("x",), "x")
     tracer.close()
     assert load(path)
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_untraced_run_renders_nothing(name, monkeypatch):
+    def refuse(_payload):
+        raise AssertionError("rendered a trace payload with tracing off")
+
+    monkeypatch.setattr(engine, "_describe", refuse)
+    PROGRAMS[name](lambda _line: None, tracer=None)
