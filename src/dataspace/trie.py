@@ -86,7 +86,7 @@ class Branch(Trie):
     __slots__ = ("default", "edges", "_hash")
 
     def __init__(self, default: Trie, edges: dict):
-        # Callers must go through branch(); this constructor trusts its input.
+        # Trusts its input: callers pass canonical nodes, or go through branch().
         self.default = default
         self.edges = edges
         self._hash = None
