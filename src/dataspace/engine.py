@@ -210,12 +210,7 @@ class Dataspace(Actor):
 
     def assertions(self, include_relay: bool = False) -> trie.Trie:
         """Everything currently asserted; relay bookkeeping excluded by default."""
-        acc = trie.EMPTY
-        for sid, t in self.mux.streams.items():
-            if sid == META and not include_relay:
-                continue
-            acc = trie.union(acc, trie.relabel(lambda _x: (), t))
-        return acc
+        return self.mux.all_assertions(None if include_relay else META)
 
     def layer_assertions(self) -> trie.Trie:
         """All assertions in this layer, relay mirror included, synthetic

@@ -9,7 +9,7 @@ added or removed.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import trie
 from .patch import (
@@ -25,10 +25,6 @@ from .trie import EMPTY, Trie
 from .values import OBSERVE, Value, WILDCARD, observe
 
 StreamId = int
-
-
-def _only_left(a: trie.Ok, _b) -> Trie:
-    return a
 
 
 class Mux:
@@ -58,8 +54,9 @@ class Mux:
         del self.streams[sid]
         return [(target, p) for target, p in events if target != sid]
 
-    def all_assertions(self) -> Trie:
-        return trie.relabel(lambda ids: () if ids else None, self.routes)
+    def all_assertions(self, hide: Optional[StreamId] = None) -> Trie:
+        """Every assertion some stream holds, except those held by ``hide`` alone."""
+        return trie.relabel(lambda ids: () if ids - {hide} else None, self.routes)
 
     def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
         old = self.streams[sid]
@@ -67,26 +64,23 @@ class Mux:
         if applied.is_empty():
             return applied, []
 
+        self.streams[sid] = apply_patch(old, applied)
         routes_old = self.routes
-        others_old = trie.relabel(
-            lambda ids: () if ids - {sid} else None, routes_old
-        )
-        visible = aggregate_visibility(applied, others_old)
-
-        new = apply_patch(old, applied)
-        self.streams[sid] = new
-        self.routes = self._reroute(routes_old, sid, applied)
+        routes_new = self.routes = self._reroute(routes_old, sid, applied)
+        # Read as sets, routes_old and routes_new answer "does another
+        # stream hold this?" without a per-stream copy.  limit() keeps
+        # every added assertion out of this stream's old set, so one
+        # found in routes_old is another stream's.  Every removed
+        # assertion was this stream's and is not also added (a patch's
+        # halves are disjoint), so one still in routes_new is another
+        # stream's.  And routes_new is everything standing after the
+        # patch, which is what a new subscription catches up on.
+        visible = aggregate_visibility(applied, routes_old, routes_new)
 
         events: List[Tuple[StreamId, Patch]] = []
         changed = trie.union(visible.added, visible.removed)
         if changed is not EMPTY:
-            audience = trie.combine(
-                routes_old,
-                trie.wrap_trie(OBSERVE, changed),
-                _only_left,
-                left_only=trie.DROP,
-                right_only=trie.DROP,
-            )
+            audience = trie.intersect(routes_old, trie.wrap_trie(OBSERVE, changed))
             for peer in sorted(trie.leaf_union(audience)):
                 if peer == sid:
                     continue
@@ -98,44 +92,20 @@ class Mux:
                 if delta.is_non_empty():
                     events.append((peer, delta))
 
-        feedback = self._feedback(sid, old, new, applied, visible, routes_old)
+        # Subscriptions the stream keeps hear what became visible; those
+        # it adds catch up on what stands after, those it drops let go
+        # of what stood before.
+        came = observation_bodies(applied.added)
+        gone = observation_bodies(applied.removed)
+        kept = trie.subtract(observation_bodies(old), gone)
+        feedback = Patch(
+            trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
+            trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
+        )
         if feedback.is_non_empty():
             events.append((sid, feedback))
             events.sort(key=lambda e: e[0])
         return applied, events
-
-    def _feedback(
-        self,
-        sid: StreamId,
-        old: Trie,
-        new: Trie,
-        applied: Patch,
-        visible: Patch,
-        routes_old: Trie,
-    ) -> Patch:
-        obs_old = observation_bodies(old)
-        obs_new = observation_bodies(new)
-        added_fb = trie.intersect(visible.added, obs_new)
-        removed_fb = trie.intersect(visible.removed, obs_old)
-
-        new_interests = observation_bodies(applied.added)
-        gone_interests = observation_bodies(applied.removed)
-        if new_interests is not EMPTY or gone_interests is not EMPTY:
-            all_old = trie.relabel(lambda ids: () if ids else None, routes_old)
-            if new_interests is not EMPTY:
-                # Catch-up: everything already standing that the new
-                # subscriptions cover, as of after this very patch.
-                standing = trie.subtract(
-                    trie.union(all_old, visible.added), visible.removed
-                )
-                added_fb = trie.union(
-                    added_fb, trie.intersect(standing, new_interests)
-                )
-            if gone_interests is not EMPTY:
-                removed_fb = trie.union(
-                    removed_fb, trie.intersect(all_old, gone_interests)
-                )
-        return Patch(added_fb, removed_fb)
 
     @staticmethod
     def _reroute(routes: Trie, sid: StreamId, applied: Patch) -> Trie:

@@ -80,16 +80,16 @@ def diff(old: Trie, new: Trie) -> Patch:
     return Patch(trie.subtract(new, old), trie.subtract(old, new))
 
 
-def intersect(p: Patch, bound: Trie) -> Patch:
-    """Restrict both halves of a patch to assertions inside ``bound``."""
-    return Patch(trie.intersect(p.added, bound), trie.intersect(p.removed, bound))
+def aggregate_visibility(applied: Patch, before: Trie, after: Trie) -> Patch:
+    """The portion of an applied patch that changes the union of all streams.
 
-
-def aggregate_visibility(applied: Patch, others: Trie) -> Patch:
-    """The portion of an applied patch visible past other streams' assertions."""
+    ``before`` and ``after`` are that union just before and just after
+    the patch: an addition shows only if nothing held it before, and a
+    removal only if nothing holds it after.
+    """
     return Patch(
-        trie.subtract(applied.added, others),
-        trie.subtract(applied.removed, others),
+        trie.subtract(applied.added, before),
+        trie.subtract(applied.removed, after),
     )
 
 

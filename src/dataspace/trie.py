@@ -454,10 +454,6 @@ def subtract_routes(t1: Trie, t2: Trie) -> Trie:
     return combine(t1, t2, _routes_subtract_leaf, KEEP, DROP)
 
 
-def is_empty(t: Trie) -> bool:
-    return t is EMPTY
-
-
 def universe(n: int = 1) -> Trie:
     """The trie accepting every sequence of ``n`` values."""
     return make_tail(n, UNIT)

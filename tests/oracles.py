@@ -135,6 +135,10 @@ class ShadowModel:
     def add_actor(self, actor: int) -> None:
         self.stores[actor] = set()
 
+    def remove_actor(self, actor: int) -> None:
+        """Retract everything the actor asserts and disconnect it."""
+        del self.stores[actor]
+
     def denote(self, patterns) -> Set:
         return {w for w in self.witnesses if any(match(q, w) for q in patterns)}
 

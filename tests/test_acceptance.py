@@ -13,6 +13,7 @@ import pytest
 
 from dataspace.cli import (
     bench_broadcast,
+    bench_conn_scale,
     bench_scn_flat,
     bench_scn_presence,
     bench_unicast,
@@ -330,6 +331,7 @@ def test_random_programs_match_shadow_model():
         for _ in range(n_actors):
             pool = (
                 [rng.choice(bases) for _ in range(4)]
+                + [rng.choice(patterns)]
                 + [observe(rng.choice(patterns)) for _ in range(4)]
                 + [observe(observe(rng.choice(patterns))) for _ in range(2)]
             )
@@ -346,13 +348,19 @@ def test_random_programs_match_shadow_model():
 
         for _step in range(20):
             actor = rng.choice(sids)
-            pool = pools[sids.index(actor)]
-            added = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
-            removed = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
             before = shadow.syllabi()
-            shadow.apply(actor, added, removed)
+            if len(sids) > 1 and rng.random() < 0.1:
+                shadow.remove_actor(actor)
+                events = m.remove_stream(actor)
+                del pools[sids.index(actor)]
+                sids.remove(actor)
+            else:
+                pool = pools[sids.index(actor)]
+                added = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                removed = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+                shadow.apply(actor, added, removed)
+                _, events = m.update_stream(actor, from_sets(added, removed))
             after = shadow.syllabi()
-            _, events = m.update_stream(actor, from_sets(added, removed))
             deltas = {target: delta for target, delta in events}
             assert len(deltas) == len(events)  # at most one event per actor
             for sid in sids:
@@ -544,6 +552,7 @@ def test_benchmark_shapes():
     _assert_flat(bench_unicast, (10, 100, 1000))
     _assert_flat(bench_scn_flat, (10, 100, 300))
     _assert_flat(bench_scn_presence, (10, 100, 300))
+    _assert_flat(bench_conn_scale, (10, 100, 1000))
     for attempt in range(4):
         points = [(k, bench_broadcast(k, repeat=3)) for k in (10, 100, 1000)]
         a, _b = fit_inverse(points)

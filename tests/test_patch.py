@@ -58,12 +58,21 @@ def test_limit_reports_true_change_only(p, base):
     assert limit(limited, s) == limited
 
 
-@given(patches, value_sets)
-def test_visibility_hides_what_others_still_assert(p, others):
-    o = assertion_set(others)
-    vis = aggregate_visibility(p, o)
-    assert trie.intersect(vis.added, o) is EMPTY
-    assert trie.intersect(vis.removed, o) is EMPTY
+@given(patches, value_sets, value_sets)
+def test_visibility_hides_what_others_still_assert(p, before, after):
+    b, a = assertion_set(before), assertion_set(after)
+    vis = aggregate_visibility(p, b, a)
+    assert trie.subtract(vis.added, p.added) is EMPTY
+    assert trie.subtract(vis.removed, p.removed) is EMPTY
+    assert trie.intersect(vis.added, b) is EMPTY
+    assert trie.intersect(vis.removed, a) is EMPTY
+
+
+def test_visibility_reads_additions_before_and_removals_after():
+    p = from_sets([S("x"), S("y")], [S("z"), S("w")])
+    before = assertion_set([S("x"), S("z")])
+    after = assertion_set([S("w"), S("x"), S("y")])
+    assert aggregate_visibility(p, before, after) == from_sets([S("y")], [S("z")])
 
 
 def test_empty_patch_is_identity():
