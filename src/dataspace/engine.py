@@ -113,7 +113,11 @@ class Dataspace(Actor):
         if self.tracer is None:
             return -1
         path = self.path + ((self.names.get(who, str(who)),) if who is not None else ())
-        return self.tracer.record(kind, path, _describe(payload), cause)
+        try:
+            text = _describe(payload)
+        except RecursionError:  # an assertion too deep for the renderer
+            text = "<too deep to render>"
+        return self.tracer.record(kind, path, text, cause)
 
     def _enqueue(self, author: StreamId, action: Action, cause: int) -> None:
         seq = self._trace("action-produced", author, action, cause)
@@ -140,9 +144,20 @@ class Dataspace(Actor):
         return outward
 
     def _interpret_patch(self, author, action: Patch, cause, outward) -> None:
-        if author in self.mux.streams:
+        if author not in self.mux.streams:
+            return
+        try:
             _, events = self.mux.update_stream(author, action)
-            self._deliver_all(events, cause, outward)
+        except Exception as e:
+            # A patch the mux cannot take (one too deep for its trie
+            # walkers, say) changed nothing: its author crashes, and
+            # the layer goes on, unless the author is the container.
+            if author == META:
+                raise
+            self._report_crash(author, e)
+            self._kill(author, cause)
+            return
+        self._deliver_all(events, cause, outward)
 
     def _interpret_retire(self, author, cause, outward) -> None:
         if author in self.mux.streams:

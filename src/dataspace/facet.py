@@ -14,6 +14,21 @@ creation order, and an incoming event is dispatched to them in that
 order.  Stopping a facet runs the stop handlers of its subtree parent
 first, in pre-order.  A facet left with no children, no endpoints and
 no pending scripts is inert and stops at the end of the turn.
+
+What an actor publishes is kept in a bag: a count for each distinct
+contribution, where a contribution is an endpoint's trie
+(``Endpoint.current``) or the actor-level ``adhoc`` set.  Tries are
+canonical and keep atom kinds apart, so structural equality is set
+equality and ``p(1)``, ``p(1.0)``, ``p(True)`` make three keys.  Every
+change to a contribution goes through ``_contribute``, which notes the
+keys whose count goes 0→1 (came) or 1→0 (went).  Invariant: what the
+actor has published is exactly the union of the bag's keys, that is,
+``adhoc ∪`` every living endpoint's ``current``.  ``_flush`` keeps it
+with a patch built from the transitions alone: added is the union of
+what came less every key that stood before, removed the union of what
+went less every key that stands now.  Removal is therefore exact under
+overlap: retracting ``p(3)`` while ``p(*)`` stands publishes nothing.  A
+flush with no transitions touches no trie.
 """
 from __future__ import annotations
 
@@ -23,7 +38,7 @@ from typing import Callable, Dict, List, Optional
 from . import trie
 from .dataflow import Graph
 from .engine import Actor, Message, QUIT, Spawn
-from .patch import Patch, apply_patch, diff
+from .patch import Patch, apply_patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
@@ -302,8 +317,9 @@ class ActorRuntime(Actor):
         self.graph = Graph()
         self.root = Facet(self, None)
         self.endpoints: Dict[int, Endpoint] = {}  # of living facets, by eid
-        self.published: Trie = EMPTY
         self.adhoc: Trie = EMPTY
+        self._bag: Dict[Trie, int] = {}  # contribution -> count
+        self._moved: Dict[Trie, int] = {}  # net since the last flush: +1 came, -1 went
         self._queue: list = []
         self._seq = 0
         self._eid = 0
@@ -392,11 +408,12 @@ class ActorRuntime(Actor):
     def _refresh_endpoint(self, ep: Endpoint) -> None:
         if ep.kind == "assert":
             v = self.graph.with_subject(ep, ep.compute)
-            ep.current = EMPTY if v is None else trie.compile_pattern((), v)
+            new = EMPTY if v is None else trie.compile_pattern((), v)
         else:
             pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
-            ep.current = trie.compile_pattern((), observe(_wildify(pat)))
+            new = trie.compile_pattern((), observe(_wildify(pat)))
+        ep.current = self._contribute(ep.current, new)
 
     # -- dispatch -----------------------------------------------------------
 
@@ -465,6 +482,7 @@ class ActorRuntime(Actor):
             for ep in f.endpoints:
                 del self.endpoints[ep.eid]
                 self.graph.forget_subject(ep)
+                ep.current = self._contribute(ep.current, EMPTY)
         for f in subtree:
             for h in f.stop_handlers:
                 h()
@@ -491,10 +509,31 @@ class ActorRuntime(Actor):
 
     def assert_value(self, v: Value) -> None:
         """Actor-level assertion outliving any facet."""
-        self.adhoc = trie.union(self.adhoc, trie.compile_pattern((), v))
+        new = trie.union(self.adhoc, trie.compile_pattern((), v))
+        self.adhoc = self._contribute(self.adhoc, new)
 
     def retract_value(self, v: Value) -> None:
-        self.adhoc = trie.subtract(self.adhoc, trie.compile_pattern((), v))
+        new = trie.subtract(self.adhoc, trie.compile_pattern((), v))
+        self.adhoc = self._contribute(self.adhoc, new)
+
+    def _contribute(self, old: Trie, new: Trie) -> Trie:
+        """Replace the contribution ``old`` by ``new`` in the bag, noting
+        each key whose count goes 0→1 or 1→0; returns ``new``."""
+        if old is new:
+            return new
+        bag, moved = self._bag, self._moved
+        if new is not EMPTY:
+            count = bag.get(new, 0)
+            bag[new] = count + 1
+            if not count:
+                moved[new] = moved.get(new, 0) + 1
+        if old is not EMPTY:
+            count = bag.pop(old) - 1
+            if count:
+                bag[old] = count
+            else:
+                moved[old] = moved.get(old, 0) - 1
+        return new
 
     def _emit(self, action) -> None:
         self._flush()
@@ -502,13 +541,17 @@ class ActorRuntime(Actor):
 
     def _flush(self) -> None:
         self.graph.repair_damage(self._repair_subject)
-        desired = self.adhoc
-        for ep in self.endpoints.values():
-            desired = trie.union(desired, ep.current)
-        delta = diff(self.published, desired)
+        if not self._moved:
+            return
+        moved, self._moved = self._moved, {}
+        came = [k for k, step in moved.items() if step > 0]
+        went = [k for k, step in moved.items() if step < 0]
+        # A key in the bag stood before unless it just came; one that went
+        # has left the bag.
+        before = went + [k for k in self._bag if not moved.get(k)]
+        delta = Patch(_uncovered(came, before), _uncovered(went, self._bag))
         if delta.is_non_empty():
             self._actions.append(delta)
-            self.published = desired
 
     def _repair_subject(self, subject) -> None:
         if isinstance(subject, Endpoint):
@@ -576,6 +619,19 @@ def _match(pattern, value):
         raise ValueError(f"not a pattern: {p!r}")
 
     return caps if go(pattern, value) else None
+
+
+def _uncovered(keys, cover) -> Trie:
+    """The union of ``keys`` less whatever the keys of ``cover`` hold."""
+    t = EMPTY
+    for k in keys:
+        t = trie.union(t, k)
+    for k in cover:
+        if t is EMPTY:
+            break
+        if trie.may_meet(t, k):
+            t = trie.subtract(t, k)
+    return t
 
 
 def _caps_order(caps: tuple):

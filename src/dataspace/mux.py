@@ -50,23 +50,31 @@ class Mux:
         return sid, applied, events
 
     def remove_stream(self, sid: StreamId) -> List[Tuple[StreamId, Patch]]:
-        _, events = self.update_stream(sid, RETRACT_ALL)
+        # The departing stream hears nothing, so its feedback is not worked out.
+        _, events = self._update(sid, RETRACT_ALL, feedback=False)
         del self.streams[sid]
-        return [(target, p) for target, p in events if target != sid]
+        return events
 
     def all_assertions(self, hide: Optional[StreamId] = None) -> Trie:
         """Every assertion some stream holds, except those held by ``hide`` alone."""
         return trie.relabel(lambda ids: () if ids - {hide} else None, self.routes)
 
     def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
+        """Apply a stream's patch; returns what it changed and the events
+        it yields, ordered by stream.  Nothing changes if the trie work
+        raises, so a caller may drop the patch and carry on."""
+        return self._update(sid, requested, feedback=True)
+
+    def _update(
+        self, sid: StreamId, requested: Patch, feedback: bool
+    ) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
         old = self.streams[sid]
         applied = limit(requested, old)
         if applied.is_empty():
             return applied, []
 
-        self.streams[sid] = apply_patch(old, applied)
         routes_old = self.routes
-        routes_new = self.routes = self._reroute(routes_old, sid, applied)
+        routes_new = self._reroute(routes_old, sid, applied)
         # Read as sets, routes_old and routes_new answer "does another
         # stream hold this?" without a per-stream copy.  limit() keeps
         # every added assertion out of this stream's old set, so one
@@ -92,19 +100,23 @@ class Mux:
                 if delta.is_non_empty():
                     events.append((peer, delta))
 
-        # Subscriptions the stream keeps hear what became visible; those
-        # it adds catch up on what stands after, those it drops let go
-        # of what stood before.
-        came = observation_bodies(applied.added)
-        gone = observation_bodies(applied.removed)
-        kept = trie.subtract(observation_bodies(old), gone)
-        feedback = Patch(
-            trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
-            trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
-        )
-        if feedback.is_non_empty():
-            events.append((sid, feedback))
-            events.sort(key=lambda e: e[0])
+        if feedback:
+            # Subscriptions the stream keeps hear what became visible;
+            # those it adds catch up on what stands after, those it drops
+            # let go of what stood before.
+            came = observation_bodies(applied.added)
+            gone = observation_bodies(applied.removed)
+            kept = trie.subtract(observation_bodies(old), gone)
+            own = Patch(
+                trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
+                trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
+            )
+            if own.is_non_empty():
+                events.append((sid, own))
+                events.sort(key=lambda e: e[0])
+
+        self.streams[sid] = apply_patch(old, applied)
+        self.routes = routes_new
         return applied, events
 
     @staticmethod

@@ -11,8 +11,10 @@ are structurally equal.
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion.
 A node's hash is computed on first use and cached (a branch's from its
-default and its edge set); the set operations never hash a node, so a
-rebuilt node does no per-edge work for the edges it carries over.
+default and its edge set, children first with an explicit stack, so
+deep tries hash without recursion); the set operations never hash a
+node, so a rebuilt node does no per-edge work for the edges it carries
+over.
 Canonical form is likewise kept per rebuilt edge: ``combine`` checks
 only the edges it recomputes, because an edge copied unchanged from a
 canonical operand, under that operand's own default, stays canonical.
@@ -97,7 +99,8 @@ class Branch(Trie):
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = self._hash = hash(("br", self.default, frozenset(self.edges.items())))
+            _hash_below(self)
+            h = self._hash
         return h
 
     def __repr__(self) -> str:
@@ -105,6 +108,24 @@ class Branch(Trie):
 
 
 UNIT = Ok(())
+
+
+def _hash_below(root: Branch) -> None:
+    """Cache the hash of ``root`` and of every unhashed branch beneath it,
+    children first, so that no hash recurses."""
+    found = []  # parents before their children
+    todo = [root]
+    while todo:
+        b = todo.pop()
+        found.append(b)
+        if type(b.default) is Branch and b.default._hash is None:
+            todo.append(b.default)
+        for c in b.edges.values():
+            if type(c) is Branch and c._hash is None:
+                todo.append(c)
+    for b in reversed(found):
+        if b._hash is None:
+            b._hash = hash(("br", b.default, frozenset(b.edges.items())))
 
 
 def _same(a: Trie, b: Trie) -> bool:
@@ -433,6 +454,33 @@ def subtract(t1: Trie, t2: Trie) -> Trie:
     if t2 is EMPTY:
         return t1
     return combine(t1, t2, _leaf_none, KEEP, DROP)
+
+
+def may_meet(t1: Trie, t2: Trie) -> bool:
+    """Whether two canonical tries may share a member.
+
+    A cheap, conservative test: it follows the edges both tries share
+    and answers False only when every such path ends before reaching a
+    leaf or a default (a wildcard) on either side, so that the sets are
+    certainly disjoint.
+    """
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if a is EMPTY or b is EMPTY:
+            continue
+        if type(a) is not Branch or type(b) is not Branch:
+            return True
+        if a.default is not EMPTY or b.default is not EMPTY:
+            return True
+        if len(a.edges) > len(b.edges):
+            a, b = b, a
+        large = b.edges
+        for tok, child in a.edges.items():
+            other = large.get(tok)
+            if other is not None:
+                todo.append((child, other))
+    return False
 
 
 def _routes_union_leaf(a: Ok, b: Ok) -> Trie:

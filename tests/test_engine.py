@@ -7,7 +7,9 @@ from dataspace.engine import (
     spawn_dataspace,
     spawn_full_state,
 )
+from dataspace.facet import spawn_actor
 from dataspace.patch import Patch, assert_patch, from_sets, retract_patch
+from dataspace.trace import Tracer
 from dataspace.trie import assertion_set
 from dataspace.values import Record, Symbol, WILDCARD, inbound, observe, outbound
 
@@ -210,3 +212,26 @@ def test_full_state_adapter_emits_minimal_patches():
 def test_layer_assertions_hide_relay_bookkeeping():
     ds = ground_run([spawn_probe(Probe(), [assert_patch(S("x"))])])
     assert trie.key_set(ds.layer_assertions()) == frozenset({(S("x"),)})
+
+
+def test_oversized_assertion_crashes_its_author_not_the_dataspace():
+    # Too deep for the mux's trie walkers: the update fails before it
+    # changes anything, so only its author dies.
+    huge = tuple(range(1500))
+    for tracer in (None, Tracer()):
+        peer = Probe()
+        ds = ground_run(
+            [
+                spawn_actor("huge", lambda f: f.assert_(huge)),
+                spawn_probe(peer, [assert_patch(observe(WILDCARD))], name="peer"),
+                spawn_probe(Probe(), [assert_patch(S("later"))], name="later"),
+            ],
+            tracer=tracer,
+        )
+        assert list(ds.crashes) == [1]
+        assert isinstance(ds.crashes[1], RecursionError)
+        assert ds.living_names() == {"peer#2", "later#3"}
+        # The peer, watching everything, sees its own interest and the later assertion.
+        assert peer.events == [assert_patch(observe(WILDCARD)), assert_patch(S("later"))]
+        assert not trie.contains(ds.assertions(), huge)
+        assert trie.contains(ds.assertions(), S("later"))

@@ -1,9 +1,14 @@
-from dataspace.engine import ground_run, spawn_dataspace
+import random
+
+from dataspace import trie
+from dataspace.engine import Message, ground_run, spawn_dataspace
 from dataspace.facet import (
+    ActorRuntime,
     InfiniteMatchSet,
     PRIORITY_QUERY_ADD,
     spawn_actor,
 )
+from dataspace.patch import Patch, assert_patch, diff, retract_patch
 from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, observe
 
@@ -336,3 +341,153 @@ def test_script_scheduled_while_pruning_runs_in_the_same_turn():
     ds = ground_run([spawn_actor("a", actor)])
     assert ds.living_names() == set()
     assert ds.assertions() is EMPTY
+
+
+# ---------------------------------------------------------------------------
+# The assertion bag against a re-union oracle
+
+#: Assertions that overlap (p(*) covers every p(x); q(1, *) and q(*, 1)
+#: share q(1, 1)) or differ only by atom kind (1, True, 1.0, "1").
+VALUES = [rec("p", x) for x in (1, True, 1.0, "1", 3, WILDCARD)] + [
+    rec("q", 1, WILDCARD),
+    rec("q", WILDCARD, 1),
+    rec("q", 1, 1),
+]
+#: What a field-driven assertion may compute; None asserts nothing.
+COMPUTED = VALUES + [None]
+PATTERNS = [
+    rec("p", CAPTURE),
+    rec("p", 1),
+    rec("p", True),
+    rec("q", 1, CAPTURE),
+    rec("q", CAPTURE, 1),
+]
+STEP = S("step")
+
+
+class BagOracle:
+    """Drives one actor through random steps, checking each turn's patch
+    against diff(published, adhoc ∪ ⋃ ep.current), the whole-set
+    re-union the bag replaces."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.facets = []
+        self.fields = []
+        self.published = EMPTY
+        self.rt = ActorRuntime(("t",), self.boot)
+        self.check(self.rt.startup())
+
+    def boot(self, f):
+        self.facets.append(f)
+        f.on_message(STEP, self.step)
+
+    def check(self, actions):
+        want = self.rt.adhoc
+        for ep in self.rt.endpoints.values():
+            want = trie.union(want, ep.current)
+        expected = diff(self.published, want)
+        patches = [a for a in actions if isinstance(a, Patch)]
+        assert patches == ([expected] if expected.is_non_empty() else [])
+        self.published = want
+
+    def run(self, steps):
+        for _ in range(steps):
+            self.check(self.rt.handle(Message(STEP)))
+
+    def add_endpoint(self, g):
+        rng = self.rng
+        kind = rng.randrange(3)
+        if kind == 0:
+            g.assert_(rng.choice(VALUES))
+        elif kind == 1:
+            field = g.field(rng.randrange(len(COMPUTED)))
+            self.fields.append(field)
+            g.assert_(lambda: COMPUTED[field.value])
+        else:
+            g.on_asserted(rng.choice(PATTERNS), lambda *_: None)
+
+    def grow(self, parent):
+        def body(h):
+            self.facets.append(h)
+            self.add_endpoint(h)
+
+        parent.react(body)
+
+    def step(self):
+        # Several changes per turn, so that a key may come and go again
+        # before the flush.
+        rng = self.rng
+        for _ in range(rng.randint(1, 3)):
+            live = [g for g in self.facets if g.alive]
+            op = rng.randrange(6)
+            if op == 0:
+                self.add_endpoint(rng.choice(live))
+            elif op == 1 and self.fields:
+                rng.choice(self.fields).value = rng.randrange(len(COMPUTED))
+            elif op == 2 and len(live) > 1:
+                rng.choice(live[1:]).stop()
+            elif op == 3:
+                self.grow(rng.choice(live))
+            elif op == 4:
+                self.rt.assert_value(rng.choice(VALUES))
+            elif op == 5:
+                self.rt.retract_value(rng.choice(VALUES))
+
+
+def test_bag_patches_match_re_union_oracle():
+    rng = random.Random(20161)
+    for _ in range(150):
+        BagOracle(rng).run(25)
+
+
+def _turn_patches(steps):
+    """Patches of the turns of an actor whose step handler runs ``steps``
+    in order, one per turn, each given the boot facet."""
+    todo = list(steps)
+    rt = ActorRuntime(("t",), lambda f: f.on_message(STEP, lambda: todo.pop(0)(f)))
+    out = [[a for a in rt.startup() if isinstance(a, Patch)]]
+    while todo:
+        out.append([a for a in rt.handle(Message(STEP)) if isinstance(a, Patch)])
+    return out[1:]
+
+
+def test_bag_retraction_under_a_standing_wildcard_publishes_nothing():
+    facets = []
+
+    def both(f):
+        f.assert_(rec("p", WILDCARD))
+        f.react(lambda g: (facets.append(g), g.assert_(rec("p", 3))))
+
+    patches = _turn_patches(
+        [both, lambda f: facets[0].stop(), lambda f: f.runtime.assert_value(rec("p", 3))]
+    )
+    assert patches == [[assert_patch(rec("p", WILDCARD))], [], []]
+
+
+def test_bag_two_to_one_transition_emits_nothing():
+    facets = []
+
+    def twice(f):
+        for _ in range(2):
+            f.react(lambda g: (facets.append(g), g.assert_(rec("p", 1))))
+
+    patches = _turn_patches(
+        [twice, lambda f: facets[0].stop(), lambda f: facets[1].stop()]
+    )
+    assert patches == [[assert_patch(rec("p", 1))], [], [retract_patch(rec("p", 1))]]
+
+
+def test_bag_keeps_atom_kinds_apart():
+    facets = []
+    atoms = (1, True, 1.0, "1")
+
+    def each(f):
+        for x in atoms:
+            f.react(lambda g, x=x: (facets.append(g), g.assert_(rec("p", x))))
+
+    patches = _turn_patches([each, lambda f: facets[1].stop()])
+    assert patches == [
+        [assert_patch(*(rec("p", x) for x in atoms))],
+        [retract_patch(rec("p", True))],
+    ]

@@ -1,6 +1,8 @@
+import sys
+
 from dataspace import trie
 from dataspace.mux import Mux
-from dataspace.patch import assert_patch, from_sets, retract_patch
+from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, retract_patch
 from dataspace.values import Record, Symbol, WILDCARD, observe
 
 S = Symbol
@@ -79,6 +81,46 @@ def test_remove_stream_retracts_everything():
         (watcher, from_sets(removed=[pres(S("a")), pres(S("b"))]))
     ]
     assert s not in m.streams
+
+
+def _trie_calls(thunk):
+    """Run ``thunk``; return its result and how many calls it made into
+    the trie module, a measure of its trie work."""
+    calls = 0
+
+    def count(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == trie.__file__:
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_remove_stream_work_does_not_grow_with_what_it_watched():
+    work = []
+    for k in (10, 100, 1000):
+        m = Mux()
+        for i in range(k):
+            m.add_stream(assert_patch(pres(i)))
+        meta, _, _ = m.add_stream(assert_patch(observe(observe(pres(WILDCARD)))))
+        leaving, _, _ = m.add_stream(assert_patch(observe(pres(WILDCARD))))
+        # What peers heard when removal was an update retracting everything.
+        ref = Mux()
+        ref.next_id, ref.streams, ref.routes = m.next_id, dict(m.streams), m.routes
+        _, ref_events = ref.update_stream(leaving, RETRACT_ALL)
+        events, calls = _trie_calls(lambda: m.remove_stream(leaving))
+        assert events == [(t, p) for t, p in ref_events if t != leaving]
+        assert events == [(meta, retract_patch(observe(pres(WILDCARD))))]
+        assert m.routes == ref.routes and m.streams == {
+            s: t for s, t in ref.streams.items() if s != leaving
+        }
+        work.append(calls)
+    assert work[0] == work[1] == work[2], work
 
 
 def test_route_message_concrete_and_wild():
