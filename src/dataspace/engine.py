@@ -29,7 +29,7 @@ from .patch import (
 )
 from .mux import Mux, StreamId
 from .trace import Tracer
-from .values import Value, WILDCARD, format_value, inbound, observe, outbound
+from .values import NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound
 
 
 @dataclass(frozen=True)
@@ -117,6 +117,8 @@ class Dataspace(Actor):
             text = _describe(payload)
         except RecursionError:  # an assertion too deep for the renderer
             text = "<too deep to render>"
+        except NotAValue:  # a message body that is not a value
+            text = "<not a value>"
         return self.tracer.record(kind, path, text, cause)
 
     def _enqueue(self, author: StreamId, action: Action, cause: int) -> None:
@@ -150,14 +152,18 @@ class Dataspace(Actor):
             _, events = self.mux.update_stream(author, action)
         except Exception as e:
             # A patch the mux cannot take (one too deep for its trie
-            # walkers, say) changed nothing: its author crashes, and
-            # the layer goes on, unless the author is the container.
-            if author == META:
-                raise
-            self._report_crash(author, e)
-            self._kill(author, cause)
+            # walkers, say) changed nothing.
+            self._refuse(author, e, cause)
             return
         self._deliver_all(events, cause, outward)
+
+    def _refuse(self, author, e: Exception, cause) -> None:
+        """The mux refused an action: its author crashes, and the layer
+        goes on, unless the author is the container."""
+        if author == META:
+            raise e
+        self._report_crash(author, e)
+        self._kill(author, cause)
 
     def _interpret_retire(self, author, cause, outward) -> None:
         if author in self.mux.streams:
@@ -166,7 +172,12 @@ class Dataspace(Actor):
         self.names.pop(author, None)
 
     def _interpret_message(self, author, action: Message, cause, outward) -> None:
-        for target in self.mux.route_message(action.body):
+        try:
+            targets = self.mux.route_message(action.body)
+        except Exception as e:  # a body that is neither a value nor a pattern
+            self._refuse(author, e, cause)
+            return
+        for target in targets:
             self._deliver(target, action, cause, outward)
 
     def _interpret_spawn(self, action: Spawn, cause) -> None:

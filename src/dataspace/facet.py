@@ -547,9 +547,10 @@ class ActorRuntime(Actor):
         came = [k for k, step in moved.items() if step > 0]
         went = [k for k, step in moved.items() if step < 0]
         # A key in the bag stood before unless it just came; one that went
-        # has left the bag.
+        # has left the bag.  What is added stands now and what is removed
+        # does not, so the halves are disjoint.
         before = went + [k for k in self._bag if not moved.get(k)]
-        delta = Patch(_uncovered(came, before), _uncovered(went, self._bag))
+        delta = Patch.disjoint(_uncovered(came, before), _uncovered(went, self._bag))
         if delta.is_non_empty():
             self._actions.append(delta)
 

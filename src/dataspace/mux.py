@@ -6,6 +6,18 @@ see the portion of the change that is (a) newly visible past everyone
 else's assertions and (b) covered by their own subscriptions, while the
 updating stream additionally receives feedback for subscriptions it just
 added or removed.
+
+The audience of a change is read off the routing index: the streams
+whose subscriptions meet the visible change.  The updating stream is
+served in the same pass, in stream order, and only when it is in that
+audience or its subscriptions change; otherwise its feedback is empty,
+so none is worked out.  Every delta is built as a trusted disjoint
+patch (see ``patch``).
+
+A message is routed by value: the index is walked along the message
+body, with no token list or ``observe(body)`` built.  A body holding a
+wildcard is matched as a pattern, against every subscription it could
+meet.
 """
 from __future__ import annotations
 
@@ -22,7 +34,7 @@ from .patch import (
     observation_bodies,
 )
 from .trie import EMPTY, Trie
-from .values import OBSERVE, Value, WILDCARD, observe
+from .values import NotAValue, OBSERVE, Value, observe
 
 StreamId = int
 
@@ -85,35 +97,45 @@ class Mux:
         # patch, which is what a new subscription catches up on.
         visible = aggregate_visibility(applied, routes_old, routes_new)
 
-        events: List[Tuple[StreamId, Patch]] = []
         changed = trie.union(visible.added, visible.removed)
-        if changed is not EMPTY:
-            audience = trie.intersect(routes_old, trie.wrap_trie(OBSERVE, changed))
-            for peer in sorted(trie.leaf_union(audience)):
-                if peer == sid:
-                    continue
+        if changed is EMPTY:
+            audience = frozenset()
+        else:
+            audience = trie.leaf_union(
+                trie.intersect(routes_old, trie.wrap_trie(OBSERVE, changed))
+            )
+        if feedback:
+            came = observation_bodies(applied.added)
+            gone = observation_bodies(applied.removed)
+            # The author hears feedback only if it is in the audience or
+            # its subscriptions change.  Its kept subscriptions, those of
+            # ``old`` less ``gone``, meet the visible change only if some
+            # observe(c) with c changed is in ``old``, and then routes_old
+            # holds observe(c) tagged with sid: sid is in the audience.
+            if came is not EMPTY or gone is not EMPTY:
+                audience = audience | {sid}
+        elif sid in audience:
+            audience = audience - {sid}
+
+        events: List[Tuple[StreamId, Patch]] = []
+        for peer in sorted(audience):
+            if peer == sid:
+                # Subscriptions the stream keeps hear what became
+                # visible; those it adds catch up on what stands after,
+                # those it drops let go of what stood before.
+                kept = trie.subtract(observation_bodies(old), gone)
+                delta = Patch.disjoint(
+                    trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
+                    trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
+                )
+            else:
                 interests = observation_bodies(self.streams[peer])
-                delta = Patch(
+                delta = Patch.disjoint(
                     trie.intersect(visible.added, interests),
                     trie.intersect(visible.removed, interests),
                 )
-                if delta.is_non_empty():
-                    events.append((peer, delta))
-
-        if feedback:
-            # Subscriptions the stream keeps hear what became visible;
-            # those it adds catch up on what stands after, those it drops
-            # let go of what stood before.
-            came = observation_bodies(applied.added)
-            gone = observation_bodies(applied.removed)
-            kept = trie.subtract(observation_bodies(old), gone)
-            own = Patch(
-                trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
-                trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
-            )
-            if own.is_non_empty():
-                events.append((sid, own))
-                events.sort(key=lambda e: e[0])
+            if delta.is_non_empty():
+                events.append((peer, delta))
 
         self.streams[sid] = apply_patch(old, applied)
         self.routes = routes_new
@@ -130,10 +152,18 @@ class Mux:
         return routes
 
     def route_message(self, body: Value) -> List[StreamId]:
-        """Stream ids subscribed to a message body, ascending."""
-        key = trie.serialize_wild(observe(body))
-        if any(t is WILDCARD for t in key):
+        """Stream ids subscribed to a message body, ascending.
+
+        The routing index is walked along the body itself: the
+        ``observe`` edge, then an edge or the default per part of the
+        body.  The walk refuses a body that is not a value.  Such a body
+        is serialized as a pattern instead: one with wildcards is matched
+        against every subscription it could meet, and ``serialize_wild``
+        raises on anything else.
+        """
+        try:
+            ids = trie.search_value(body, observation_bodies(self.routes))
+        except NotAValue:
+            key = trie.serialize_wild(observe(body))
             ids = trie.search_wild(key, self.routes, frozenset.union)
-        else:
-            ids = trie.search(key, self.routes)
         return sorted(ids) if ids else []

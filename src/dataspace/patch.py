@@ -4,6 +4,20 @@ A patch carries two disjoint unit tries, the assertions being added and
 the assertions being removed.  Patches compose associatively, can be
 limited against a base set so they describe only real change, and apply
 to a set by removing then adding.
+
+``Patch(added, removed)`` normalizes: an assertion on both sides
+cancels out, at the cost of intersecting the two halves.  Patches that
+actors build go through it, and so do three operations whose halves can
+meet: ``from_sets`` (its two lists are arbitrary), ``compose`` (an
+older removal the newer patch re-adds) and ``drop_outbound`` (the
+nested layer's ``+outbound(observe(x))`` and ``-observe(inbound(x))``
+are different assertions inside, but both translate to the outer
+``observe(x)``, and only cancelling the pair leaves the correct empty
+patch).  ``Patch.disjoint`` trusts its caller and skips the
+intersection; it is for halves disjoint by construction: ``limit``,
+``diff``, ``aggregate_visibility``, ``label_patch``/``unwrap_patch``
+(which map disjoint halves injectively), the mux's per-stream deltas
+and the facet runtime's flush.
 """
 from __future__ import annotations
 
@@ -26,6 +40,14 @@ class Patch:
         if overlap is not EMPTY:
             object.__setattr__(self, "added", trie.subtract(self.added, overlap))
             object.__setattr__(self, "removed", trie.subtract(self.removed, overlap))
+
+    @classmethod
+    def disjoint(cls, added: Trie, removed: Trie) -> "Patch":
+        """A patch from halves the caller knows to be disjoint; not normalized."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "added", added)
+        object.__setattr__(p, "removed", removed)
+        return p
 
     def is_empty(self) -> bool:
         return self.added is EMPTY and self.removed is EMPTY
@@ -65,7 +87,7 @@ def compose(newer: Patch, older: Patch) -> Patch:
 
 def limit(requested: Patch, base: Trie) -> Patch:
     """Trim a patch to the change it actually makes to ``base``."""
-    return Patch(
+    return Patch.disjoint(
         trie.subtract(requested.added, base),
         trie.intersect(requested.removed, base),
     )
@@ -77,7 +99,7 @@ def apply_patch(base: Trie, delta: Patch) -> Trie:
 
 def diff(old: Trie, new: Trie) -> Patch:
     """The patch taking the set ``old`` to the set ``new``."""
-    return Patch(trie.subtract(new, old), trie.subtract(old, new))
+    return Patch.disjoint(trie.subtract(new, old), trie.subtract(old, new))
 
 
 def aggregate_visibility(applied: Patch, before: Trie, after: Trie) -> Patch:
@@ -87,7 +109,7 @@ def aggregate_visibility(applied: Patch, before: Trie, after: Trie) -> Patch:
     the patch: an addition shows only if nothing held it before, and a
     removal only if nothing holds it after.
     """
-    return Patch(
+    return Patch.disjoint(
         trie.subtract(applied.added, before),
         trie.subtract(applied.removed, after),
     )
@@ -95,11 +117,11 @@ def aggregate_visibility(applied: Patch, before: Trie, after: Trie) -> Patch:
 
 def label_patch(p: Patch, label) -> Patch:
     """Wrap every assertion in a unary record, e.g. to cross a layer boundary."""
-    return Patch(trie.wrap_trie(label, p.added), trie.wrap_trie(label, p.removed))
+    return Patch.disjoint(trie.wrap_trie(label, p.added), trie.wrap_trie(label, p.removed))
 
 
 def unwrap_patch(p: Patch, label) -> Patch:
-    return Patch(trie.unwrap_trie(label, p.added), trie.unwrap_trie(label, p.removed))
+    return Patch.disjoint(trie.unwrap_trie(label, p.added), trie.unwrap_trie(label, p.removed))
 
 
 def observation_bodies(t: Trie) -> Trie:

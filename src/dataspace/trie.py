@@ -30,19 +30,20 @@ from .values import (
     AtomTok,
     MalformedTokens,
     PushTok,
+    Record,
     Token,
     Value,
     WILDCARD,
     CAPTURE,
     atom_kind,
     atom_token,
+    check_value,
     decompose,
     is_atom,
     is_compound,
     is_well_formed,
     parse_exact,
     push_token,
-    serialize,
     token_sort_key,
 )
 
@@ -278,7 +279,38 @@ def search(key: list, t: Trie):
 
 
 def search_value(v: Value, t: Trie):
-    return search(serialize(v), t)
+    """Look up one value, walking ``t`` along the value itself (an edge
+    or the default per part); returns the leaf value or None.
+
+    Every part of ``v`` is checked, also below a default and past the
+    point where the trie runs out, so a non-value (a wildcard among
+    them) raises NotAValue whatever ``t`` holds.  The walk keeps its
+    own stack, so a deep value does not recurse.
+    """
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if type(t) is not Branch:
+            # Out of trie, or a leaf before the value ends: no match.
+            t = EMPTY
+            check_value(v)
+            continue
+        if isinstance(v, tuple):
+            label, fields = None, v
+        elif isinstance(v, Record):
+            label, fields = v.label, v.fields
+        else:
+            child = t.edges.get(atom_token(v))
+            t = t.default if child is None else child
+            continue
+        child = t.edges.get(PushTok(label, len(fields)))
+        if child is None:
+            check_value(v)  # the default consumes the whole value
+            t = t.default
+        else:
+            t = child
+            todo.extend(reversed(fields))
+    return t.value if type(t) is Ok else None
 
 
 def contains(t: Trie, v: Value) -> bool:
@@ -689,8 +721,6 @@ def _parse_wild(tokens: list) -> tuple:
         for _ in range(tok.arity):
             f, pos = one(pos)
             fields.append(f)
-        from .values import Record
-
         return (tuple(fields) if tok.label is None else Record(tok.label, tuple(fields))), pos
 
     values = []

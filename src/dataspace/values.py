@@ -248,6 +248,20 @@ def _serialize_into(v, out: list) -> None:
         raise NotAValue(f"not serializable as an assertion value: {v!r}")
 
 
+def check_value(v) -> None:
+    """Raise NotAValue unless ``v`` is a value; parts are checked in
+    pre-order, without recursion."""
+    todo = [v]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, tuple):
+            todo.extend(reversed(v))
+        elif isinstance(v, Record):
+            todo.extend(reversed(v.fields))
+        elif atom_kind(v) is None:
+            raise NotAValue(f"not serializable as an assertion value: {v!r}")
+
+
 def parse(tokens: Sequence[Token], n: int) -> tuple:
     """Rebuild ``n`` values from a token sequence.
 

@@ -1,5 +1,6 @@
 from dataspace import trie
 from dataspace.engine import (
+    Dataspace,
     Message,
     QUIT,
     Spawn,
@@ -235,3 +236,53 @@ def test_oversized_assertion_crashes_its_author_not_the_dataspace():
         assert peer.events == [assert_patch(observe(WILDCARD)), assert_patch(S("later"))]
         assert not trie.contains(ds.assertions(), huge)
         assert trie.contains(ds.assertions(), S("later"))
+
+
+def test_nested_swap_meeting_outside_sends_the_container_nothing():
+    # Inside, outbound(observe(x)) and observe(inbound(x)) differ; outside
+    # both read observe(x), so swapping one for the other changes nothing.
+    x = S("x")
+    swap = from_sets([outbound(observe(x))], [observe(inbound(x))])
+    inner = Probe(replies=[[swap]])
+    ds = Dataspace([spawn_probe(inner, [assert_patch(observe(inbound(x)))])])
+    assert ds.run() == [assert_patch(observe(x))]
+    assert ds.handle(assert_patch(x)) == []
+    assert inner.events == [assert_patch(inbound(x)), retract_patch(inbound(x))]
+
+
+def _message_survival(body, tracer):
+    """A sender sends ``body``, then a sibling is pinged; returns the
+    layer and the events the sibling and a watcher of every message saw."""
+    ping = Record(S("ping"), (1,))
+    sibling, watcher = Probe(), Probe()
+    ds = ground_run(
+        [
+            spawn_probe(watcher, [assert_patch(observe(WILDCARD))], name="watcher"),
+            spawn_probe(sibling, [assert_patch(observe(Record(S("ping"), (WILDCARD,))))], name="sibling"),
+            spawn_probe(Probe(), [Message(body)], name="sender"),
+            spawn_probe(Probe(), [Message(ping)], name="pinger"),
+        ],
+        tracer=tracer,
+    )
+    assert sibling.events[-1] == Message(ping)
+    assert ds.living_names() >= {"watcher#1", "sibling#2", "pinger#4"}
+    return ds, watcher.events
+
+
+def test_unroutable_message_crashes_its_author_not_the_dataspace():
+    for tracer in (None, Tracer()):
+        ds, _ = _message_survival([1, 2], tracer)
+        assert list(ds.crashes) == [3]
+        assert type(ds.crashes[3]) is ValueError
+        if tracer is not None:
+            assert any(r.payload == "<not a value>" for r in tracer.records)
+
+
+def test_deep_message_body_is_routed_without_recursion():
+    deep = 1
+    for _ in range(3000):
+        deep = (deep,)
+    for tracer in (None, Tracer()):
+        ds, seen = _message_survival(deep, tracer)
+        assert ds.crashes == {}
+        assert any(isinstance(e, Message) and e.body is deep for e in seen)

@@ -1,9 +1,12 @@
+import random
 import sys
 
 from dataspace import trie
+from dataspace.engine import Dataspace, Message
+from dataspace.facet import spawn_actor
 from dataspace.mux import Mux
 from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, retract_patch
-from dataspace.values import Record, Symbol, WILDCARD, observe
+from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
 
 S = Symbol
 
@@ -132,6 +135,103 @@ def test_route_message_concrete_and_wild():
     assert m.route_message(S("unrelated")) == []
     # wildcard in the message body reaches every specific subscriber
     assert m.route_message(pres(WILDCARD)) == sorted([a, both])
+
+
+ATOMS = (1, True, 1.0, "1", S("1"))
+LABELS = (S("a"), S("b"))
+#: Parts that make a body neither a value nor a pattern.
+MALFORMED = ([1, 2], CAPTURE, float("nan"), object())
+
+
+def _random_term(rng, depth, extra=()):
+    r = rng.random()
+    if depth <= 0 or r < 0.35:
+        return rng.choice(ATOMS + extra)
+    fields = tuple(_random_term(rng, depth - 1, extra) for _ in range(rng.randrange(3)))
+    return fields if r < 0.6 else Record(rng.choice(LABELS), fields)
+
+
+def _route_by_tokens(m, body):
+    """Routing as a token search over serialize_wild(observe(body))."""
+    key = trie.serialize_wild(observe(body))
+    if any(t is WILDCARD for t in key):
+        ids = trie.search_wild(key, m.routes, frozenset.union)
+    else:
+        ids = trie.search(key, m.routes)
+    return sorted(ids) if ids else []
+
+
+def _outcome(route, m, body):
+    try:
+        return route(m, body)
+    except Exception as e:
+        return type(e)
+
+
+def test_route_message_by_value_agrees_with_token_search():
+    rng = random.Random(4)
+    seen = {"routed": 0, "wild": 0, "malformed": 0}
+    for _ in range(150):
+        m = Mux()
+        for _ in range(rng.randrange(1, 5)):
+            pats = [_random_term(rng, 3, (WILDCARD, WILDCARD)) for _ in range(rng.randrange(1, 4))]
+            subs = [observe(p) for p in pats]
+            if rng.random() < 0.05:
+                subs.append(WILDCARD)  # asserts everything, observe(...) included
+            m.add_stream(from_sets(added=subs + [rng.choice(pats)]))
+        for _ in range(40):
+            r = rng.random()
+            extra = (WILDCARD,) if r < 0.2 else (rng.choice(MALFORMED),) if r < 0.4 else ()
+            body = _random_term(rng, 4, extra)
+            want = _outcome(_route_by_tokens, m, body)
+            assert _outcome(Mux.route_message, m, body) == want, body
+            if isinstance(want, type):
+                seen["malformed"] += 1
+            elif any(t is WILDCARD for t in trie.serialize_wild(body)):
+                seen["wild"] += 1
+            elif want:
+                seen["routed"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_box_round_trip_trie_work(monkeypatch):
+    # One round trip of a box: the client, told to bump, sends
+    # set-box(n), and the box re-asserts box-state(n), which the client
+    # learns.  The count of trie.combine calls is deterministic, so the
+    # bound is exact: trie work on this path may not creep back.
+    box_state = lambda n: Record(S("box-state"), (n,))
+    set_box = lambda n: Record(S("set-box"), (n,))
+    bump = lambda n: Record(S("bump"), (n,))
+    learned = []
+
+    def box(f):
+        current = f.field(0, "current-value")
+        f.assert_(lambda: box_state(current.value))
+
+        def set_value(n):
+            current.value = n
+
+        f.on_message(set_box(CAPTURE), set_value)
+
+    def client(f):
+        f.on_message(inbound(bump(CAPTURE)), lambda n: f.send(set_box(n)))
+        f.on_asserted(box_state(CAPTURE), learned.append)
+
+    ds = Dataspace([spawn_actor("box", box), spawn_actor("client", client)])
+    ds.run()
+    ds.handle(Message(bump(1)))
+    calls = 0
+    combine = trie.combine
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return combine(*args)
+
+    monkeypatch.setattr(trie, "combine", counting)
+    ds.handle(Message(bump(2)))
+    assert learned == [0, 1, 2]
+    assert calls <= 15, calls
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 from dataspace import trie
 from dataspace.patch import (
     EMPTY_PATCH,
+    Patch,
     aggregate_visibility,
     apply_patch,
     compose,
@@ -14,9 +15,12 @@ from dataspace.patch import (
     render,
     unwrap_patch,
 )
+from dataspace.programs import PROGRAMS
 from dataspace.trie import EMPTY, assertion_set
 from dataspace.values import INBOUND, Symbol, observe, outbound, inbound
 
+import test_acceptance
+import test_facet
 from oracles import build_universe
 
 S = Symbol
@@ -101,6 +105,32 @@ def test_drop_outbound_translates_layer_boundary():
     dropped = drop_outbound(p)
     assert trie.key_set(dropped.added) == frozenset({(S("x"),), (observe(S("y")),)})
     assert trie.key_set(dropped.removed) == frozenset({(S("z"),)})
+
+
+def test_drop_outbound_cancels_a_swap_that_meets_outside():
+    # Different assertions inside the layer, one outer assertion: the
+    # swap changes nothing outside, which only normalizing shows.
+    swap = from_sets([outbound(observe(S("x")))], [observe(inbound(S("x")))])
+    assert swap.is_non_empty()
+    assert drop_outbound(swap) == EMPTY_PATCH
+
+
+def test_trusted_patches_are_disjoint(monkeypatch):
+    trusted = Patch.disjoint
+    made = 0
+
+    def checked(added, removed):
+        nonlocal made
+        assert trie.intersect(added, removed) is EMPTY
+        made += 1
+        return trusted(added, removed)
+
+    monkeypatch.setattr(Patch, "disjoint", staticmethod(checked))
+    for run in PROGRAMS.values():
+        run(lambda _line: None)
+    test_acceptance.test_random_programs_match_shadow_model()
+    test_facet.test_bag_patches_match_re_union_oracle()
+    assert made > 1000, made
 
 
 def test_render_sorted_and_stable():
