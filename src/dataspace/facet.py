@@ -42,10 +42,12 @@ from .patch import Patch, apply_patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
+    NotAValue,
     Record,
     Symbol,
     Value,
     WILDCARD,
+    check_value,
     decompose,
     format_value,
     is_atom,
@@ -92,7 +94,20 @@ class Field:
 
 
 def _same(a, b) -> bool:
-    return type(a) is type(b) and a == b
+    """Whether assigning ``a`` over ``b`` changes nothing.  Compound
+    values compare kind-faithfully, so ``(1,)`` is not ``(True,)``;
+    anything else, such as a query's set or dict, compares as Python
+    does, within one type."""
+    if not (type(a) is type(b) and a == b):
+        return False
+    if not is_compound(a):
+        return True
+    try:
+        check_value(a)
+        check_value(b)
+    except NotAValue:
+        return True
+    return values_equal(a, b)
 
 
 class Endpoint:

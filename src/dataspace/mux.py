@@ -7,8 +7,22 @@ else's assertions and (b) covered by their own subscriptions, while the
 updating stream additionally receives feedback for subscriptions it just
 added or removed.
 
-The audience of a change is read off the routing index: the streams
-whose subscriptions meet the visible change.  The updating stream is
+An update makes one walk over the routing index (``trie.update_routes``),
+down the stream's own set and the two halves of its patch together.
+The walk trims the patch to the change it makes to the stream's own set,
+moves the stream's id into or out of the index's leaf sets, reads what
+became visible or invisible off those leaf sets (an assertion shows when
+its leaf set fills from empty, and goes when it empties), and rebuilds
+the stream's own set, all at once.  Retracting a wildcard can remove
+only what the stream holds, so under a removal wildcard the walk follows
+the stream's own set, not the index, where the other streams' edges
+are: an update costs O(|patch| + |own set under the patch's removal
+wildcards|), whatever the others hold.  ``remove_stream`` retracts the
+universe, so it costs O(|own set|).
+
+The audience of a change is read off the routing index as it stood
+before: the streams whose subscriptions meet the visible change, found
+by a read-only walk that builds no trie.  The updating stream is
 served in the same pass, in stream order, and only when it is in that
 audience or its subscriptions change; otherwise its feedback is empty,
 so none is worked out.  Every delta is built as a trusted disjoint
@@ -24,17 +38,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from . import trie
-from .patch import (
-    EMPTY_PATCH,
-    Patch,
-    RETRACT_ALL,
-    aggregate_visibility,
-    apply_patch,
-    limit,
-    observation_bodies,
-)
+from .patch import EMPTY_PATCH, Patch, RETRACT_ALL, observation_bodies
 from .trie import EMPTY, Trie
-from .values import NotAValue, OBSERVE, Value, observe
+from .values import NotAValue, Value, observe
 
 StreamId = int
 
@@ -44,7 +50,8 @@ class Mux:
 
     The index maps each assertion to the frozenset of stream ids
     currently asserting it, so candidate audiences for a change are
-    found by one intersection instead of a scan over all streams.
+    found by one walk along the change instead of a scan over all
+    streams.
     """
 
     __slots__ = ("next_id", "streams", "routes")
@@ -81,41 +88,30 @@ class Mux:
         self, sid: StreamId, requested: Patch, feedback: bool
     ) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
         old = self.streams[sid]
-        applied = limit(requested, old)
+        routes_old = self.routes
+        routes_new, own_new, added, removed, appeared, vanished = trie.update_routes(
+            routes_old, old, sid, requested.added, requested.removed
+        )
+        applied = Patch.disjoint(added, removed)
         if applied.is_empty():
             return applied, []
 
-        routes_old = self.routes
-        routes_new = self._reroute(routes_old, sid, applied)
-        # Read as sets, routes_old and routes_new answer "does another
-        # stream hold this?" without a per-stream copy.  limit() keeps
-        # every added assertion out of this stream's old set, so one
-        # found in routes_old is another stream's.  Every removed
-        # assertion was this stream's and is not also added (a patch's
-        # halves are disjoint), so one still in routes_new is another
-        # stream's.  And routes_new is everything standing after the
-        # patch, which is what a new subscription catches up on.
-        visible = aggregate_visibility(applied, routes_old, routes_new)
-
-        changed = trie.union(visible.added, visible.removed)
-        if changed is EMPTY:
-            audience = frozenset()
-        else:
-            audience = trie.leaf_union(
-                trie.intersect(routes_old, trie.wrap_trie(OBSERVE, changed))
-            )
+        # The subscriptions that meet the visible change, read off the
+        # index as it stood before: a subscription the patch adds meets
+        # it only through the author's feedback below.
+        audience = trie.leaves_meeting(observation_bodies(routes_old), appeared, vanished)
         if feedback:
-            came = observation_bodies(applied.added)
-            gone = observation_bodies(applied.removed)
+            came = observation_bodies(added)
+            gone = observation_bodies(removed)
             # The author hears feedback only if it is in the audience or
             # its subscriptions change.  Its kept subscriptions, those of
             # ``old`` less ``gone``, meet the visible change only if some
             # observe(c) with c changed is in ``old``, and then routes_old
             # holds observe(c) tagged with sid: sid is in the audience.
             if came is not EMPTY or gone is not EMPTY:
-                audience = audience | {sid}
-        elif sid in audience:
-            audience = audience - {sid}
+                audience.add(sid)
+        else:
+            audience.discard(sid)
 
         events: List[Tuple[StreamId, Patch]] = []
         for peer in sorted(audience):
@@ -125,31 +121,21 @@ class Mux:
                 # those it drops let go of what stood before.
                 kept = trie.subtract(observation_bodies(old), gone)
                 delta = Patch.disjoint(
-                    trie.union(trie.intersect(visible.added, kept), trie.intersect(came, routes_new)),
-                    trie.union(trie.intersect(visible.removed, kept), trie.intersect(gone, routes_old)),
+                    trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
+                    trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
                 )
             else:
                 interests = observation_bodies(self.streams[peer])
                 delta = Patch.disjoint(
-                    trie.intersect(visible.added, interests),
-                    trie.intersect(visible.removed, interests),
+                    trie.intersect(appeared, interests),
+                    trie.intersect(vanished, interests),
                 )
             if delta.is_non_empty():
                 events.append((peer, delta))
 
-        self.streams[sid] = apply_patch(old, applied)
+        self.streams[sid] = own_new
         self.routes = routes_new
         return applied, events
-
-    @staticmethod
-    def _reroute(routes: Trie, sid: StreamId, applied: Patch) -> Trie:
-        if applied.removed is not EMPTY:
-            tagged = trie.relabel(lambda _: frozenset({sid}), applied.removed)
-            routes = trie.subtract_routes(routes, tagged)
-        if applied.added is not EMPTY:
-            tagged = trie.relabel(lambda _: frozenset({sid}), applied.added)
-            routes = trie.union_routes(routes, tagged)
-        return routes
 
     def route_message(self, body: Value) -> List[StreamId]:
         """Stream ids subscribed to a message body, ascending.

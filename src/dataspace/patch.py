@@ -16,8 +16,9 @@ are different assertions inside, but both translate to the outer
 patch).  ``Patch.disjoint`` trusts its caller and skips the
 intersection; it is for halves disjoint by construction: ``limit``,
 ``diff``, ``aggregate_visibility``, ``label_patch``/``unwrap_patch``
-(which map disjoint halves injectively), the mux's per-stream deltas
-and the facet runtime's flush.
+(which map disjoint halves injectively), the mux's applied patch (its
+halves come from outside and from inside the stream's own set) and
+per-stream deltas, and the facet runtime's flush.
 """
 from __future__ import annotations
 

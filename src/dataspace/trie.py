@@ -21,6 +21,12 @@ canonical operand, under that operand's own default, stays canonical.
 An edge is redundant when its child is ``make_tail(arity, default)``;
 ``_redundant`` finds that by walking the child, without building the
 tail.
+
+A routing trie has frozensets of stream ids as leaves.
+``update_routes`` applies one stream's patch to it in a single walk,
+which also yields the stream's new own set and the part of the change
+that becomes visible; ``leaves_meeting`` reads which streams a change
+concerns without building an intersection.
 """
 from __future__ import annotations
 
@@ -35,6 +41,9 @@ from .values import (
     Value,
     WILDCARD,
     CAPTURE,
+    INBOUND,
+    OBSERVE,
+    OUTBOUND,
     atom_kind,
     atom_token,
     check_value,
@@ -200,11 +209,10 @@ def branch(default: Trie, edges: dict) -> Trie:
     return Branch(default, edges)
 
 
-def _edge(b: Branch, tok: Token) -> Trie:
-    child = b.edges.get(tok)
-    if child is None:
-        return make_tail(tok.arity, b.default)
-    return child
+def _child(edges: dict, tok: Token, default: Trie) -> Trie:
+    """The child at ``tok`` of a branch with these edges and default."""
+    child = edges.get(tok)
+    return make_tail(tok.arity, default) if child is None else child
 
 
 # ---------------------------------------------------------------------------
@@ -515,25 +523,6 @@ def may_meet(t1: Trie, t2: Trie) -> bool:
     return False
 
 
-def _routes_union_leaf(a: Ok, b: Ok) -> Trie:
-    return Ok(a.value | b.value)
-
-
-def _routes_subtract_leaf(a: Ok, b: Ok) -> Trie:
-    s = a.value - b.value
-    return Ok(s) if s else EMPTY
-
-
-def union_routes(t1: Trie, t2: Trie) -> Trie:
-    """Union of routing tries whose leaves are frozensets of stream ids."""
-    return combine(t1, t2, _routes_union_leaf)
-
-
-def subtract_routes(t1: Trie, t2: Trie) -> Trie:
-    """Remove the right side's leaf sets from the left routing trie."""
-    return combine(t1, t2, _routes_subtract_leaf, KEEP, DROP)
-
-
 def universe(n: int = 1) -> Trie:
     """The trie accepting every sequence of ``n`` values."""
     return make_tail(n, UNIT)
@@ -573,22 +562,125 @@ def relabel(f: Callable, t: Trie) -> Trie:
     return Branch(default, edges)
 
 
-def leaf_union(t: Trie) -> frozenset:
-    """Union of all frozenset leaves of a routing trie."""
+# ---------------------------------------------------------------------------
+# Routing tries
+#
+# A routing trie maps each assertion to the frozenset of ids of the
+# streams asserting it.  One stream's own set is the unit trie of the
+# assertions whose leaf sets hold its id.
+
+
+def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie) -> tuple:
+    """Apply stream ``sid``'s requested change to a routing trie, in one walk.
+
+    ``own`` is the stream's own set, and ``added``/``removed`` are the
+    requested halves.  Returns six canonical tries, ``(routes_new,
+    own_new, applied_added, applied_removed, visible_added,
+    visible_removed)``.  Pointwise, for each value x:
+
+    - x in ``own`` and in ``removed``: ``sid`` leaves x's leaf set, and x
+      is applied as removed; it is visible if the leaf set empties;
+    - x not in ``own`` and in ``added``: ``sid`` joins x's leaf set, and x
+      is applied as added; it is visible if the leaf set was empty;
+    - otherwise nothing changes at x.
+
+    That is ``limit`` of the request against ``own``, the routing update,
+    ``aggregate_visibility`` and ``apply_patch`` on ``own``, as one walk.
+
+    The walk goes down the edges of ``added`` and ``removed``.  Under a
+    removal wildcard it also goes down ``own``'s edges, since only what
+    the stream holds can be removed, and it goes down ``routes``' edges
+    only under an addition wildcard or where ``own`` itself has a
+    default.  Any other edge of ``routes`` or ``own`` is carried over
+    unchanged, under an unchanged default, so it stays canonical; the
+    edges the walk rebuilds are checked with ``_redundant``, as in
+    ``combine``.  Retracting a wildcard thus costs what the stream holds
+    under it, not what the other streams hold there.  Where ``routes``
+    is empty, the stream's own set is empty too, and the additions are
+    taken whole.
+    """
+    ids = frozenset((sid,))
+
+    def tag(_):
+        return ids
+
+    def go(r: Trie, o: Trie, a: Trie, d: Trie) -> tuple:
+        if o is EMPTY:
+            d = EMPTY  # nothing to remove
+        if a is EMPTY and d is EMPTY:
+            return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+        if r is EMPTY:
+            return relabel(tag, a), a, a, EMPTY, a, EMPTY
+        if type(r) is Ok:
+            if d is not EMPTY:
+                left = r.value - ids
+                if left:
+                    return Ok(left), EMPTY, EMPTY, d, EMPTY, EMPTY
+                return EMPTY, EMPTY, EMPTY, d, EMPTY, d
+            if o is EMPTY:
+                return Ok(r.value | ids), a, a, EMPTY, EMPTY, EMPTY
+            return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+        r_edges, rw = r.edges, r.default
+        o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
+        a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
+        d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
+        defaults = go(rw, ow, aw, dw)
+        # A dict, not a set, so that edges are visited in a fixed order.
+        visit = {**a_edges, **d_edges}
+        if aw is not EMPTY or dw is not EMPTY:
+            visit.update(o_edges)
+            if aw is not EMPTY or ow is not EMPTY:
+                visit.update(r_edges)
+        out = (dict(r_edges), dict(o_edges), {}, {}, {}, {})
+        for tok in visit:
+            arity = tok.arity
+            kids = go(
+                _child(r_edges, tok, rw),
+                _child(o_edges, tok, ow),
+                _child(a_edges, tok, aw),
+                _child(d_edges, tok, dw),
+            )
+            for edges, child, w in zip(out, kids, defaults):
+                if child is EMPTY if w is EMPTY else _redundant(child, arity, w):
+                    edges.pop(tok, None)
+                else:
+                    edges[tok] = child
+        return tuple(
+            Branch(w, edges) if edges or w is not EMPTY else EMPTY
+            for edges, w in zip(out, defaults)
+        )
+
+    return go(routes, own, added, removed)
+
+
+_NO_EDGES: dict = {}
+
+
+def leaves_meeting(t: Trie, *probes: Trie) -> set:
+    """The union of ``t``'s leaf values on paths that some probe also
+    reaches: the leaves of ``intersect(t, probe)``, without building it."""
     acc: set = set()
-
-    def go(t: Trie):
-        if t is EMPTY:
-            return
-        if type(t) is Ok:
-            acc.update(t.value)
-            return
-        go(t.default)
-        for child in t.edges.values():
-            go(child)
-
-    go(t)
-    return frozenset(acc)
+    todo = [(t, p) for p in probes]
+    while todo:
+        a, b = todo.pop()
+        if a is EMPTY or b is EMPTY:
+            continue
+        if type(a) is Ok:
+            acc.update(a.value)
+            continue
+        aw, bw = a.default, b.default
+        a_edges, b_edges = a.edges, b.edges
+        todo.append((aw, bw))
+        if aw is EMPTY and bw is EMPTY:
+            for tok in a_edges if len(a_edges) <= len(b_edges) else b_edges:
+                if tok in a_edges and tok in b_edges:
+                    todo.append((a_edges[tok], b_edges[tok]))
+        else:
+            # An edge on one side meets the other side's default.
+            toks = {**(a_edges if bw is not EMPTY else {}), **(b_edges if aw is not EMPTY else {})}
+            for tok in toks:
+                todo.append((_child(a_edges, tok, aw), _child(b_edges, tok, bw)))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +708,12 @@ def _walk(spec, t: Trie, k: Callable) -> Trie:
     if is_atom(spec):
         if not isinstance(t, Branch):
             return EMPTY
-        return k(_edge(t, atom_token(spec)))
+        return k(_child(t.edges, atom_token(spec), t.default))
     if is_compound(spec):
         if not isinstance(t, Branch):
             return EMPTY
         _, fields = decompose(spec)
-        child = _edge(t, push_token(spec))
+        child = _child(t.edges, push_token(spec), t.default)
         return _walk_seq(list(fields), child, k)
     raise ValueError(f"not a projection spec: {spec!r}")
 
@@ -761,15 +853,25 @@ def render(t: Trie) -> str:
     return f"br({render(t.default)}, {{{items}}})"
 
 
+#: Push tokens of the reserved unary wrappers, made once: wrapping and
+#: unwrapping with them is on every patch's path.
+_UNARY = {label: PushTok(label, 1) for label in (OBSERVE, INBOUND, OUTBOUND)}
+
+
+def _unary(label) -> PushTok:
+    tok = _UNARY.get(label)
+    return PushTok(label, 1) if tok is None else tok
+
+
 def wrap_trie(label, t: Trie) -> Trie:
     """Wrap every member of a 1-value trie in a unary labeled record."""
     if t is EMPTY:
         return EMPTY
-    return branch(EMPTY, {PushTok(label, 1): t})
+    return branch(EMPTY, {_unary(label): t})
 
 
 def unwrap_trie(label, t: Trie) -> Trie:
     """The set {c | label(c) ∈ t}; one edge hop thanks to implicit pops."""
     if not isinstance(t, Branch):
         return EMPTY
-    return _edge(t, PushTok(label, 1))
+    return _child(t.edges, _unary(label), t.default)

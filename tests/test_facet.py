@@ -48,6 +48,38 @@ def test_assert_endpoint_tracks_field():
     assert log == [("+", 0), ("-", 0), ("+", 7)]
 
 
+def test_field_assignment_keeps_kinds_apart_inside_compounds():
+    log = []
+
+    def publisher(f):
+        n = f.field((1,), "n")
+        f.assert_(lambda: rec("value", n.value))
+
+        def set_to(k):
+            n.value = k
+
+        f.on_message(rec("set", CAPTURE), set_to)
+
+    def watcher(f):
+        f.on_retracted(rec("value", CAPTURE), lambda v: log.append(("-", v)))
+        f.on_asserted(rec("value", CAPTURE), lambda v: log.append(("+", v)))
+
+    def kicker(f):
+        f.on_start(lambda: f.send(rec("set", (True,))))
+
+    ds = ground_run(
+        [
+            spawn_actor("pub", publisher),
+            spawn_actor("watch", watcher),
+            spawn_actor("kick", kicker),
+        ]
+    )
+    assert log == [("+", (1,)), ("-", (1,)), ("+", (True,))]
+    assert [type(v[1][0]) for v in log] == [int, int, bool]
+    assert trie.contains(ds.assertions(), rec("value", (True,)))
+    assert not trie.contains(ds.assertions(), rec("value", (1,)))
+
+
 def test_during_child_lifecycle_and_captures():
     log = []
 

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 from dataspace import trie
 from dataspace.engine import Dataspace, Message
@@ -126,6 +127,30 @@ def test_remove_stream_work_does_not_grow_with_what_it_watched():
     assert work[0] == work[1] == work[2], work
 
 
+def test_wildcard_retraction_work_does_not_grow_with_peers():
+    # Retracting p(_) removes only what the stream holds under it, so the
+    # walk follows the stream's own set there, not the k peers' edges.
+    work = []
+    for k in (10, 100, 1000):
+        m = Mux()
+        watcher, _, _ = m.add_stream(assert_patch(observe(pres(WILDCARD))))
+        for i in range(k):
+            m.add_stream(assert_patch(pres(i)))
+        # p(3) is also a peer's, p("3") is the holder's alone.
+        holder, _, _ = m.add_stream(assert_patch(pres(3), pres("3")))
+        ref = Mux()
+        ref.next_id, ref.streams, ref.routes = m.next_id, dict(m.streams), m.routes
+        ref_applied, ref_events = ref.update_stream(holder, retract_patch(pres(3), pres("3")))
+        (applied, events), calls = _trie_calls(
+            lambda: m.update_stream(holder, retract_patch(pres(WILDCARD)))
+        )
+        assert applied == ref_applied and events == ref_events
+        assert events == [(watcher, retract_patch(pres("3")))]
+        assert m.routes == ref.routes and m.streams == ref.streams
+        work.append(calls)
+    assert work[0] == work[1] == work[2], work
+
+
 def test_route_message_concrete_and_wild():
     m = Mux()
     a, _, _ = m.add_stream(assert_patch(observe(pres(S("a")))))
@@ -197,8 +222,9 @@ def test_route_message_by_value_agrees_with_token_search():
 def test_box_round_trip_trie_work(monkeypatch):
     # One round trip of a box: the client, told to bump, sends
     # set-box(n), and the box re-asserts box-state(n), which the client
-    # learns.  The count of trie.combine calls is deterministic, so the
-    # bound is exact: trie work on this path may not creep back.
+    # learns.  The counts are deterministic, so the bounds are exact:
+    # trie work on this path may not creep back, neither as set
+    # operations nor inside the mux's routing walk.
     box_state = lambda n: Record(S("box-state"), (n,))
     set_box = lambda n: Record(S("set-box"), (n,))
     bump = lambda n: Record(S("bump"), (n,))
@@ -220,18 +246,23 @@ def test_box_round_trip_trie_work(monkeypatch):
     ds = Dataspace([spawn_actor("box", box), spawn_actor("client", client)])
     ds.run()
     ds.handle(Message(bump(1)))
-    calls = 0
-    combine = trie.combine
+    calls = Counter()
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return combine(*args)
+    def counting(name):
+        original = getattr(trie, name)
 
-    monkeypatch.setattr(trie, "combine", counting)
-    ds.handle(Message(bump(2)))
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in ("combine", "update_routes"):
+        monkeypatch.setattr(trie, name, counting(name))
+    _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
-    assert calls <= 15, calls
+    assert calls["combine"] <= 5 and calls["update_routes"] == 1, calls
+    assert total <= 184, total
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

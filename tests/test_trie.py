@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dataspace import trie
 from dataspace.engine import ground_run
 from dataspace.facet import spawn_actor
+from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit
 from dataspace.trie import (
     EMPTY,
     Branch,
@@ -24,12 +25,12 @@ from dataspace.trie import (
     search,
     search_wild,
     serialize_wild,
+    leaves_meeting,
     union,
-    union_routes,
     intersect,
     subtract,
-    subtract_routes,
     universe,
+    update_routes,
 )
 from dataspace.values import (
     CAPTURE,
@@ -38,6 +39,7 @@ from dataspace.values import (
     Symbol,
     WILDCARD,
     atom_token,
+    decompose,
     push_token,
     serialize,
 )
@@ -139,10 +141,8 @@ def test_default_fallback_skips_whole_value():
 
 
 def test_search_wild_unions_routing_leaves():
-    r = trie.union_routes(
-        trie.relabel(lambda _: frozenset({1}), assertion_set([(S("a"), 0)])),
-        trie.relabel(lambda _: frozenset({2}), compile_pattern((), (S("a"), WILDCARD))),
-    )
+    r = update_routes(EMPTY, EMPTY, 1, assertion_set([(S("a"), 0)]), EMPTY)[0]
+    r = update_routes(r, EMPTY, 2, compile_pattern((), (S("a"), WILDCARD)), EMPTY)[0]
     key = serialize_wild((S("a"), WILDCARD))
     assert search_wild(key, r, frozenset.union) == frozenset({1, 2})
     assert search(serialize((S("a"), 0)), r) == frozenset({1, 2})
@@ -263,23 +263,97 @@ def test_set_op_chains_stay_canonical(first, steps):
     assert {_hashable(v) for v in WITNESSES if contains(t, v)} == inside
 
 
-@given(st.lists(st.tuples(st.booleans(), st.integers(0, 3), wide_operands), max_size=8))
+#: One atom of each kind, all equal as Python numbers or spelled alike.
+KINDS = (1, True, 1.0, "1", S("1"))
+P = S("p")
+
+
+def _kind_pattern(rng, depth=2):
+    r = rng.random()
+    if r < 0.15:
+        return WILDCARD
+    if depth == 0 or r < 0.5:
+        return rng.choice(KINDS)
+    fields = tuple(_kind_pattern(rng, depth - 1) for _ in range(rng.randrange(3)))
+    return fields if r < 0.75 else Record(P, fields)
+
+
+def _kind_compounds(parts):
+    singles = [(x,) for x in parts]
+    pairs = [(x, y) for x in parts for y in parts]
+    return [c for fields in [()] + singles + pairs for c in (fields, Record(P, fields))]
+
+
+_SHALLOW = [c for c in _kind_compounds(KINDS) if len(decompose(c)[1]) <= 1]
+#: Values the routing walk's results are checked on: every atom kind,
+#: flat compounds over them, and compounds nesting those.
+KIND_WITNESSES = (
+    list(KINDS) + _kind_compounds(KINDS)
+    + [c for x in _SHALLOW for c in ((x,), Record(P, (x,)))]
+)
+#: Operands mix kind-mixed patterns with the wider-shaped ``patterns``,
+#: as many per operand as ``wide_operands`` so that defaults are not
+#: EMPTY and the walk chooses which edges to visit under them.
+route_operands = st.lists(
+    st.one_of(
+        st.builds(lambda seed: _kind_pattern(random.Random(seed)), st.integers(0, 10**9)),
+        patterns,
+    ),
+    min_size=4,
+    max_size=16,
+)
+
+
+def _leaves(t):
+    """Union of a routing trie's leaf sets."""
+    out, todo = set(), [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Ok):
+            out |= t.value
+        elif isinstance(t, Branch):
+            todo.append(t.default)
+            todo.extend(t.edges.values())
+    return out
+
+
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), route_operands, route_operands), max_size=8))
 def test_route_chains_stay_canonical(steps):
+    # update_routes against limit, aggregate_visibility and apply_patch,
+    # and the routing trie against a leaf-set map over witness values.
     routes = EMPTY
-    want = {_hashable(v): set() for v in WITNESSES}
-    for add, sid, ps in steps:
-        tagged = trie.relabel(lambda _: frozenset({sid}), assertion_set(ps))
-        routes = (union_routes if add else subtract_routes)(routes, tagged)
-        assert_canonical(routes)
-        for v in WITNESSES:
-            if any(match(p, v) for p in ps):
-                ids = want[_hashable(v)]
-                if add:
-                    ids.add(sid)
-                else:
-                    ids.discard(sid)
-    for v in WITNESSES:
-        assert (search(serialize(v), routes) or set()) == want[_hashable(v)]
+    own = {sid: EMPTY for sid in range(4)}
+    witnesses = KIND_WITNESSES + WITNESSES
+    want = {_hashable(v): set() for v in witnesses}
+    for op, sid, adds, removes in steps:
+        if op == 0:
+            adds, removes = [], [WILDCARD]
+        requested = Patch(assertion_set(adds), assertion_set(removes))
+        out = update_routes(routes, own[sid], sid, requested.added, requested.removed)
+        for t in out:
+            assert_canonical(t)
+            assert check_wf(t, 1)
+        routes_new, own_new, added, removed, appeared, vanished = out
+        applied = limit(requested, own[sid])
+        assert (added, removed) == (applied.added, applied.removed)
+        visible = aggregate_visibility(applied, routes, routes_new)
+        assert (appeared, vanished) == (visible.added, visible.removed)
+        assert own_new == apply_patch(own[sid], applied)
+        assert leaves_meeting(routes, appeared, vanished) == (
+            _leaves(intersect(routes, appeared)) | _leaves(intersect(routes, vanished))
+        )
+        routes, own[sid] = routes_new, own_new
+        for v in witnesses:
+            add = any(match(p, v) for p in adds)
+            remove = any(match(p, v) for p in removes)
+            if remove and not add:
+                want[_hashable(v)].discard(sid)
+            elif add and not remove:
+                want[_hashable(v)].add(sid)
+        for v in witnesses:
+            assert (search(serialize(v), routes) or set()) == want[_hashable(v)]
+        for s, held in own.items():
+            assert held == trie.relabel(lambda ids: () if s in ids else None, routes)
 
 
 def test_tokens_keep_atom_kinds_apart():
