@@ -13,7 +13,11 @@ The runtime keeps the endpoints of its living facets in one table in
 creation order, and an incoming event is dispatched to them in that
 order.  Stopping a facet runs the stop handlers of its subtree parent
 first, in pre-order.  A facet left with no children, no endpoints and
-no pending scripts is inert and stops at the end of the turn.
+no pending scripts is inert and stops at the end of the turn.  Within
+one endpoint, a patch's captures activate in trie order, atom kinds
+apart.  An ``asserted`` capture fires if its instance was not known
+before (it is known after, which holds the additions); a ``retracted``
+one, if known before and not after (a removal need not have been known).
 
 What an actor publishes is kept in a bag: a count for each distinct
 contribution, where a contribution is an endpoint's trie
@@ -444,13 +448,12 @@ class ActorRuntime(Actor):
                 f"subscription {format_value(_wildify(pattern))} matched "
                 "infinitely many values"
             )
-        for caps in sorted(keys, key=_caps_order):
+        for caps in keys:
             inst = trie.compile_pattern((), _instantiate(pattern, caps))
-            known_before = trie.intersect(inst, before) is not EMPTY
-            known_after = trie.intersect(inst, after) is not EMPTY
-            if ep.on == "asserted" and known_after and not known_before:
-                self._activate(ep, caps)
-            elif ep.on == "retracted" and known_before and not known_after:
+            if trie.intersect(inst, before) is EMPTY:
+                if ep.on == "asserted":  # known after: it comes from delta.added
+                    self._activate(ep, caps)
+            elif ep.on == "retracted" and trie.intersect(inst, after) is EMPTY:
                 self._activate(ep, caps)
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
@@ -648,7 +651,3 @@ def _uncovered(keys, cover) -> Trie:
         if trie.may_meet(t, k):
             t = trie.subtract(t, k)
     return t
-
-
-def _caps_order(caps: tuple):
-    return tuple(format_value(c) for c in caps)

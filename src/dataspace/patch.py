@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Value, format_value
+from .values import INBOUND, OBSERVE, OUTBOUND, Value, format_value, inbound, unwrap
 from .trie import EMPTY, Trie
 
 
@@ -153,14 +153,10 @@ def _drop_side(t: Trie) -> Trie:
 
 def drop_message(body: Value):
     """Translate a message sent inside a nested layer; None if it stays local."""
-    from .values import unwrap
-
     return unwrap(OUTBOUND, body)
 
 
 def lift_message(body: Value) -> Value:
-    from .values import inbound
-
     return inbound(body)
 
 

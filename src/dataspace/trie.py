@@ -53,6 +53,7 @@ from .values import (
     is_well_formed,
     parse_exact,
     push_token,
+    skip_one_value,
     token_sort_key,
 )
 
@@ -275,14 +276,8 @@ def search(key: list, t: Trie):
             pos += 1
             t = child
         else:
-            # Skip the whole value starting here; the default covers it.
-            need = 1
-            while need:
-                tok = key[pos]
-                pos += 1
-                need -= 1
-                if isinstance(tok, PushTok):
-                    need += tok.arity
+            # The default covers the whole value starting here.
+            pos = skip_one_value(key, pos)
             t = t.default
 
 
@@ -345,17 +340,7 @@ def search_wild(key: list, t: Trie, combine_values: Callable):
         child = t.edges.get(tok)
         if child is not None:
             return go(pos + 1, child)
-        end = pos
-        need = 1
-        while need:
-            k = key[end]
-            end += 1
-            need -= 1
-            if isinstance(k, PushTok):
-                need += k.arity
-            elif k is WILDCARD:
-                pass
-        return go(end, t.default)
+        return go(skip_one_value(key, pos), t.default)
 
     def go_wilds(n: int, pos: int, t: Trie):
         # Match n whole values as wildcards before resuming the key.
@@ -759,68 +744,37 @@ def _cap_n(n: int, t: Trie, k: Callable) -> Trie:
 # Enumeration
 
 
-def key_set(t: Trie) -> frozenset:
-    """Enumerate a structurally finite trie as a set of value tuples."""
-    out: set = set()
-
-    def go(t: Trie, prefix: list):
-        if t is EMPTY:
-            return
-        if isinstance(t, Ok):
-            out.add(parse_exact(prefix))
-            return
-        if t.default is not EMPTY:
-            raise InfiniteSet("trie is not structurally finite")
-        for tok in sorted(t.edges, key=token_sort_key):
-            go(t.edges[tok], prefix + [tok])
-
-    go(t, [])
-    return frozenset(out)
+def key_set(t: Trie) -> tuple:
+    """Enumerate a structurally finite trie: its members as value tuples,
+    in trie (``token_sort_key``) order.  Raises InfiniteSet at a default."""
+    return _members(t, None)
 
 
-def pattern_set(t: Trie) -> frozenset:
-    """Enumerate a trie built from finitely many patterns.
-
-    Default branches read back as wildcards.  Unlike key_set this
-    tolerates cofinite sets, as long as the branch structure is finite.
-    """
-    out: set = set()
-
-    def go(t: Trie, prefix: list):
-        if t is EMPTY:
-            return
-        if isinstance(t, Ok):
-            out.add(_parse_wild(prefix))
-            return
-        if t.default is not EMPTY:
-            go(t.default, prefix + [WILDCARD])
-        for tok in sorted(t.edges, key=token_sort_key):
-            go(t.edges[tok], prefix + [tok])
-
-    go(t, [])
-    return frozenset(out)
+def pattern_set(t: Trie) -> tuple:
+    """Enumerate a trie built from finitely many patterns, as key_set does,
+    except that a default reads back as a wildcard: this tolerates
+    cofinite sets, as long as the branch structure is finite."""
+    return _members(t, WILDCARD)
 
 
-def _parse_wild(tokens: list) -> tuple:
-    def one(pos: int):
-        tok = tokens[pos]
-        if tok is WILDCARD:
-            return WILDCARD, pos + 1
-        if isinstance(tok, AtomTok):
-            return tok.payload, pos + 1
-        fields = []
-        pos += 1
-        for _ in range(tok.arity):
-            f, pos = one(pos)
-            fields.append(f)
-        return (tuple(fields) if tok.label is None else Record(tok.label, tuple(fields))), pos
-
-    values = []
-    pos = 0
-    while pos < len(tokens):
-        v, pos = one(pos)
-        values.append(v)
-    return tuple(values)
+def _members(t: Trie, wild) -> tuple:
+    # Pre-order with an explicit stack: the default first, then the edges
+    # in token order.
+    out: list = []
+    todo = [(t, ())]
+    while todo:
+        t, prefix = todo.pop()
+        if type(t) is Ok:
+            out.append(parse_exact(prefix))
+        elif t is not EMPTY:
+            edges = t.edges
+            for tok in sorted(edges, key=token_sort_key, reverse=True):
+                todo.append((edges[tok], prefix + (tok,)))
+            if t.default is not EMPTY:
+                if wild is None:
+                    raise InfiniteSet("trie is not structurally finite")
+                todo.append((t.default, prefix + (wild,)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -266,7 +266,8 @@ def parse(tokens: Sequence[Token], n: int) -> tuple:
     """Rebuild ``n`` values from a token sequence.
 
     Returns ``(values, remainder)``; raises MalformedTokens when the
-    sequence does not start with an n-well-formed prefix.
+    sequence does not start with an n-well-formed prefix.  A WILDCARD
+    token reads back as WILDCARD, one whole value.
     """
     values = []
     pos = 0
@@ -282,6 +283,8 @@ def _parse_one(tokens: Sequence[Token], pos: int):
     tok = tokens[pos]
     if isinstance(tok, AtomTok):
         return tok.payload, pos + 1
+    if tok is WILDCARD:
+        return WILDCARD, pos + 1
     fields = []
     pos += 1
     for _ in range(tok.arity):
@@ -311,7 +314,8 @@ def is_well_formed(tokens: Sequence[Token], n: int) -> bool:
 
 
 def skip_one_value(tokens: Sequence[Token], pos: int) -> int:
-    """Index just past the single value starting at ``pos``."""
+    """Index just past the single value starting at ``pos``; a WILDCARD
+    token counts as one value."""
     need = 1
     while need:
         if pos >= len(tokens):

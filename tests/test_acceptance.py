@@ -202,10 +202,12 @@ def test_projection_fixtures():
     base = assertion_set(
         [(S("present"), a), (S("present"), b), (S("says"), a, "hello")]
     )
-    assert key_set(project((S("says"), CAPTURE, CAPTURE), base)) == frozenset(
+    assert frozenset(key_set(project((S("says"), CAPTURE, CAPTURE), base))) == frozenset(
         {(a, "hello")}
     )
-    assert key_set(project((S("present"), CAPTURE), base)) == frozenset({(a,), (b,)})
+    assert frozenset(key_set(project((S("present"), CAPTURE), base))) == frozenset(
+        {(a,), (b,)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +520,7 @@ def _greeting(text):
 def test_cross_layer_final_assertion_sets():
     _, ds = _transcript("cross-layer")
     inner = ds.find_actors(Dataspace)[0]
-    assert pattern_set(inner.layer_assertions()) == frozenset(
+    assert frozenset(pattern_set(inner.layer_assertions())) == frozenset(
         {
             (outbound(_greeting("Hi from inner!")),),
             (observe(inbound(_greeting(WILDCARD))),),
@@ -526,7 +528,7 @@ def test_cross_layer_final_assertion_sets():
             (inbound(_greeting("Hi from inner!")),),
         }
     )
-    assert pattern_set(ds.layer_assertions()) == frozenset(
+    assert frozenset(pattern_set(ds.layer_assertions())) == frozenset(
         {
             (_greeting("Hi from outer space!"),),
             (_greeting("Hi from inner!"),),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from dataspace import trie
 from dataspace.engine import Message, ground_run, spawn_dataspace
@@ -6,11 +7,14 @@ from dataspace.facet import (
     ActorRuntime,
     InfiniteMatchSet,
     PRIORITY_QUERY_ADD,
+    _instantiate,
     spawn_actor,
 )
-from dataspace.patch import Patch, assert_patch, diff, retract_patch
+from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patch
 from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, observe
+
+from oracles import _hashable
 
 S = Symbol
 
@@ -220,6 +224,53 @@ def test_during_spawn_creates_and_tears_down_actor():
     assert log == [("spawned", S("x")), ("gone", S("x"))]
     # worker actor exited once demand went away
     assert not any(n.startswith("worker") for n in ds.living_names())
+
+
+def test_dispatch_keeps_atom_kinds_apart():
+    log = []
+
+    def source(f):
+        for x in (1, True, 1.0):
+
+            def era(g, x=x):
+                g.assert_(rec("p", x))
+                g.stop_when_message(rec("drop", x))
+
+            f.react(era)
+
+    def watcher(f):
+        def added(x):
+            log.append(("+", type(x), x))
+            if len(log) == 3:
+                f.send(rec("drop", True))
+
+        f.on_asserted(rec("p", CAPTURE), added)
+        f.on_retracted(rec("p", CAPTURE), lambda x: log.append(("-", type(x), x)))
+
+    ground_run([spawn_actor("source", source), spawn_actor("watcher", watcher)])
+    assert log == [
+        ("+", bool, True),
+        ("+", int, 1),
+        ("+", float, 1.0),
+        ("-", bool, True),
+    ]
+
+
+def test_during_spawn_keeps_atom_kinds_apart():
+    spawned = []
+
+    def demand(f):
+        f.assert_(rec("hello", 1))
+        f.assert_(rec("hello", True))
+
+    def factory(f):
+        f.during_spawn(
+            rec("hello", CAPTURE), "worker", lambda g, x: spawned.append((type(x), x))
+        )
+
+    ds = ground_run([spawn_actor("demand", demand), spawn_actor("factory", factory)])
+    assert spawned == [(bool, True), (int, 1)]
+    assert len([n for n in ds.living_names() if n.startswith("worker")]) == 2
 
 
 def test_actor_exits_when_root_facets_all_stop():
@@ -523,3 +574,119 @@ def test_bag_keeps_atom_kinds_apart():
         [assert_patch(*(rec("p", x) for x in atoms))],
         [retract_patch(rec("p", True))],
     ]
+
+
+# ---------------------------------------------------------------------------
+# Dispatch against the two-probe formula
+
+#: Atoms of every kind, with numeric parts shared across kinds.
+KIND_ATOMS = (1, True, 1.0, "1", S("1"), 0, False, 0.0, "a", S("a"))
+#: Subscriptions with capture marks, wildcard positions and literals.
+DISPATCH_PATTERNS = [
+    rec("p", CAPTURE),
+    rec("p", 1),
+    rec("p", True),
+    rec("q", CAPTURE, WILDCARD),
+    rec("q", WILDCARD, CAPTURE),
+    rec("q", CAPTURE, CAPTURE),
+    rec("q", 1.0, CAPTURE),
+    rec("q", (CAPTURE,), WILDCARD),
+]
+
+
+def _random_part(rng):
+    x = rng.choice(KIND_ATOMS + (WILDCARD, "tuple"))
+    return (rng.choice(KIND_ATOMS),) if x == "tuple" else x
+
+
+def _random_assertions(rng, n):
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.4:
+            out.append(rec("p", _random_part(rng)))
+        else:
+            out.append(rec("q", _random_part(rng), _random_part(rng)))
+    return trie.assertion_set(out)
+
+
+def _random_removal(rng):
+    if rng.random() < 0.2:
+        # Cofinite: everything (or every q) but a few assertions.
+        whole = trie.universe() if rng.random() < 0.5 else trie.compile_pattern(
+            (), rec("q", WILDCARD, WILDCARD)
+        )
+        return trie.subtract(whole, _random_assertions(rng, rng.randint(1, 4)))
+    return _random_assertions(rng, rng.randint(0, 6))
+
+
+def _two_probe_activations(ep, delta, before, after, seen):
+    """The captures ``ep`` activates on by the two-probe formula, over the
+    capture list dispatch enumerates; ``seen`` counts the captures on
+    which dropping one of the probes would change the answer."""
+    side = delta.added if ep.on == "asserted" else delta.removed
+    if side is EMPTY:
+        return []
+    try:
+        caps_list = trie.key_set(trie.project(ep.current_pattern, side))
+    except trie.InfiniteSet:
+        return "infinite"
+    out = []
+    for caps in caps_list:
+        inst = trie.compile_pattern((), _instantiate(ep.current_pattern, caps))
+        known_before = trie.intersect(inst, before) is not EMPTY
+        known_after = trie.intersect(inst, after) is not EMPTY
+        if ep.on == "asserted":
+            seen["asserted, known before"] += known_before
+            if known_after and not known_before:
+                out.append(caps)
+        else:
+            seen["retracted, known neither"] += not known_before and not known_after
+            seen["retracted, known after"] += known_before and known_after
+            if known_before and not known_after:
+                out.append(caps)
+    return out
+
+
+def _kinds(activations):
+    if activations == "infinite":
+        return activations
+    return [tuple(_hashable(c) for c in caps) for caps in activations]
+
+
+def test_dispatch_matches_two_probe_oracle():
+    rng = random.Random(2016)
+    seen = Counter()
+
+    def boot(f):
+        for pattern in DISPATCH_PATTERNS:
+            f.on_asserted(pattern, lambda *_: None)
+            f.on_retracted(pattern, lambda *_: None)
+
+    rt = ActorRuntime(("t",), boot)
+    rt.startup()
+    subs = [ep for ep in rt.endpoints.values() if ep.kind == "sub"]
+    got = []
+    rt._activate = lambda ep, caps: got.append(caps)
+
+    def dispatched(ep, delta, before, after):
+        got.clear()
+        try:
+            rt._dispatch_patch(ep, delta, before, after)
+        except InfiniteMatchSet:
+            return "infinite"
+        return list(got)
+
+    for _ in range(300):
+        before = _random_assertions(rng, rng.randint(0, 8))
+        delta = Patch(_random_assertions(rng, rng.randint(0, 6)), _random_removal(rng))
+        after = apply_patch(before, delta)
+        for ep in subs:
+            want = _two_probe_activations(ep, delta, before, after, seen)
+            assert _kinds(dispatched(ep, delta, before, after)) == _kinds(want), (
+                ep.on,
+                ep.current_pattern,
+                delta,
+                before,
+            )
+    # Every case that tells the formula's probes apart was drawn.
+    assert len(seen) == 3 and min(seen.values()) >= 20, seen

@@ -261,8 +261,8 @@ def test_box_round_trip_trie_work(monkeypatch):
         monkeypatch.setattr(trie, name, counting(name))
     _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
-    assert calls["combine"] <= 5 and calls["update_routes"] == 1, calls
-    assert total <= 184, total
+    assert calls["combine"] <= 4 and calls["update_routes"] == 1, calls
+    assert total <= 173, total
 
 
 def test_wildcard_interest_intersected_with_concrete_change():
@@ -286,6 +286,6 @@ def test_all_assertions_unions_streams():
     m = Mux()
     m.add_stream(assert_patch(pres(S("a"))))
     m.add_stream(assert_patch(pres(S("b"))))
-    assert trie.key_set(m.all_assertions()) == frozenset(
+    assert frozenset(trie.key_set(m.all_assertions())) == frozenset(
         {(pres(S("a")),), (pres(S("b")),)}
     )

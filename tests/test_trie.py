@@ -100,7 +100,7 @@ def test_double_negation_is_identity(p):
 @given(concrete_sets)
 def test_key_set_roundtrip(values):
     t = assertion_set(values)
-    assert key_set(t) == frozenset((v,) for v in set(map(_nohash, values)))
+    assert frozenset(key_set(t)) == frozenset((v,) for v in set(map(_nohash, values)))
 
 
 def _nohash(v):
@@ -172,9 +172,28 @@ def test_projection_selects_captures():
         ]
     )
     got = key_set(project(Record(says, (CAPTURE, CAPTURE)), store))
-    assert got == frozenset({(S("a"), "hello")})
+    assert frozenset(got) == frozenset({(S("a"), "hello")})
     got = key_set(project(Record(pres, (CAPTURE,)), store))
-    assert got == frozenset({(S("a"),), (S("b"),)})
+    assert frozenset(got) == frozenset({(S("a"),), (S("b"),)})
+
+
+def test_key_set_keeps_atom_kinds_apart_in_trie_order():
+    p = lambda x: Record(S("p"), (x,))
+    got = key_set(project(p(CAPTURE), assertion_set([p(1), p(True), p(1.0)])))
+    assert [(type(c), c) for (c,) in got] == [(bool, True), (int, 1), (float, 1.0)]
+    got = key_set(assertion_set([S("b"), "a", 3.0, (1,), 2, False]))
+    assert [(type(v), v) for (v,) in got] == [
+        (bool, False), (int, 2), (float, 3.0), (str, "a"), (Symbol, S("b")), (tuple, (1,))
+    ]
+
+
+def test_pattern_set_reads_defaults_as_wildcards_in_trie_order():
+    p = lambda *xs: Record(S("p"), xs)
+    t = assertion_set([p(2, 1), p(True, WILDCARD), p(WILDCARD, "x")])
+    want = [p(WILDCARD, "x"), p(True, WILDCARD), p(2, 1), p(2, "x")]
+    assert [serialize_wild(v) for (v,) in trie.pattern_set(t)] == [
+        serialize_wild(v) for v in want
+    ]
 
 
 def test_projection_of_wildcard_capture_is_infinite():
