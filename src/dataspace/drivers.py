@@ -1,4 +1,4 @@
-"""Clocks and timer drivers bridging wall-clock (or simulated) time.
+"""A simulated clock and the timer drivers that bring its time in.
 
 Time enters a running system as tick messages injected at ground level.
 The timer driver actor translates one-shot timer requests into
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from typing import Callable, Optional
 
 from .engine import Injector, Message
@@ -44,15 +43,7 @@ def fresh_label(facet: Facet) -> Record:
     return Record(Symbol("timer-label"), (facet.runtime.fresh_tag(),))
 
 
-class Clock:
-    def now(self):
-        raise NotImplementedError
-
-    def schedule(self, deadline) -> None:
-        raise NotImplementedError
-
-
-class VirtualClock(Clock):
+class VirtualClock:
     """Simulated time: advances instantly to the next scheduled wake."""
 
     def __init__(self):
@@ -81,23 +72,6 @@ class VirtualClock(Clock):
         return self._now
 
 
-class SystemClock(Clock):
-    def __init__(self):
-        self._origin = time.monotonic()
-        self._wakes: list = []
-
-    def now(self):
-        return (time.monotonic() - self._origin) * 1000.0
-
-    def schedule(self, deadline) -> None:
-        heapq.heappush(self._wakes, deadline)
-
-    def next_wake(self):
-        while self._wakes and self._wakes[0] <= self.now():
-            return heapq.heappop(self._wakes)
-        return heapq.heappop(self._wakes) if self._wakes else None
-
-
 class VirtualClockInjector(Injector):
     def __init__(self, clock: VirtualClock, budget):
         self.clock = clock
@@ -110,22 +84,7 @@ class VirtualClockInjector(Injector):
         return Message(tick(now))
 
 
-class SystemClockInjector(Injector):
-    def __init__(self, clock: SystemClock, budget):
-        self.clock = clock
-        self.deadline = clock.now() + budget
-
-    def next_event(self):
-        wake = self.clock.next_wake()
-        if wake is None or wake > self.deadline:
-            return None
-        delay = (wake - self.clock.now()) / 1000.0
-        if delay > 0:
-            time.sleep(delay)
-        return Message(tick(self.clock.now()))
-
-
-def timer_driver(clock: Clock):
+def timer_driver(clock: VirtualClock):
     """Actor serving one-shot timer requests at ground level."""
 
     def boot(f: Facet):

@@ -18,6 +18,9 @@ one endpoint, a patch's captures activate in trie order, atom kinds
 apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
+Both the captures and whether an instance is known are read by
+projection (``trie.project``): an instance has no captures left, so its
+projection onto what is known is ``UNIT`` exactly when it is known.
 
 What an actor publishes is kept in a bag: a count for each distinct
 contribution, where a contribution is an endpoint's trie
@@ -57,6 +60,7 @@ from .values import (
     is_atom,
     is_compound,
     observe,
+    serialize,
     values_equal,
 )
 
@@ -123,7 +127,6 @@ class Endpoint:
         "pattern",  # sub: pattern possibly containing Field refs
         "on",  # sub: "asserted" | "retracted" | "message"
         "handler",  # sub: fn(*captures)
-        "guard",  # sub: optional fn(*captures) -> bool
         "priority",
         "current",  # trie contributed to the actor's published set
         "current_pattern",  # sub: pattern with Field refs resolved
@@ -137,7 +140,6 @@ class Endpoint:
         self.pattern = None
         self.on = None
         self.handler = None
-        self.guard = None
         self.priority = PRIORITY_DEFAULT
         self.current = EMPTY
         self.current_pattern = None
@@ -182,10 +184,8 @@ class Facet:
     def on_retracted(self, pattern, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
         return self.runtime._add_sub(self, pattern, "retracted", handler, priority)
 
-    def on_message(self, pattern, handler, guard=None) -> Endpoint:
-        ep = self.runtime._add_sub(self, pattern, "message", handler)
-        ep.guard = guard
-        return ep
+    def on_message(self, pattern, handler) -> Endpoint:
+        return self.runtime._add_sub(self, pattern, "message", handler)
 
     def stop_when_asserted(self, pattern, continuation=None) -> Endpoint:
         return self.runtime._add_stop(self, pattern, "asserted", continuation)
@@ -231,28 +231,23 @@ class Facet:
         """Like during, but each match gets a whole actor of its own.
 
         The new actor marks itself with a fresh instance record; the
-        supervising facet keeps an interest in that marker alive for as
-        long as the match stands, and the actor stops when the interest
+        match's facet keeps an interest in that marker alive for as long
+        as the match stands, and the actor stops when the interest
         disappears.
         """
 
-        def on_add(*caps):
-            inst = _instantiate(pattern, caps)
+        def serve(f: Facet, *caps):
             marker = Record(_INSTANCE, (self.runtime.fresh_tag(),))
+            f.assert_(observe(marker))
 
-            def supervisor(f: Facet):
-                f.stop_when_retracted(inst)
-                f.assert_(observe(marker))
+            def child(g: Facet):
+                g.assert_(marker)
+                g.stop_when_retracted(observe(marker))
+                body(g, *caps)
 
-            def child(f: Facet):
-                f.assert_(marker)
-                f.stop_when_retracted(observe(marker))
-                body(f, *caps)
+            f.spawn(name, child)
 
-            self.react(supervisor)
-            self.spawn(name, child)
-
-        return self.on_asserted(pattern, on_add)
+        return self.during(pattern, serve)
 
     # -- actions ------------------------------------------------------------
 
@@ -261,9 +256,6 @@ class Facet:
 
     def spawn(self, name: str, boot: Callable[["Facet"], None]) -> None:
         self.runtime._emit(spawn_actor(name, boot))
-
-    def spawn_raw(self, spawn: Spawn) -> None:
-        self.runtime._emit(spawn)
 
     # -- queries ------------------------------------------------------------
 
@@ -295,15 +287,16 @@ class Facet:
 
     def query_count(self, pattern, name="query-count") -> Field:
         f = self.field(0, name)
-        members: set = set()
+        members: set = set()  # token tuples, so atom kinds stay apart
 
         def add(*caps):
-            if caps not in members:
-                members.add(caps)
+            key = tuple(serialize(caps))
+            if key not in members:
+                members.add(key)
                 f.value = len(members)
 
         def rem(*caps):
-            members.discard(caps)
+            members.discard(tuple(serialize(caps)))
             f.value = len(members)
 
         self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
@@ -449,20 +442,18 @@ class ActorRuntime(Actor):
                 "infinitely many values"
             )
         for caps in keys:
-            inst = trie.compile_pattern((), _instantiate(pattern, caps))
-            if trie.intersect(inst, before) is EMPTY:
+            # A capture-free projection is EMPTY exactly when no member matches.
+            inst = _instantiate(pattern, caps)
+            if trie.project(inst, before) is EMPTY:
                 if ep.on == "asserted":  # known after: it comes from delta.added
                     self._activate(ep, caps)
-            elif ep.on == "retracted" and trie.intersect(inst, after) is EMPTY:
+            elif ep.on == "retracted" and trie.project(inst, after) is EMPTY:
                 self._activate(ep, caps)
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
         caps = _match(ep.current_pattern, body)
-        if caps is None:
-            return
-        if ep.guard is not None and not ep.guard(*caps):
-            return
-        self._activate(ep, tuple(caps))
+        if caps is not None:
+            self._activate(ep, tuple(caps))
 
     def _activate(self, ep: Endpoint, caps: tuple) -> None:
         # The turn loop drops the script if ep's facet has stopped by then.

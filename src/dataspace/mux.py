@@ -30,8 +30,10 @@ patch (see ``patch``).
 
 A message is routed by value: the index is walked along the message
 body, with no token list or ``observe(body)`` built.  A body holding a
-wildcard is matched as a pattern, against every subscription it could
-meet.
+wildcard is compiled as a pattern, and its audience is every
+subscription it could meet, read by the same walk as a patch's
+audience.  A body that is neither a value nor a pattern makes
+``compile_pattern`` raise ValueError.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from . import trie
 from .patch import EMPTY_PATCH, Patch, RETRACT_ALL, observation_bodies
 from .trie import EMPTY, Trie
-from .values import NotAValue, Value, observe
+from .values import NotAValue, Value
 
 StreamId = int
 
@@ -143,13 +145,14 @@ class Mux:
         The routing index is walked along the body itself: the
         ``observe`` edge, then an edge or the default per part of the
         body.  The walk refuses a body that is not a value.  Such a body
-        is serialized as a pattern instead: one with wildcards is matched
-        against every subscription it could meet, and ``serialize_wild``
-        raises on anything else.
+        is compiled as a pattern instead, and its audience read off the
+        index's subscriptions by the walk that serves patches; one with
+        wildcards meets every subscription it could meet, and
+        ``compile_pattern`` raises ValueError on anything else.
         """
+        interests = observation_bodies(self.routes)
         try:
-            ids = trie.search_value(body, observation_bodies(self.routes))
+            ids = trie.search_value(body, interests)
         except NotAValue:
-            key = trie.serialize_wild(observe(body))
-            ids = trie.search_wild(key, self.routes, frozenset.union)
+            ids = trie.leaves_meeting(interests, trie.compile_pattern((), body))
         return sorted(ids) if ids else []

@@ -27,6 +27,10 @@ A routing trie has frozensets of stream ids as leaves.
 which also yields the stream's new own set and the part of the change
 that becomes visible; ``leaves_meeting`` reads which streams a change
 concerns without building an intersection.
+
+``project`` reads the captures of a pattern off a trie in one direct
+walk over the pattern's pre-order items, one frame per token it goes
+down; with no captures, it answers whether some member matches.
 """
 from __future__ import annotations
 
@@ -676,68 +680,61 @@ def project(spec, t: Trie) -> Trie:
     """Select assertions matching ``spec`` and keep only captured positions.
 
     The result is a unit trie over n-value sequences, n being the number
-    of capture marks in the spec.
+    of capture marks in the spec; with none, it is ``UNIT`` exactly when
+    some member of ``t`` matches.  The walk follows the spec's pre-order
+    items and counts the whole values a wildcard or capture mark has
+    left to consume, so it takes one frame per token and builds no
+    closures.
     """
+    items = _spec_items(spec)
+    end = len(items)
 
-    def finish(t2: Trie) -> Trie:
-        return UNIT if isinstance(t2, Ok) else EMPTY
-
-    return _walk(spec, t, finish)
-
-
-def _walk(spec, t: Trie, k: Callable) -> Trie:
-    if spec is CAPTURE:
-        return _cap(t, k)
-    if spec is WILDCARD:
-        return _skip(t, k)
-    if is_atom(spec):
-        if not isinstance(t, Branch):
+    def go(i: int, t: Trie, n: int) -> Trie:
+        # n > 0: items[i - 1] is a wildcard or capture mark with n whole
+        # values left to consume.
+        while not n:
+            if i == end:
+                return UNIT if type(t) is Ok else EMPTY
+            if type(t) is not Branch:
+                return EMPTY
+            item = items[i]
+            i += 1
+            if item is WILDCARD or item is CAPTURE:
+                n = 1
+            else:
+                t = _child(t.edges, item, t.default)
+        if type(t) is not Branch:
             return EMPTY
-        return k(_child(t.edges, atom_token(spec), t.default))
-    if is_compound(spec):
-        if not isinstance(t, Branch):
-            return EMPTY
-        _, fields = decompose(spec)
-        child = _child(t.edges, push_token(spec), t.default)
-        return _walk_seq(list(fields), child, k)
-    raise ValueError(f"not a projection spec: {spec!r}")
+        n -= 1
+        if items[i - 1] is CAPTURE:
+            edges = {}
+            for tok, child in t.edges.items():
+                edges[tok] = go(i, child, n + tok.arity)
+            return branch(go(i, t.default, n), edges)
+        acc = go(i, t.default, n)
+        for tok, child in t.edges.items():
+            acc = union(acc, go(i, child, n + tok.arity))
+        return acc
+
+    return go(0, t, 0)
 
 
-def _walk_seq(specs: list, t: Trie, k: Callable) -> Trie:
-    if not specs:
-        return k(t)
-    head, rest = specs[0], specs[1:]
-    return _walk(head, t, lambda t2: _walk_seq(rest, t2, k))
-
-
-def _skip(t: Trie, k: Callable) -> Trie:
-    if not isinstance(t, Branch):
-        return EMPTY
-    acc = k(t.default)
-    for tok, child in t.edges.items():
-        acc = union(acc, _skip_n(tok.arity, child, k))
-    return acc
-
-
-def _skip_n(n: int, t: Trie, k: Callable) -> Trie:
-    if n == 0:
-        return k(t)
-    return _skip(t, lambda t2: _skip_n(n - 1, t2, k))
-
-
-def _cap(t: Trie, k: Callable) -> Trie:
-    if not isinstance(t, Branch):
-        return EMPTY
-    edges = {}
-    for tok, child in t.edges.items():
-        edges[tok] = _cap_n(tok.arity, child, k)
-    return branch(k(t.default), edges)
-
-
-def _cap_n(n: int, t: Trie, k: Callable) -> Trie:
-    if n == 0:
-        return k(t)
-    return _cap(t, lambda t2: _cap_n(n - 1, t2, k))
+def _spec_items(spec) -> list:
+    """A projection spec's pre-order items: tokens, ``WILDCARD`` and ``CAPTURE``."""
+    items: list = []
+    todo = [spec]
+    while todo:
+        p = todo.pop()
+        if p is WILDCARD or p is CAPTURE:
+            items.append(p)
+        elif is_compound(p):
+            items.append(push_token(p))
+            todo.extend(reversed(decompose(p)[1]))
+        elif is_atom(p):
+            items.append(atom_token(p))
+        else:
+            raise ValueError(f"not a projection spec: {p!r}")
+    return items
 
 
 # ---------------------------------------------------------------------------

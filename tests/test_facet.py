@@ -149,11 +149,13 @@ def test_queries_maintain_fields():
         members = f.query_set(rec("entry", CAPTURE, WILDCARD))
         table = f.query_hash(rec("entry", CAPTURE, CAPTURE))
         count = f.query_count(rec("entry", CAPTURE, CAPTURE))
+        value = f.query_value(rec("entry", S("b"), CAPTURE))
 
         def snap():
             got["set"] = members.value
             got["hash"] = dict(table.value)
             got["count"] = count.value
+            got["value"] = value.value
 
         f.on_start(lambda: f.send(S("later")))
         f.on_message(S("later"), snap)
@@ -163,6 +165,7 @@ def test_queries_maintain_fields():
     assert got["set"] == frozenset({S("a"), S("b")})
     assert got["hash"] == {S("a"): 1, S("b"): 2}
     assert got["count"] == 2
+    assert got["value"] == 2
 
 
 def test_query_updates_retract_before_add():
@@ -271,6 +274,23 @@ def test_during_spawn_keeps_atom_kinds_apart():
     ds = ground_run([spawn_actor("demand", demand), spawn_actor("factory", factory)])
     assert spawned == [(bool, True), (int, 1)]
     assert len([n for n in ds.living_names() if n.startswith("worker")]) == 2
+
+
+def test_query_count_keeps_atom_kinds_apart():
+    got = []
+
+    def source(f):
+        for x in (1, True, 1.0):
+            f.assert_(rec("p", x))
+
+    def reader(f):
+        count = f.query_count(rec("p", CAPTURE))
+        f.on_start(lambda: f.send(S("later")))
+        f.on_message(S("later"), lambda: got.append(count.value))
+        f.assert_(observe(S("later")))
+
+    ground_run([spawn_actor("source", source), spawn_actor("reader", reader)])
+    assert got == [3]
 
 
 def test_actor_exits_when_root_facets_all_stop():

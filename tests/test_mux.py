@@ -261,8 +261,8 @@ def test_box_round_trip_trie_work(monkeypatch):
         monkeypatch.setattr(trie, name, counting(name))
     _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
-    assert calls["combine"] <= 4 and calls["update_routes"] == 1, calls
-    assert total <= 173, total
+    assert calls["combine"] <= 3 and calls["update_routes"] == 1, calls
+    assert total <= 158, total
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

@@ -7,6 +7,7 @@ from dataspace import trie
 from dataspace.engine import ground_run
 from dataspace.facet import spawn_actor
 from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit
+from dataspace.trace import Tracer
 from dataspace.trie import (
     EMPTY,
     Branch,
@@ -388,3 +389,21 @@ def test_wide_tuple_assertion_publishes():
     wide = tuple(range(900))
     ds = ground_run([spawn_actor("wide", lambda f: f.assert_(wide))])
     assert contains(ds.assertions(), wide)
+
+
+def test_wide_subscription_is_delivered():
+    # Projection walks one frame per token, so a subscription as wide as
+    # an assertion the mux routes is delivered to its handler.
+    wide = tuple(range(900))
+    for tracer in (None, Tracer()):
+        got = []
+
+        def watcher(f):
+            f.on_asserted(tuple([CAPTURE] * len(wide)), lambda *caps: got.append(caps))
+
+        ds = ground_run(
+            [spawn_actor("wide", lambda f: f.assert_(wide)), spawn_actor("watcher", watcher)],
+            tracer=tracer,
+        )
+        assert ds.crashes == {}
+        assert got == [wide]
