@@ -11,7 +11,7 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-from .engine import Injector, Message
+from .engine import Message
 from .facet import Facet, spawn_actor
 from .values import CAPTURE, Record, Symbol, WILDCARD, inbound
 
@@ -72,7 +72,7 @@ class VirtualClock:
         return self._now
 
 
-class VirtualClockInjector(Injector):
+class VirtualClockInjector:
     def __init__(self, clock: VirtualClock, budget):
         self.clock = clock
         self.budget = budget

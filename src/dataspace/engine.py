@@ -291,20 +291,17 @@ def spawn_dataspace(boot_actions: List[Action], name: str = "ds") -> Spawn:
 # Ground layer
 
 
-class Injector:
-    """Source of external events for a ground dataspace."""
-
-    def next_event(self):  # -> Optional[Event]
-        return None
-
-
 def ground_run(
     boot_actions: List[Action],
-    injector: Optional[Injector] = None,
+    injector=None,
     tracer: Optional[Tracer] = None,
     name: str = "ground",
 ) -> Dataspace:
-    """Run a dataspace at ground level until it and its injector are quiet."""
+    """Run a dataspace at ground level until it and its injector are quiet.
+
+    The injector is the source of external events: its ``next_event()``
+    returns the next event to deliver, or None when it is quiet.
+    """
     ds = Dataspace(boot_actions, name=name, tracer=tracer)
     ds.run()
     if injector is not None:

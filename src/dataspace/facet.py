@@ -22,20 +22,19 @@ Both the captures and whether an instance is known are read by
 projection (``trie.project``): an instance has no captures left, so its
 projection onto what is known is ``UNIT`` exactly when it is known.
 
-What an actor publishes is kept in a bag: a count for each distinct
-contribution, where a contribution is an endpoint's trie
-(``Endpoint.current``) or the actor-level ``adhoc`` set.  Tries are
-canonical and keep atom kinds apart, so structural equality is set
-equality and ``p(1)``, ``p(1.0)``, ``p(True)`` make three keys.  Every
-change to a contribution goes through ``_contribute``, which notes the
-keys whose count goes 0→1 (came) or 1→0 (went).  Invariant: what the
-actor has published is exactly the union of the bag's keys, that is,
-``adhoc ∪`` every living endpoint's ``current``.  ``_flush`` keeps it
-with a patch built from the transitions alone: added is the union of
-what came less every key that stood before, removed the union of what
-went less every key that stands now.  Removal is therefore exact under
-overlap: retracting ``p(3)`` while ``p(*)`` stands publishes nothing.  A
-flush with no transitions touches no trie.
+What an actor publishes is the union of its contributions: the
+actor-level ``adhoc`` set and each living endpoint's trie
+(``Endpoint.current``).  A contributor's first change since the last
+flush notes what it contributed before, so ``_flush`` reads the change
+off the notes: the contributors whose trie is now structurally unequal
+to their note (tries are canonical and keep atom kinds apart, so that is
+set inequality).  Added is the union of their new tries less all that
+stood before (the notes and the unchanged contributions); removed, the
+union of their notes less all that stands now.  Removal is therefore
+exact under overlap: retracting ``p(3)`` while ``p(*)`` stands, or while
+another contributor also asserts ``p(3)``, publishes nothing.  A flush
+where nothing changed, such as an assertion recomputed to an equal
+trie, only compares: it publishes no patch and runs no set operation.
 """
 from __future__ import annotations
 
@@ -330,8 +329,9 @@ class ActorRuntime(Actor):
         self.root = Facet(self, None)
         self.endpoints: Dict[int, Endpoint] = {}  # of living facets, by eid
         self.adhoc: Trie = EMPTY
-        self._bag: Dict[Trie, int] = {}  # contribution -> count
-        self._moved: Dict[Trie, int] = {}  # net since the last flush: +1 came, -1 went
+        # Contributor (an endpoint, or None for adhoc) -> what it
+        # contributed at the last flush, noted on its first change since.
+        self._was: Dict[Optional[Endpoint], Trie] = {}
         self._queue: list = []
         self._seq = 0
         self._eid = 0
@@ -420,12 +420,13 @@ class ActorRuntime(Actor):
     def _refresh_endpoint(self, ep: Endpoint) -> None:
         if ep.kind == "assert":
             v = self.graph.with_subject(ep, ep.compute)
-            new = EMPTY if v is None else trie.compile_pattern((), v)
+            new = EMPTY if v is None else trie.compile_pattern(v)
         else:
             pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
-            new = trie.compile_pattern((), observe(_wildify(pat)))
-        ep.current = self._contribute(ep.current, new)
+            new = trie.compile_pattern(observe(_wildify(pat)))
+        self._was.setdefault(ep, ep.current)
+        ep.current = new
 
     # -- dispatch -----------------------------------------------------------
 
@@ -491,7 +492,8 @@ class ActorRuntime(Actor):
             for ep in f.endpoints:
                 del self.endpoints[ep.eid]
                 self.graph.forget_subject(ep)
-                ep.current = self._contribute(ep.current, EMPTY)
+                self._was.setdefault(ep, ep.current)
+                ep.current = EMPTY
         for f in subtree:
             for h in f.stop_handlers:
                 h()
@@ -518,54 +520,41 @@ class ActorRuntime(Actor):
 
     def assert_value(self, v: Value) -> None:
         """Actor-level assertion outliving any facet."""
-        new = trie.union(self.adhoc, trie.compile_pattern((), v))
-        self.adhoc = self._contribute(self.adhoc, new)
+        self._was.setdefault(None, self.adhoc)
+        self.adhoc = trie.union(self.adhoc, trie.compile_pattern(v))
 
     def retract_value(self, v: Value) -> None:
-        new = trie.subtract(self.adhoc, trie.compile_pattern((), v))
-        self.adhoc = self._contribute(self.adhoc, new)
-
-    def _contribute(self, old: Trie, new: Trie) -> Trie:
-        """Replace the contribution ``old`` by ``new`` in the bag, noting
-        each key whose count goes 0→1 or 1→0; returns ``new``."""
-        if old is new:
-            return new
-        bag, moved = self._bag, self._moved
-        if new is not EMPTY:
-            count = bag.get(new, 0)
-            bag[new] = count + 1
-            if not count:
-                moved[new] = moved.get(new, 0) + 1
-        if old is not EMPTY:
-            count = bag.pop(old) - 1
-            if count:
-                bag[old] = count
-            else:
-                moved[old] = moved.get(old, 0) - 1
-        return new
+        self._was.setdefault(None, self.adhoc)
+        self.adhoc = trie.subtract(self.adhoc, trie.compile_pattern(v))
 
     def _emit(self, action) -> None:
         self._flush()
         self._actions.append(action)
 
     def _flush(self) -> None:
-        self.graph.repair_damage(self._repair_subject)
-        if not self._moved:
+        self.graph.repair_damage(self._refresh_endpoint)
+        if not self._was:
             return
-        moved, self._moved = self._moved, {}
-        came = [k for k, step in moved.items() if step > 0]
-        went = [k for k, step in moved.items() if step < 0]
-        # A key in the bag stood before unless it just came; one that went
-        # has left the bag.  What is added stands now and what is removed
-        # does not, so the halves are disjoint.
-        before = went + [k for k in self._bag if not moved.get(k)]
-        delta = Patch.disjoint(_uncovered(came, before), _uncovered(went, self._bag))
+        was, self._was = self._was, {}
+        went = {who: old for who, old in was.items() if old != self._share(who)}
+        if not went:
+            return
+        live = [None, *self.endpoints.values()]
+        came = [self._share(who) for who in went]
+        now = [self._share(who) for who in live]
+        # What stood before: the notes of the contributors that changed
+        # (a stopped endpoint's among them), and what the others still
+        # contribute.  What is added stands now and what is removed does
+        # not, so the halves are disjoint.
+        before = [*went.values(), *(self._share(who) for who in live if who not in went)]
+        delta = Patch.disjoint(_uncovered(came, before), _uncovered(went.values(), now))
         if delta.is_non_empty():
             self._actions.append(delta)
 
-    def _repair_subject(self, subject) -> None:
-        if isinstance(subject, Endpoint):
-            self._refresh_endpoint(subject)
+    def _share(self, who: Optional[Endpoint]) -> Trie:
+        """What a contributor contributes now: ``adhoc`` for None, else
+        the endpoint's ``current`` (EMPTY once it has stopped)."""
+        return self.adhoc if who is None else who.current
 
 
 def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
@@ -631,10 +620,10 @@ def _match(pattern, value):
     return caps if go(pattern, value) else None
 
 
-def _uncovered(keys, cover) -> Trie:
-    """The union of ``keys`` less whatever the keys of ``cover`` hold."""
+def _uncovered(tries, cover) -> Trie:
+    """The union of ``tries`` less whatever the tries of ``cover`` hold."""
     t = EMPTY
-    for k in keys:
+    for k in tries:
         t = trie.union(t, k)
     for k in cover:
         if t is EMPTY:

@@ -154,5 +154,5 @@ class Mux:
         try:
             ids = trie.search_value(body, interests)
         except NotAValue:
-            ids = trie.leaves_meeting(interests, trie.compile_pattern((), body))
+            ids = trie.leaves_meeting(interests, trie.compile_pattern(body))
         return sorted(ids) if ids else []

@@ -10,12 +10,7 @@ are structurally equal.
 
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion.
-A node's hash is computed on first use and cached (a branch's from its
-default and its edge set, children first with an explicit stack, so
-deep tries hash without recursion); the set operations never hash a
-node, so a rebuilt node does no per-edge work for the edges it carries
-over.
-Canonical form is likewise kept per rebuilt edge: ``combine`` checks
+Canonical form is kept per rebuilt edge: ``combine`` checks
 only the edges it recomputes, because an edge copied unchanged from a
 canonical operand, under that operand's own default, stays canonical.
 An edge is redundant when its child is ``make_tail(arity, default)``;
@@ -68,6 +63,7 @@ class InfiniteSet(ValueError):
 
 class Trie:
     __slots__ = ()
+    __hash__ = None  # a value compared structurally, not a key
 
 
 class _Empty(Trie):
@@ -75,9 +71,6 @@ class _Empty(Trie):
 
     def __repr__(self) -> str:
         return "mt"
-
-    def __hash__(self) -> int:
-        return 0x9E3779B9
 
 
 EMPTY = _Empty()
@@ -92,55 +85,26 @@ class Ok(Trie):
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Ok) and self.value == other.value)
 
-    def __hash__(self) -> int:
-        return hash(("ok", self.value))
-
     def __repr__(self) -> str:
         return f"ok({_format_leaf(self.value)})"
 
 
 class Branch(Trie):
-    __slots__ = ("default", "edges", "_hash")
+    __slots__ = ("default", "edges")
 
     def __init__(self, default: Trie, edges: dict):
         # Trusts its input: callers pass canonical nodes, or go through branch().
         self.default = default
         self.edges = edges
-        self._hash = None
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, Branch) and _same(self, other))
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            _hash_below(self)
-            h = self._hash
-        return h
 
     def __repr__(self) -> str:
         return render(self)
 
 
 UNIT = Ok(())
-
-
-def _hash_below(root: Branch) -> None:
-    """Cache the hash of ``root`` and of every unhashed branch beneath it,
-    children first, so that no hash recurses."""
-    found = []  # parents before their children
-    todo = [root]
-    while todo:
-        b = todo.pop()
-        found.append(b)
-        if type(b.default) is Branch and b.default._hash is None:
-            todo.append(b.default)
-        for c in b.edges.values():
-            if type(c) is Branch and c._hash is None:
-                todo.append(c)
-    for b in reversed(found):
-        if b._hash is None:
-            b._hash = hash(("br", b.default, frozenset(b.edges.items())))
 
 
 def _same(a: Trie, b: Trie) -> bool:
@@ -156,9 +120,6 @@ def _same(a: Trie, b: Trie) -> bool:
             if a.value != b.value:
                 return False
             continue
-        # Hashes, where both are already known, tell unequal nodes apart.
-        if a._hash is not None and b._hash is not None and a._hash != b._hash:
-            return False
         if len(a.edges) != len(b.edges):
             return False
         for tok, child in a.edges.items():
@@ -224,9 +185,9 @@ def _child(edges: dict, tok: Token, default: Trie) -> Trie:
 # Pattern compilation
 
 
-def compile_pattern(alpha, pattern) -> Trie:
-    """Compile a wildcard-capable pattern into a canonical trie leafed by ``alpha``."""
-    return _compile(pattern, Ok(alpha))
+def compile_pattern(pattern) -> Trie:
+    """Compile a wildcard-capable pattern into a canonical unit trie."""
+    return _compile(pattern, UNIT)
 
 
 def _compile(p, k: Trie) -> Trie:
@@ -250,7 +211,7 @@ def assertion_set(values: Iterable[Value]) -> Trie:
     """Build a unit trie holding the given values (or patterns)."""
     t = EMPTY
     for v in values:
-        t = union(t, compile_pattern((), v))
+        t = union(t, compile_pattern(v))
     return t
 
 

@@ -104,7 +104,7 @@ def test_trie_operations_agree_with_set_oracle():
     rng = random.Random(1)
     started = time.monotonic()
     pool = [random_pattern(rng) for _ in range(64)]
-    tries = [compile_pattern((), p) for p in pool]
+    tries = [compile_pattern(p) for p in pool]
     sets = [meaning(p, UNIVERSE) for p in pool]
     for t, s in zip(tries, sets):
         assert denote(t) == s  # compilation itself agrees
@@ -164,7 +164,7 @@ def test_token_sequence_fixture():
 
 
 def test_compiled_trie_fixture():
-    t = compile_pattern((), (S("sale"), S("milk"), WILDCARD, WILDCARD))
+    t = compile_pattern((S("sale"), S("milk"), WILDCARD, WILDCARD))
     expected = Branch(
         EMPTY,
         {
@@ -187,7 +187,7 @@ def test_compiled_trie_fixture():
 
 
 def test_complement_trie_fixture():
-    t = compile_pattern((), (WILDCARD, 1))
+    t = compile_pattern((WILDCARD, 1))
     assert t == Branch(
         EMPTY, {PushTok(None, 2): Branch(Branch(EMPTY, {atom_token(1): Ok(())}), {})}
     )
@@ -220,12 +220,12 @@ def test_equal_meaning_constructions_are_structurally_identical():
         patterns = [random_pattern(rng) for _ in range(rng.randint(1, 4))]
         t = EMPTY
         for p in patterns:
-            t = union(t, compile_pattern((), p))
+            t = union(t, compile_pattern(p))
         shuffled = patterns[:]
         rng.shuffle(shuffled)
         t2 = EMPTY
         for p in shuffled:
-            t2 = union(t2, compile_pattern((), p))
+            t2 = union(t2, compile_pattern(p))
         assert t == t2
         assert negate(negate(t)) == t
         assert union(t, t) == t
@@ -234,7 +234,7 @@ def test_equal_meaning_constructions_are_structurally_identical():
         assert intersect(t, universe(1)) == t
         assert subtract(t, EMPTY) == t
         assert subtract(t, t) == EMPTY
-        other = compile_pattern((), rng.choice(patterns))
+        other = compile_pattern(rng.choice(patterns))
         assert union(t, other) == negate(intersect(negate(t), negate(other)))
         assert intersect(t, other) == negate(union(negate(t), negate(other)))
 

@@ -596,6 +596,31 @@ def test_bag_keeps_atom_kinds_apart():
     ]
 
 
+def test_equal_recomputation_publishes_nothing(monkeypatch):
+    # p(v > 0) stays p(True) while v goes from 1 to 2: the endpoint is
+    # recomputed to an equal trie, so the flush has nothing to publish
+    # and runs no set operation.
+    computed = []
+
+    def boot(f):
+        v = f.field(1, "v")
+
+        def compute():
+            computed.append(v.value)
+            return rec("p", v.value > 0)
+
+        f.assert_(compute)
+        f.on_message(STEP, lambda: setattr(v, "value", 2))
+
+    rt = ActorRuntime(("t",), boot)
+    rt.startup()
+    combines = []
+    combine = trie.combine
+    monkeypatch.setattr(trie, "combine", lambda *a: combines.append(a) or combine(*a))
+    assert rt.handle(Message(STEP)) == []
+    assert computed == [1, 2] and combines == []
+
+
 # ---------------------------------------------------------------------------
 # Dispatch against the two-probe formula
 
@@ -633,7 +658,7 @@ def _random_removal(rng):
     if rng.random() < 0.2:
         # Cofinite: everything (or every q) but a few assertions.
         whole = trie.universe() if rng.random() < 0.5 else trie.compile_pattern(
-            (), rec("q", WILDCARD, WILDCARD)
+            rec("q", WILDCARD, WILDCARD)
         )
         return trie.subtract(whole, _random_assertions(rng, rng.randint(1, 4)))
     return _random_assertions(rng, rng.randint(0, 6))
@@ -652,7 +677,7 @@ def _two_probe_activations(ep, delta, before, after, seen):
         return "infinite"
     out = []
     for caps in caps_list:
-        inst = trie.compile_pattern((), _instantiate(ep.current_pattern, caps))
+        inst = trie.compile_pattern(_instantiate(ep.current_pattern, caps))
         known_before = trie.intersect(inst, before) is not EMPTY
         known_after = trie.intersect(inst, after) is not EMPTY
         if ep.on == "asserted":

@@ -62,12 +62,12 @@ def tset(values):
 
 @given(patterns)
 def test_compiled_tries_well_formed(p):
-    assert check_wf(compile_pattern((), p), 1)
+    assert check_wf(compile_pattern(p), 1)
 
 
 @given(patterns, patterns)
 def test_set_ops_preserve_wf_and_canonical_idempotence(p, q):
-    a, b = compile_pattern((), p), compile_pattern((), q)
+    a, b = compile_pattern(p), compile_pattern(q)
     for t in (union(a, b), intersect(a, b), subtract(a, b), negate(a)):
         assert check_wf(t, 1)
     assert union(a, a) == a
@@ -79,13 +79,13 @@ def test_set_ops_preserve_wf_and_canonical_idempotence(p, q):
 
 @given(patterns, st.sampled_from(U))
 def test_search_agrees_with_matching(p, v):
-    t = compile_pattern((), p)
+    t = compile_pattern(p)
     assert contains(t, v) == match(p, v)
 
 
 @given(patterns, patterns, st.sampled_from(U))
 def test_algebra_agrees_with_sets(p, q, v):
-    a, b = compile_pattern((), p), compile_pattern((), q)
+    a, b = compile_pattern(p), compile_pattern(q)
     assert contains(union(a, b), v) == (match(p, v) or match(q, v))
     assert contains(intersect(a, b), v) == (match(p, v) and match(q, v))
     assert contains(subtract(a, b), v) == (match(p, v) and not match(q, v))
@@ -94,7 +94,7 @@ def test_algebra_agrees_with_sets(p, q, v):
 
 @given(patterns)
 def test_double_negation_is_identity(p):
-    t = compile_pattern((), p)
+    t = compile_pattern(p)
     assert negate(negate(t)) == t
 
 
@@ -113,12 +113,18 @@ def test_insertion_order_irrelevant(xs, ys):
     both = list(xs) + list(ys)
     rev = list(reversed(both))
     assert assertion_set(both) == assertion_set(rev)
-    assert hash(assertion_set(both)) == hash(assertion_set(rev))
+
+
+def test_tries_are_not_hashable():
+    # Tries are compared structurally; nothing keys a table by one.
+    for t in (EMPTY, trie.UNIT, compile_pattern((S("x"), WILDCARD))):
+        with pytest.raises(TypeError):
+            hash(t)
 
 
 def test_key_set_refuses_infinite():
     with pytest.raises(InfiniteSet):
-        key_set(compile_pattern((), (WILDCARD, 1)))
+        key_set(compile_pattern((WILDCARD, 1)))
 
 
 def test_universe_and_negate_empty():
@@ -136,14 +142,14 @@ def test_search_key_must_be_one_value():
 def test_default_fallback_skips_whole_value():
     # A trie of pairs (x, 1) for any x: searching must skip an entire
     # compound first element, not a single token.
-    t = compile_pattern((), (WILDCARD, 1))
+    t = compile_pattern((WILDCARD, 1))
     assert contains(t, ((S("a"), (S("b"),)), 1))
     assert not contains(t, ((S("a"),), 2))
 
 
 def test_search_wild_unions_routing_leaves():
     r = update_routes(EMPTY, EMPTY, 1, assertion_set([(S("a"), 0)]), EMPTY)[0]
-    r = update_routes(r, EMPTY, 2, compile_pattern((), (S("a"), WILDCARD)), EMPTY)[0]
+    r = update_routes(r, EMPTY, 2, compile_pattern((S("a"), WILDCARD)), EMPTY)[0]
     key = serialize_wild((S("a"), WILDCARD))
     assert search_wild(key, r, frozenset.union) == frozenset({1, 2})
     assert search(serialize((S("a"), 0)), r) == frozenset({1, 2})
@@ -151,7 +157,7 @@ def test_search_wild_unions_routing_leaves():
 
 
 def test_canonical_constructor_prunes_redundant_edges():
-    w = compile_pattern((), WILDCARD)
+    w = compile_pattern(WILDCARD)
     assert isinstance(w, Branch) and not w.edges
     # an edge identical to what the default implies must vanish
     t = branch(Ok(()), {trie.atom_token(1): Ok(())})
@@ -198,7 +204,7 @@ def test_pattern_set_reads_defaults_as_wildcards_in_trie_order():
 
 
 def test_projection_of_wildcard_capture_is_infinite():
-    t = compile_pattern((), (S("x"), WILDCARD))
+    t = compile_pattern((S("x"), WILDCARD))
     with pytest.raises(InfiniteSet):
         key_set(project((S("x"), CAPTURE), t))
 
@@ -232,7 +238,7 @@ def _capture_everything(p):
 def test_render_stable_forms():
     assert render(EMPTY) == "mt"
     assert render(Ok(())) == "ok(())"
-    t = compile_pattern((), (WILDCARD, 1))
+    t = compile_pattern((WILDCARD, 1))
     assert render(t) == "br(mt, {⟪2→br(br(mt, {1→ok(())}), {})})"
 
 
