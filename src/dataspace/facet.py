@@ -19,8 +19,14 @@ apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
 Both the captures and whether an instance is known are read by
-projection (``trie.project``): an instance has no captures left, so its
-projection onto what is known is ``UNIT`` exactly when it is known.
+projection (``trie.project``) over the subscription's compiled items
+(``Endpoint.items``, from ``trie.spec_items``), made once each time the
+endpoint's pattern is resolved.  An instance's items are the endpoint's
+with each capture's tokens spliced in at its capture mark; they hold no
+captures, so their projection onto what is known is ``UNIT`` exactly
+when the instance is known.  A message is matched against the same
+items, in one pass over the body: atoms by kind and payload, compounds
+by label and arity.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -39,6 +45,7 @@ trie, only compares: it publishes no patch and runs no set operation.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from typing import Callable, Dict, List, Optional
 
 from . import trie
@@ -48,15 +55,16 @@ from .patch import Patch, apply_patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
+    AtomTok,
     NotAValue,
     Record,
     Symbol,
     Value,
     WILDCARD,
+    atom_kind,
     check_value,
     decompose,
     format_value,
-    is_atom,
     is_compound,
     observe,
     serialize,
@@ -103,8 +111,8 @@ class Field:
 def _same(a, b) -> bool:
     """Whether assigning ``a`` over ``b`` changes nothing.  Compound
     values compare kind-faithfully, so ``(1,)`` is not ``(True,)``;
-    anything else, such as a query's set or dict, compares as Python
-    does, within one type."""
+    anything else compares by its own equality, within one type (a
+    query's ``KindDict`` or its ``keys()`` keep kinds apart too)."""
     if not (type(a) is type(b) and a == b):
         return False
     if not is_compound(a):
@@ -115,6 +123,39 @@ def _same(a, b) -> bool:
     except NotAValue:
         return True
     return values_equal(a, b)
+
+
+class KindDict(Mapping):
+    """A query's read-only mapping.  Keys are keyed by their token tuple
+    (``serialize``), so atom kinds stay apart: 1, True and 1.0 are three
+    keys, and lookups and ``in`` tell them apart too; so does ``keys()``,
+    the read-only set a ``query_set`` holds.  Equal mappings have
+    kind-faithfully equal values too."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: dict):
+        self._entries = entries  # key's token tuple -> (key, value)
+
+    def __getitem__(self, key):
+        entry = self._entries.get(tuple(serialize(key)))
+        if entry is None:
+            raise KeyError(key)
+        return entry[1]
+
+    def __iter__(self):
+        return (key for key, _ in self._entries.values())
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not KindDict:
+            return Mapping.__eq__(self, other)
+        mine, theirs = self._entries, other._entries
+        return mine.keys() == theirs.keys() and all(
+            values_equal(v, theirs[t][1]) for t, (_, v) in mine.items()
+        )
 
 
 class Endpoint:
@@ -129,6 +170,7 @@ class Endpoint:
         "priority",
         "current",  # trie contributed to the actor's published set
         "current_pattern",  # sub: pattern with Field refs resolved
+        "items",  # sub: trie.spec_items(current_pattern)
     )
 
     def __init__(self, eid, facet, kind):
@@ -142,6 +184,7 @@ class Endpoint:
         self.priority = PRIORITY_DEFAULT
         self.current = EMPTY
         self.current_pattern = None
+        self.items = None
 
     @property
     def order_key(self):
@@ -259,13 +302,17 @@ class Facet:
     # -- queries ------------------------------------------------------------
 
     def query_set(self, pattern, name="query-set") -> Field:
-        f = self.field(frozenset(), name)
+        f = self.field(KindDict({}).keys(), name)
+        members: dict = {}  # token tuple -> (member, member)
 
         def add(*caps):
-            f.value = f.value | {caps[0] if len(caps) == 1 else caps}
+            v = caps[0] if len(caps) == 1 else caps
+            members[tuple(serialize(v))] = (v, v)
+            f.value = KindDict(dict(members)).keys()
 
         def rem(*caps):
-            f.value = f.value - {caps[0] if len(caps) == 1 else caps}
+            members.pop(tuple(serialize(caps[0] if len(caps) == 1 else caps)), None)
+            f.value = KindDict(dict(members)).keys()
 
         self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
         self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
@@ -303,17 +350,16 @@ class Facet:
         return f
 
     def query_hash(self, pattern, name="query-hash") -> Field:
-        f = self.field({}, name)
+        f = self.field(KindDict({}), name)
+        entries: dict = {}  # key's token tuple -> (key, value)
 
         def add(key, *rest):
-            d = dict(f.value)
-            d[key] = rest[0] if len(rest) == 1 else rest
-            f.value = d
+            entries[tuple(serialize(key))] = (key, rest[0] if len(rest) == 1 else rest)
+            f.value = KindDict(dict(entries))
 
         def rem(key, *_rest):
-            d = dict(f.value)
-            d.pop(key, None)
-            f.value = d
+            entries.pop(tuple(serialize(key)), None)
+            f.value = KindDict(dict(entries))
 
         self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
         self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
@@ -424,6 +470,7 @@ class ActorRuntime(Actor):
         else:
             pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
+            ep.items = trie.spec_items(pat)
             new = trie.compile_pattern(observe(_wildify(pat)))
         self._was.setdefault(ep, ep.current)
         ep.current = new
@@ -434,17 +481,17 @@ class ActorRuntime(Actor):
         side = delta.added if ep.on == "asserted" else delta.removed
         if side is EMPTY:
             return
-        pattern = ep.current_pattern
+        items = ep.items
         try:
-            keys = trie.key_set(trie.project(pattern, side))
+            keys = trie.key_set(trie.project(items, side))
         except InfiniteSet:
             raise InfiniteMatchSet(
-                f"subscription {format_value(_wildify(pattern))} matched "
+                f"subscription {format_value(_wildify(ep.current_pattern))} matched "
                 "infinitely many values"
             )
         for caps in keys:
             # A capture-free projection is EMPTY exactly when no member matches.
-            inst = _instantiate(pattern, caps)
+            inst = _instance_items(items, caps)
             if trie.project(inst, before) is EMPTY:
                 if ep.on == "asserted":  # known after: it comes from delta.added
                     self._activate(ep, caps)
@@ -452,7 +499,7 @@ class ActorRuntime(Actor):
                 self._activate(ep, caps)
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
-        caps = _match(ep.current_pattern, body)
+        caps = _captures(ep.items, body)
         if caps is not None:
             self._activate(ep, tuple(caps))
 
@@ -595,29 +642,46 @@ def _instantiate(pattern, caps):
     return result
 
 
-def _match(pattern, value):
-    """Structural match; returns the list of captured values or None."""
+def _instance_items(items: list, caps: tuple) -> list:
+    """Spec items with each capture mark replaced by its capture's tokens."""
+    out: list = []
+    caps = iter(caps)
+    for item in items:
+        if item is CAPTURE:
+            out += serialize(next(caps))
+        else:
+            out.append(item)
+    return out
+
+
+def _captures(items: list, body) -> Optional[list]:
+    """Match a value against spec items: the captured values in order, or
+    None.  One pass over the items, walking the body in pre-order with
+    an explicit stack: atoms compare by kind and payload, compounds by
+    label and arity."""
     caps: list = []
-
-    def go(p, v) -> bool:
-        if p is CAPTURE:
+    todo = [body]
+    for item in items:
+        v = todo.pop()
+        if item is CAPTURE:
             caps.append(v)
-            return True
-        if p is WILDCARD:
-            return True
-        if is_atom(p):
-            return is_atom(v) and values_equal(p, v)
-        if is_compound(p):
-            if not is_compound(v):
-                return False
-            lp, fp = decompose(p)
-            lv, fv = decompose(v)
-            if lp is not lv or len(fp) != len(fv):
-                return False
-            return all(go(a, b) for a, b in zip(fp, fv))
-        raise ValueError(f"not a pattern: {p!r}")
-
-    return caps if go(pattern, value) else None
+        elif item is WILDCARD:
+            continue
+        elif type(item) is AtomTok:
+            if v != item[1] or atom_kind(v) != item[0]:
+                return None
+        else:
+            label, arity = item
+            if isinstance(v, Record):
+                if v.label is not label:
+                    return None
+                v = v.fields
+            elif label is not None or not isinstance(v, tuple):
+                return None
+            if len(v) != arity:
+                return None
+            todo.extend(reversed(v))
+    return caps
 
 
 def _uncovered(tries, cover) -> Trie:

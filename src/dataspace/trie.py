@@ -24,8 +24,13 @@ that becomes visible; ``leaves_meeting`` reads which streams a change
 concerns without building an intersection.
 
 ``project`` reads the captures of a pattern off a trie in one direct
-walk over the pattern's pre-order items, one frame per token it goes
-down; with no captures, it answers whether some member matches.
+walk over the pattern's compiled pre-order items (``spec_items``), one
+frame per token it goes down; with no captures, it answers whether some
+member matches.  A subscriber compiles its items once per change of its
+pattern, not once per projection.
+
+Edge labels are tokens (see ``values``): tuples, so an edge lookup
+hashes and compares in C.
 """
 from __future__ import annotations
 
@@ -40,9 +45,6 @@ from .values import (
     Value,
     WILDCARD,
     CAPTURE,
-    INBOUND,
-    OBSERVE,
-    OUTBOUND,
     atom_kind,
     atom_token,
     check_value,
@@ -196,7 +198,7 @@ def _compile(p, k: Trie) -> Trie:
         label, fields = decompose(p)
         for f in reversed(fields):
             k = _compile(f, k)
-        return Branch(EMPTY, {PushTok(label, len(fields)): k})
+        return Branch(EMPTY, {PushTok((label, len(fields))): k})
     if p is WILDCARD:
         return Branch(k, {})
     if p is CAPTURE:
@@ -204,7 +206,7 @@ def _compile(p, k: Trie) -> Trie:
     kind = atom_kind(p)
     if kind is None:
         raise ValueError(f"not a pattern: {p!r}")
-    return Branch(EMPTY, {AtomTok(kind, p): k})
+    return Branch(EMPTY, {AtomTok((kind, p)): k})
 
 
 def assertion_set(values: Iterable[Value]) -> Trie:
@@ -271,7 +273,7 @@ def search_value(v: Value, t: Trie):
             child = t.edges.get(atom_token(v))
             t = t.default if child is None else child
             continue
-        child = t.edges.get(PushTok(label, len(fields)))
+        child = t.edges.get(PushTok((label, len(fields))))
         if child is None:
             check_value(v)  # the default consumes the whole value
             t = t.default
@@ -637,17 +639,36 @@ def leaves_meeting(t: Trie, *probes: Trie) -> set:
 # Projection
 
 
-def project(spec, t: Trie) -> Trie:
-    """Select assertions matching ``spec`` and keep only captured positions.
+def spec_items(spec) -> list:
+    """A projection spec's pre-order items: tokens, ``WILDCARD`` and
+    ``CAPTURE``.  A subscription's items are made once, when its pattern
+    is resolved, and every projection of it walks them."""
+    items: list = []
+    todo = [spec]
+    while todo:
+        p = todo.pop()
+        if p is WILDCARD or p is CAPTURE:
+            items.append(p)
+        elif is_compound(p):
+            items.append(push_token(p))
+            todo.extend(reversed(decompose(p)[1]))
+        elif is_atom(p):
+            items.append(atom_token(p))
+        else:
+            raise ValueError(f"not a projection spec: {p!r}")
+    return items
 
-    The result is a unit trie over n-value sequences, n being the number
-    of capture marks in the spec; with none, it is ``UNIT`` exactly when
-    some member of ``t`` matches.  The walk follows the spec's pre-order
-    items and counts the whole values a wildcard or capture mark has
-    left to consume, so it takes one frame per token and builds no
-    closures.
+
+def project(items: list, t: Trie) -> Trie:
+    """Select assertions matching a spec and keep only captured positions.
+
+    ``items`` are the spec's ``spec_items``.  The result is a unit trie
+    over n-value sequences, n being the number of capture marks among
+    them; with none, it is ``UNIT`` exactly when some member of ``t``
+    matches.  The walk follows the items and counts the whole values a
+    wildcard or capture mark has left to consume, so it takes one frame
+    per token and builds no closures.
     """
-    items = _spec_items(spec)
     end = len(items)
 
     def go(i: int, t: Trie, n: int) -> Trie:
@@ -663,7 +684,8 @@ def project(spec, t: Trie) -> Trie:
             if item is WILDCARD or item is CAPTURE:
                 n = 1
             else:
-                t = _child(t.edges, item, t.default)
+                child = t.edges.get(item)
+                t = make_tail(item.arity, t.default) if child is None else child
         if type(t) is not Branch:
             return EMPTY
         n -= 1
@@ -678,24 +700,6 @@ def project(spec, t: Trie) -> Trie:
         return acc
 
     return go(0, t, 0)
-
-
-def _spec_items(spec) -> list:
-    """A projection spec's pre-order items: tokens, ``WILDCARD`` and ``CAPTURE``."""
-    items: list = []
-    todo = [spec]
-    while todo:
-        p = todo.pop()
-        if p is WILDCARD or p is CAPTURE:
-            items.append(p)
-        elif is_compound(p):
-            items.append(push_token(p))
-            todo.extend(reversed(decompose(p)[1]))
-        elif is_atom(p):
-            items.append(atom_token(p))
-        else:
-            raise ValueError(f"not a projection spec: {p!r}")
-    return items
 
 
 # ---------------------------------------------------------------------------
@@ -765,25 +769,15 @@ def render(t: Trie) -> str:
     return f"br({render(t.default)}, {{{items}}})"
 
 
-#: Push tokens of the reserved unary wrappers, made once: wrapping and
-#: unwrapping with them is on every patch's path.
-_UNARY = {label: PushTok(label, 1) for label in (OBSERVE, INBOUND, OUTBOUND)}
-
-
-def _unary(label) -> PushTok:
-    tok = _UNARY.get(label)
-    return PushTok(label, 1) if tok is None else tok
-
-
 def wrap_trie(label, t: Trie) -> Trie:
     """Wrap every member of a 1-value trie in a unary labeled record."""
     if t is EMPTY:
         return EMPTY
-    return branch(EMPTY, {_unary(label): t})
+    return branch(EMPTY, {PushTok((label, 1)): t})
 
 
 def unwrap_trie(label, t: Trie) -> Trie:
     """The set {c | label(c) ∈ t}; one edge hop thanks to implicit pops."""
     if not isinstance(t, Branch):
         return EMPTY
-    return _child(t.edges, _unary(label), t.default)
+    return _child(t.edges, PushTok((label, 1)), t.default)

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence, Union
 
 
 class Symbol:
-    """An interned identifier atom, distinct from strings."""
+    """An interned identifier atom, distinct from strings.  One name makes
+    one object, so symbols compare and hash by identity."""
 
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name",)
     _interned: dict = {}
 
     def __new__(cls, name: str) -> "Symbol":
@@ -26,7 +28,6 @@ class Symbol:
         if sym is None:
             sym = super().__new__(cls)
             object.__setattr__(sym, "name", name)
-            object.__setattr__(sym, "_hash", hash(("symbol", name)))
             cls._interned[name] = sym
         return sym
 
@@ -35,12 +36,6 @@ class Symbol:
 
     def __repr__(self) -> str:
         return self.name
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, Symbol) and self.name == other.name)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "Symbol") -> bool:
         return self.name < other.name
@@ -147,31 +142,22 @@ def inbound(v: Value) -> Record:
 # Tokens
 
 
-# Tokens are trie edge labels, so they are hashed on every edge lookup
-# and insertion: each computes its hash once, when it is made.  Treat
-# them as immutable.  Equality compares the atom kind as well as the
-# payload, so 1, 1.0 and True are three different tokens.
+# Tokens are trie edge labels, looked up on every step of every trie
+# walk.  Each is a tuple, made from a pair: an atom token is (kind,
+# payload) and a push token is (label, arity).  Hashing and equality are
+# the tuple's own, so an edge lookup runs no Python code.  The kind is
+# part of the tuple, so 1, 1.0 and True are three different tokens; a
+# push token's label is a Symbol or None, never a kind string, so no
+# push token equals an atom token.  Symbols are interned, so a label
+# hashes and compares by identity.
 
 
-class AtomTok:
-    __slots__ = ("kind", "payload", "_hash")
+class AtomTok(tuple):
+    __slots__ = ()
 
+    kind = property(itemgetter(0))
+    payload = property(itemgetter(1))
     arity = 0
-
-    def __init__(self, kind: str, payload):
-        self.kind = kind
-        self.payload = payload
-        self._hash = hash((kind, payload))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not AtomTok:
-            return NotImplemented
-        return self.kind == other.kind and self.payload == other.payload
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def sort_key(self):
         return (0, _ATOM_KIND_RANK[self.kind], self.payload)
@@ -180,25 +166,11 @@ class AtomTok:
         return format_value(self.payload)
 
 
-class PushTok:
-    __slots__ = ("label", "arity", "_hash")
+class PushTok(tuple):
+    __slots__ = ()
 
-    def __init__(self, label: Optional[Symbol], arity: int):
-        self.label = label
-        self.arity = arity
-        self._hash = hash((label, arity))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is not PushTok:
-            return NotImplemented
-        return self.arity == other.arity and (
-            self.label is other.label or self.label == other.label
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    label = property(itemgetter(0))
+    arity = property(itemgetter(1))
 
     def sort_key(self):
         label_key = (0, "") if self.label is None else (1, self.label.name)
@@ -221,12 +193,12 @@ def atom_token(a) -> AtomTok:
     kind = atom_kind(a)
     if kind is None:
         raise NotAValue(f"not an atom: {a!r}")
-    return AtomTok(kind, a)
+    return AtomTok((kind, a))
 
 
 def push_token(v) -> PushTok:
     label, fields = decompose(v)
-    return PushTok(label, len(fields))
+    return PushTok((label, len(fields)))
 
 
 def serialize(v: Value) -> list:

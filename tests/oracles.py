@@ -6,7 +6,7 @@ deliberately sharing no code with the trie or mux implementations.
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set
 
 from dataspace.values import (
     CAPTURE,
@@ -21,11 +21,11 @@ from dataspace.values import (
 
 A = Symbol("a")
 B = Symbol("b")
-ATOMS = (A, B, 0, 1)
+ATOMS = (A, B, 0, 1, True, False, 1.0)
 
 
 def build_universe() -> List[object]:
-    """All values over atoms {a,b,0,1} with compound arity <= 2, depth <= 2."""
+    """All values over ``ATOMS`` with compound arity <= 2, depth <= 2."""
     level0 = list(ATOMS)
     level1 = level0 + [
         t
@@ -74,8 +74,8 @@ def match(pattern, value) -> bool:
     raise ValueError(f"not a pattern: {pattern!r}")
 
 
-def match_captures(spec, value) -> Optional[Tuple]:
-    """Match a capture-bearing spec; returns captured values in order."""
+def _match(pattern, value):
+    """Structural match; returns the list of captured values or None."""
     caps: list = []
 
     def go(p, v) -> bool:
@@ -86,15 +86,17 @@ def match_captures(spec, value) -> Optional[Tuple]:
             return True
         if is_atom(p):
             return is_atom(v) and values_equal(p, v)
-        if not is_compound(v):
-            return False
-        lp, fp = decompose(p)
-        lv, fv = decompose(v)
-        return (
-            lp is lv and len(fp) == len(fv) and all(go(a, b) for a, b in zip(fp, fv))
-        )
+        if is_compound(p):
+            if not is_compound(v):
+                return False
+            lp, fp = decompose(p)
+            lv, fv = decompose(v)
+            if lp is not lv or len(fp) != len(fv):
+                return False
+            return all(go(a, b) for a, b in zip(fp, fv))
+        raise ValueError(f"not a pattern: {p!r}")
 
-    return tuple(caps) if go(spec, value) else None
+    return caps if go(pattern, value) else None
 
 
 def random_pattern(rng: random.Random, depth: int = 2, wild_p: float = 0.25):
@@ -107,9 +109,8 @@ def random_pattern(rng: random.Random, depth: int = 2, wild_p: float = 0.25):
 
 
 def meaning(pattern, universe) -> frozenset:
-    return frozenset(
-        _hashable(v) for v in universe if match(pattern, v)
-    )
+    """The indices of the members of ``universe`` that match ``pattern``."""
+    return frozenset(i for i, v in enumerate(universe) if match(pattern, v))
 
 
 # ---------------------------------------------------------------------------

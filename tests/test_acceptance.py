@@ -42,12 +42,15 @@ from dataspace.trie import (
     contains,
     intersect,
     key_set,
+    leaves_meeting,
     negate,
     pattern_set,
     project,
+    spec_items,
     subtract,
     union,
     universe,
+    update_routes,
 )
 from dataspace.values import (
     CAPTURE,
@@ -64,9 +67,9 @@ from dataspace.values import (
 from oracles import (
     ShadowModel,
     _hashable,
+    _match,
     build_universe,
     match,
-    match_captures,
     meaning,
     random_pattern,
 )
@@ -74,13 +77,24 @@ from oracles import (
 S = Symbol
 
 UNIVERSE = build_universe()
-U_TRIE = assertion_set(UNIVERSE)
-U_ALL = frozenset(_hashable(v) for v in UNIVERSE)
+U_ALL = frozenset(range(len(UNIVERSE)))
+
+
+def _index_trie(values):
+    """A routing trie of ``values``: each member's leaf holds its index."""
+    t = EMPTY
+    for i, v in enumerate(values):
+        t = update_routes(t, EMPTY, i, compile_pattern(v), EMPTY)[0]
+    return t
+
+
+U_INDEX = _index_trie(UNIVERSE)
 
 
 def denote(t):
-    """Concrete members of a unit trie, restricted to the test universe."""
-    return frozenset(_hashable(k[0]) for k in key_set(intersect(U_TRIE, t)))
+    """The members of a unit trie in the test universe, as their indices
+    there (``meaning``'s terms)."""
+    return frozenset(leaves_meeting(U_INDEX, t))
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +143,11 @@ def test_trie_operations_agree_with_set_oracle():
             spec = _random_spec(rng)
             got = {
                 tuple(_hashable(x) for x in k)
-                for k in key_set(project(spec, assertion_set(sample)))
+                for k in key_set(project(spec_items(spec), assertion_set(sample)))
             }
             want = set()
             for v in sample:
-                caps = match_captures(spec, v)
+                caps = _match(spec, v)
                 if caps is not None:
                     want.add(tuple(_hashable(x) for x in caps))
             assert got == want
@@ -151,13 +165,13 @@ def test_trie_operations_agree_with_set_oracle():
 def test_token_sequence_fixture():
     v = (S("sale"), S("milk"), (1, S("pt")), (1.17, S("usd")))
     assert serialize(v) == [
-        PushTok(None, 4),
+        PushTok((None, 4)),
         atom_token(S("sale")),
         atom_token(S("milk")),
-        PushTok(None, 2),
+        PushTok((None, 2)),
         atom_token(1),
         atom_token(S("pt")),
-        PushTok(None, 2),
+        PushTok((None, 2)),
         atom_token(1.17),
         atom_token(S("usd")),
     ]
@@ -168,7 +182,7 @@ def test_compiled_trie_fixture():
     expected = Branch(
         EMPTY,
         {
-            PushTok(None, 4): Branch(
+            PushTok((None, 4)): Branch(
                 EMPTY,
                 {
                     atom_token(S("sale")): Branch(
@@ -189,11 +203,11 @@ def test_compiled_trie_fixture():
 def test_complement_trie_fixture():
     t = compile_pattern((WILDCARD, 1))
     assert t == Branch(
-        EMPTY, {PushTok(None, 2): Branch(Branch(EMPTY, {atom_token(1): Ok(())}), {})}
+        EMPTY, {PushTok((None, 2)): Branch(Branch(EMPTY, {atom_token(1): Ok(())}), {})}
     )
     assert negate(t) == Branch(
         Ok(()),
-        {PushTok(None, 2): Branch(Branch(Ok(()), {atom_token(1): EMPTY}), {})},
+        {PushTok((None, 2)): Branch(Branch(Ok(()), {atom_token(1): EMPTY}), {})},
     )
 
 
@@ -202,10 +216,10 @@ def test_projection_fixtures():
     base = assertion_set(
         [(S("present"), a), (S("present"), b), (S("says"), a, "hello")]
     )
-    assert frozenset(key_set(project((S("says"), CAPTURE, CAPTURE), base))) == frozenset(
+    assert frozenset(key_set(project(spec_items((S("says"), CAPTURE, CAPTURE)), base))) == frozenset(
         {(a, "hello")}
     )
-    assert frozenset(key_set(project((S("present"), CAPTURE), base))) == frozenset(
+    assert frozenset(key_set(project(spec_items((S("present"), CAPTURE)), base))) == frozenset(
         {(a,), (b,)}
     )
 

@@ -7,6 +7,7 @@ from dataspace.facet import (
     ActorRuntime,
     InfiniteMatchSet,
     PRIORITY_QUERY_ADD,
+    _captures,
     _instantiate,
     spawn_actor,
 )
@@ -14,7 +15,7 @@ from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patc
 from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, observe
 
-from oracles import _hashable
+from oracles import _hashable, _match
 
 S = Symbol
 
@@ -672,7 +673,7 @@ def _two_probe_activations(ep, delta, before, after, seen):
     if side is EMPTY:
         return []
     try:
-        caps_list = trie.key_set(trie.project(ep.current_pattern, side))
+        caps_list = trie.key_set(trie.project(trie.spec_items(ep.current_pattern), side))
     except trie.InfiniteSet:
         return "infinite"
     out = []
@@ -735,3 +736,130 @@ def test_dispatch_matches_two_probe_oracle():
             )
     # Every case that tells the formula's probes apart was drawn.
     assert len(seen) == 3 and min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# Message matching against the structural oracle
+
+LABELS = (S("p"), S("q"))
+
+
+def _random_value(rng, depth=3):
+    if depth == 0 or rng.random() < 0.35:
+        return rng.choice(KIND_ATOMS)
+    fields = tuple(_random_value(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+    return fields if rng.random() < 0.4 else Record(rng.choice(LABELS), fields)
+
+
+def _pattern_of(rng, v):
+    """A pattern ``v`` matches: some parts of ``v`` become WILDCARD or CAPTURE."""
+    r = rng.random()
+    if r < 0.12:
+        return WILDCARD
+    if r < 0.3:
+        return CAPTURE
+    if isinstance(v, Record):
+        return Record(v.label, tuple(_pattern_of(rng, f) for f in v.fields))
+    if isinstance(v, tuple):
+        return tuple(_pattern_of(rng, f) for f in v)
+    return v
+
+
+def _mutated(rng, v):
+    """``v`` with one part changed: an atom of another kind or payload, a
+    label, or an arity."""
+    if isinstance(v, Record):
+        label, fields = v.label, v.fields
+    elif isinstance(v, tuple):
+        label, fields = None, v
+    else:
+        return rng.choice(KIND_ATOMS)
+    if fields and rng.random() < 0.6:
+        i = rng.randrange(len(fields))
+        fields = fields[:i] + (_mutated(rng, fields[i]),) + fields[i + 1 :]
+    else:
+        r = rng.random()
+        if r < 0.3:
+            label = rng.choice((None,) + LABELS)
+        elif r < 0.6 and fields:
+            fields = fields[:-1]
+        elif r < 0.9:
+            fields = fields + (rng.choice(KIND_ATOMS),)
+        else:
+            return rng.choice(KIND_ATOMS)
+    return fields if label is None else Record(label, fields)
+
+
+def test_message_matcher_agrees_with_structural_oracle():
+    rng = random.Random(1988)
+    outcomes = Counter()
+    for _ in range(3000):
+        v = _random_value(rng)
+        pattern = _pattern_of(rng, v)
+        body = _mutated(rng, v) if rng.random() < 0.5 else v
+        want = _match(pattern, body)
+        got = _captures(trie.spec_items(pattern), body)
+        assert (got is None) == (want is None), (pattern, body)
+        if want is not None:
+            assert _kinds([got]) == _kinds([want]), (pattern, body)
+        outcomes[want is not None] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+
+
+def test_queries_keep_atom_kinds_apart():
+    got = []
+
+    def source(f):
+        f.assert_(rec("p", 1))
+        f.assert_(rec("p", 1.0))
+
+        def hold(g):
+            g.assert_(rec("p", True))
+            g.stop_when_message(S("drop"))
+
+        f.react(hold)
+
+    def reader(f):
+        members = f.query_set(rec("p", CAPTURE))
+        table = f.query_hash(rec("p", CAPTURE))
+
+        def snap():
+            got.append((members.value, table.value))
+
+        # The queries update first: their handlers have a lower priority.
+        f.on_asserted(rec("p", True), lambda: (snap(), f.send(S("drop"))))
+        f.on_retracted(rec("p", True), snap)
+
+    ground_run([spawn_actor("src", source), spawn_actor("rd", reader)])
+    (members, table), (members_after, table_after) = got
+    assert len(members) == 3 and len(table) == 3
+    assert sorted(_hashable(x) for x in members) == [("bool", True), ("float", 1.0), ("int", 1)]
+    assert 1 in members and True in members and 1.0 in members
+    assert 0 not in members and "1" not in members and S("1") not in members
+    assert [_hashable(k) for k in table] == [_hashable(x) for x in members]
+    assert all(table[x] == () for x in (1, True, 1.0)) and False not in table
+    assert sorted(_hashable(x) for x in members_after) == [("float", 1.0), ("int", 1)]
+    assert True not in members_after and True not in table_after and len(table_after) == 2
+    assert members_after != members
+
+
+def test_query_hash_sees_a_value_change_kind():
+    got = []
+
+    def source(f):
+        flipped = f.field(False, "flipped")
+        f.assert_(rec("kv", S("a"), 1))
+        f.assert_(lambda: rec("kv", S("a"), True) if flipped.value else None)
+
+        def flip():
+            flipped.value = True
+
+        f.on_message(S("flip"), flip)
+
+    def reader(f):
+        table = f.query_hash(rec("kv", CAPTURE, CAPTURE))
+        f.on_asserted(rec("kv", S("a"), 1), lambda: f.send(S("flip")))
+        f.on_asserted(rec("kv", S("a"), True), lambda: got.append(table.value[S("a")]))
+
+    ground_run([spawn_actor("src", source), spawn_actor("rd", reader)])
+    assert [_hashable(v) for v in got] == [("bool", True)]

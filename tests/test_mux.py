@@ -262,7 +262,7 @@ def test_box_round_trip_trie_work(monkeypatch):
     _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
     assert calls["combine"] <= 3 and calls["update_routes"] == 1, calls
-    assert total <= 147, total
+    assert total <= 136, total
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

@@ -22,6 +22,7 @@ from dataspace.trie import (
     make_tail,
     negate,
     project,
+    spec_items,
     render,
     search,
     search_wild,
@@ -45,7 +46,7 @@ from dataspace.values import (
     serialize,
 )
 
-from oracles import build_universe, match, random_pattern, _hashable
+from oracles import build_universe, match, random_pattern, _hashable, _match
 
 S = Symbol
 U = build_universe()
@@ -101,11 +102,8 @@ def test_double_negation_is_identity(p):
 @given(concrete_sets)
 def test_key_set_roundtrip(values):
     t = assertion_set(values)
-    assert frozenset(key_set(t)) == frozenset((v,) for v in set(map(_nohash, values)))
-
-
-def _nohash(v):
-    return v
+    got = [tuple(map(_hashable, k)) for k in key_set(t)]
+    assert len(got) == len(set(got)) and set(got) == {(_hashable(v),) for v in values}
 
 
 @given(concrete_sets, concrete_sets)
@@ -178,15 +176,15 @@ def test_projection_selects_captures():
             Record(says, (S("a"), "hello")),
         ]
     )
-    got = key_set(project(Record(says, (CAPTURE, CAPTURE)), store))
+    got = key_set(project(spec_items(Record(says, (CAPTURE, CAPTURE))), store))
     assert frozenset(got) == frozenset({(S("a"), "hello")})
-    got = key_set(project(Record(pres, (CAPTURE,)), store))
+    got = key_set(project(spec_items(Record(pres, (CAPTURE,))), store))
     assert frozenset(got) == frozenset({(S("a"),), (S("b"),)})
 
 
 def test_key_set_keeps_atom_kinds_apart_in_trie_order():
     p = lambda x: Record(S("p"), (x,))
-    got = key_set(project(p(CAPTURE), assertion_set([p(1), p(True), p(1.0)])))
+    got = key_set(project(spec_items(p(CAPTURE)), assertion_set([p(1), p(True), p(1.0)])))
     assert [(type(c), c) for (c,) in got] == [(bool, True), (int, 1), (float, 1.0)]
     got = key_set(assertion_set([S("b"), "a", 3.0, (1,), 2, False]))
     assert [(type(v), v) for (v,) in got] == [
@@ -206,22 +204,20 @@ def test_pattern_set_reads_defaults_as_wildcards_in_trie_order():
 def test_projection_of_wildcard_capture_is_infinite():
     t = compile_pattern((S("x"), WILDCARD))
     with pytest.raises(InfiniteSet):
-        key_set(project((S("x"), CAPTURE), t))
+        key_set(project(spec_items((S("x"), CAPTURE)), t))
 
 
 @given(concrete_sets, patterns)
 def test_projection_oracle_on_finite_sets(values, p):
     spec = _capture_everything(p)
     t = assertion_set(values)
-    from oracles import match_captures
-
     expected = set()
-    for v in set(values):
-        caps = match_captures(spec, v)
+    for v in values:
+        caps = _match(spec, v)
         if caps is not None:
             expected.add(tuple(_hashable(c) for c in caps))
     got = {
-        tuple(_hashable(c) for c in caps) for caps in key_set(project(spec, t))
+        tuple(_hashable(c) for c in caps) for caps in key_set(project(spec_items(spec), t))
     }
     assert got == expected
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +11,7 @@ from dataspace.values import (
     Record,
     Symbol,
     atom_kind,
+    atom_token,
     format_value,
     is_well_formed,
     observe,
@@ -101,20 +104,57 @@ def test_atom_kinds_kept_apart():
 
 def test_token_order_atoms_before_pushes():
     toks = [
-        PushTok(S("z"), 1),
-        PushTok(None, 2),
-        AtomTok("symbol", S("a")),
-        AtomTok("int", 3),
-        AtomTok("bool", True),
+        PushTok((S("z"), 1)),
+        PushTok((None, 2)),
+        AtomTok(("symbol", S("a"))),
+        AtomTok(("int", 3)),
+        AtomTok(("bool", True)),
     ]
     ordered = sorted(toks, key=token_sort_key)
     assert ordered == [
-        AtomTok("bool", True),
-        AtomTok("int", 3),
-        AtomTok("symbol", S("a")),
-        PushTok(None, 2),
-        PushTok(S("z"), 1),
+        AtomTok(("bool", True)),
+        AtomTok(("int", 3)),
+        AtomTok(("symbol", S("a"))),
+        PushTok((None, 2)),
+        PushTok((S("z"), 1)),
     ]
+
+
+def test_tokens_of_five_kinds_are_five_keys():
+    table = {atom_token(x): x for x in (1, True, 1.0, "1", S("1"))}
+    assert len(table) == 5
+    assert [atom_kind(x) for x in table.values()] == ["int", "bool", "float", "str", "symbol"]
+    assert table[atom_token(True)] is True and table[atom_token(1.0)] == 1.0
+
+
+def test_push_token_equals_no_atom_token():
+    push = PushTok((None, 1))
+    for x in (1, True, 1.0, "1", S("1"), 0, ""):
+        tok = atom_token(x)
+        assert push != tok and tok != push
+        assert len({push: 0, tok: 1}) == 2
+    assert PushTok((S("int"), 1)) != AtomTok(("int", 1))
+
+
+def test_token_lookup_and_symbol_hash_run_no_python_code():
+    edges = {atom_token(7): 0, PushTok((S("x"), 2)): 1}
+    # Equal to the stored keys, but distinct objects.
+    atom, push = atom_token(7), PushTok((S("x"), 2))
+    assert all(atom is not k and push is not k for k in edges)
+    sym = S("x")
+    calls = []
+
+    def record(frame, event, _arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(record)
+    try:
+        got = (edges.get(atom), edges.get(push), hash(sym))
+    finally:
+        sys.setprofile(None)
+    assert calls == []
+    assert got[:2] == (0, 1)
 
 
 def test_unwrap_only_matching_ctor():
