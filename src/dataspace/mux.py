@@ -17,23 +17,28 @@ the stream's own set, all at once.  Retracting a wildcard can remove
 only what the stream holds, so under a removal wildcard the walk follows
 the stream's own set, not the index, where the other streams' edges
 are: an update costs O(|patch| + |own set under the patch's removal
-wildcards|), whatever the others hold.  ``remove_stream`` retracts the
-universe, so it costs O(|own set|).
+wildcards|), plus the index's edges under its addition wildcards.
+``remove_stream`` retracts the universe, so it costs O(|own set|).
 
-The audience of a change is read off the routing index as it stood
-before: the streams whose subscriptions meet the visible change, found
-by a read-only walk that builds no trie.  The updating stream is
-served in the same pass, in stream order, and only when it is in that
-audience or its subscriptions change; otherwise its feedback is empty,
-so none is worked out.  Every delta is built as a trusted disjoint
-patch (see ``patch``).
+The audience of a change, the streams whose subscriptions meet the
+visible change, is read by the same walk: it carries a fifth cursor
+down the subscriptions standing before the update (``observation_bodies``
+of the index) and collects their leaf sets wherever a value becomes
+visible or invisible.  It visits the subscriptions' edges only where it
+visits the index's (under an addition wildcard, or where the stream's
+own set has a default), so a removal wildcard still costs only what the
+stream holds.  The updating stream is served in the same pass as its
+peers, in stream order, and only when it is in that audience or its
+subscriptions change; otherwise its feedback is empty, so none is
+worked out.  Every delta is built as a trusted disjoint patch (see
+``patch``).
 
 A message is routed by value: the index is walked along the message
 body, with no token list or ``observe(body)`` built.  A body holding a
 wildcard is compiled as a pattern, and its audience is every
-subscription it could meet, read by the same walk as a patch's
-audience.  A body that is neither a value nor a pattern makes
-``compile_pattern`` raise ValueError.
+subscription it could meet, read by ``trie.leaves_meeting``.  A body
+that is neither a value nor a pattern makes ``compile_pattern`` raise
+ValueError.
 """
 from __future__ import annotations
 
@@ -91,17 +96,16 @@ class Mux:
     ) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
         old = self.streams[sid]
         routes_old = self.routes
-        routes_new, own_new, added, removed, appeared, vanished = trie.update_routes(
-            routes_old, old, sid, requested.added, requested.removed
+        # The audience, the streams whose subscriptions meet the visible
+        # change, is read off the subscriptions standing before: one the
+        # patch adds meets it only through the author's feedback below.
+        routes_new, own_new, added, removed, appeared, vanished, audience = trie.update_routes(
+            routes_old, old, sid, requested.added, requested.removed, observation_bodies(routes_old)
         )
         applied = Patch.disjoint(added, removed)
         if applied.is_empty():
             return applied, []
 
-        # The subscriptions that meet the visible change, read off the
-        # index as it stood before: a subscription the patch adds meets
-        # it only through the author's feedback below.
-        audience = trie.leaves_meeting(observation_bodies(routes_old), appeared, vanished)
         if feedback:
             came = observation_bodies(added)
             gone = observation_bodies(removed)
@@ -146,7 +150,7 @@ class Mux:
         ``observe`` edge, then an edge or the default per part of the
         body.  The walk refuses a body that is not a value.  Such a body
         is compiled as a pattern instead, and its audience read off the
-        index's subscriptions by the walk that serves patches; one with
+        index's subscriptions with ``trie.leaves_meeting``; one with
         wildcards meets every subscription it could meet, and
         ``compile_pattern`` raises ValueError on anything else.
         """

@@ -6,7 +6,8 @@ limited against a base set so they describe only real change, and apply
 to a set by removing then adding.
 
 ``Patch(added, removed)`` normalizes: an assertion on both sides
-cancels out, at the cost of intersecting the two halves.  Patches that
+cancels out, at the cost of intersecting the two halves, unless the
+cheap ``trie.may_meet`` finds them disjoint first.  Patches that
 actors build go through it, and so do three operations whose halves can
 meet: ``from_sets`` (its two lists are arbitrary), ``compose`` (an
 older removal the newer patch re-adds) and ``drop_outbound`` (the
@@ -37,6 +38,8 @@ class Patch:
 
     def __post_init__(self):
         # Normalize: an assertion both added and removed cancels out.
+        if not trie.may_meet(self.added, self.removed):
+            return
         overlap = trie.intersect(self.added, self.removed)
         if overlap is not EMPTY:
             object.__setattr__(self, "added", trie.subtract(self.added, overlap))

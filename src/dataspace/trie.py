@@ -19,9 +19,11 @@ tail.
 
 A routing trie has frozensets of stream ids as leaves.
 ``update_routes`` applies one stream's patch to it in a single walk,
-which also yields the stream's new own set and the part of the change
-that becomes visible; ``leaves_meeting`` reads which streams a change
-concerns without building an intersection.
+which also yields the stream's new own set, the part of the change
+that becomes visible and its audience: the leaf sets of a second
+routing trie (the standing subscriptions) at the values that become
+visible or invisible.  ``leaves_meeting`` reads which leaf sets a
+probe meets without building an intersection.
 
 ``project`` reads the captures of a pattern off a trie in one direct
 walk over the pattern's compiled pre-order items (``spec_items``), one
@@ -37,11 +39,13 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from .values import (
+    INBOUND,
+    OBSERVE,
+    OUTBOUND,
     AtomTok,
     MalformedTokens,
     PushTok,
     Record,
-    Token,
     Value,
     WILDCARD,
     CAPTURE,
@@ -175,12 +179,6 @@ def branch(default: Trie, edges: dict) -> Trie:
     if not edges and default is EMPTY:
         return EMPTY
     return Branch(default, edges)
-
-
-def _child(edges: dict, tok: Token, default: Trie) -> Trie:
-    """The child at ``tok`` of a branch with these edges and default."""
-    child = edges.get(tok)
-    return make_tail(tok.arity, default) if child is None else child
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +520,15 @@ def relabel(f: Callable, t: Trie) -> Trie:
 # assertions whose leaf sets hold its id.
 
 
-def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie) -> tuple:
+def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, interests: Trie) -> tuple:
     """Apply stream ``sid``'s requested change to a routing trie, in one walk.
 
-    ``own`` is the stream's own set, and ``added``/``removed`` are the
-    requested halves.  Returns six canonical tries, ``(routes_new,
-    own_new, applied_added, applied_removed, visible_added,
-    visible_removed)``.  Pointwise, for each value x:
+    ``own`` is the stream's own set, ``added``/``removed`` are the
+    requested halves, and ``interests`` is the routing trie the audience
+    is read from (the mux passes ``observation_bodies(routes)``).
+    Returns six canonical tries and a set, ``(routes_new, own_new,
+    applied_added, applied_removed, visible_added, visible_removed,
+    audience)``.  Pointwise, for each value x:
 
     - x in ``own`` and in ``removed``: ``sid`` leaves x's leaf set, and x
       is applied as removed; it is visible if the leaf set empties;
@@ -536,38 +536,53 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie) -> t
       is applied as added; it is visible if the leaf set was empty;
     - otherwise nothing changes at x.
 
-    That is ``limit`` of the request against ``own``, the routing update,
-    ``aggregate_visibility`` and ``apply_patch`` on ``own``, as one walk.
+    The audience is the union of ``interests``' leaf sets at the visible
+    values, ``leaves_meeting(interests, visible_added, visible_removed)``.
+    The walk does that, ``limit`` of the request against ``own``, the
+    routing update, ``aggregate_visibility`` and ``apply_patch`` on
+    ``own`` at once.
 
     The walk goes down the edges of ``added`` and ``removed``.  Under a
     removal wildcard it also goes down ``own``'s edges, since only what
-    the stream holds can be removed, and it goes down ``routes``' edges
-    only under an addition wildcard or where ``own`` itself has a
-    default.  Any other edge of ``routes`` or ``own`` is carried over
-    unchanged, under an unchanged default, so it stays canonical; the
-    edges the walk rebuilds are checked with ``_redundant``, as in
-    ``combine``.  Retracting a wildcard thus costs what the stream holds
-    under it, not what the other streams hold there.  Where ``routes``
-    is empty, the stream's own set is empty too, and the additions are
-    taken whole.
+    the stream holds can be removed.  It goes down the edges of
+    ``routes`` and ``interests`` only under an addition wildcard or
+    where ``own`` has a default; elsewhere the visible change has no
+    default, so an edge of ``interests`` off the walk meets none of it.
+    Any other edge of ``routes`` or ``own`` is carried over unchanged,
+    under an unchanged default, so it stays canonical; the edges the
+    walk rebuilds are checked with ``_redundant``, as in ``combine``.
+    An update thus costs O(|patch| + |own set under its removal
+    wildcards| + |edges of routes and interests under its addition
+    wildcards|): retracting a wildcard costs what the stream holds under
+    it, not what the other streams hold or watch there.  Where
+    ``routes`` is empty, the stream's own set is empty too: the
+    additions are taken whole, and their audience read with
+    ``leaves_meeting``.
     """
     ids = frozenset((sid,))
+    audience: set = set()
 
     def tag(_):
         return ids
 
-    def go(r: Trie, o: Trie, a: Trie, d: Trie) -> tuple:
+    def go(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie) -> tuple:
         if o is EMPTY:
             d = EMPTY  # nothing to remove
         if a is EMPTY and d is EMPTY:
             return r, o, EMPTY, EMPTY, EMPTY, EMPTY
         if r is EMPTY:
+            if type(c) is Ok:
+                audience.update(c.value)
+            elif c is not EMPTY:
+                audience.update(leaves_meeting(c, a))
             return relabel(tag, a), a, a, EMPTY, a, EMPTY
         if type(r) is Ok:
             if d is not EMPTY:
                 left = r.value - ids
                 if left:
                     return Ok(left), EMPTY, EMPTY, d, EMPTY, EMPTY
+                if c is not EMPTY:
+                    audience.update(c.value)
                 return EMPTY, EMPTY, EMPTY, d, EMPTY, d
             if o is EMPTY:
                 return Ok(r.value | ids), a, a, EMPTY, EMPTY, EMPTY
@@ -576,33 +591,52 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie) -> t
         o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
         a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
         d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
-        defaults = go(rw, ow, aw, dw)
+        c_edges, cw = (c.edges, c.default) if c is not EMPTY else (_NO_EDGES, EMPTY)
+        wr, wo, wa, wd, wva, wvd = go(rw, ow, aw, dw, cw)
         # A dict, not a set, so that edges are visited in a fixed order.
         visit = {**a_edges, **d_edges}
         if aw is not EMPTY or dw is not EMPTY:
             visit.update(o_edges)
             if aw is not EMPTY or ow is not EMPTY:
                 visit.update(r_edges)
-        out = (dict(r_edges), dict(o_edges), {}, {}, {}, {})
+                visit.update(c_edges)
+        er, eo, ea, ed, eva, evd = dict(r_edges), dict(o_edges), {}, {}, {}, {}
         for tok in visit:
-            arity = tok.arity
-            kids = go(
-                _child(r_edges, tok, rw),
-                _child(o_edges, tok, ow),
-                _child(a_edges, tok, aw),
-                _child(d_edges, tok, dw),
+            n = tok.arity
+            # A missing edge reads as its default's tail (a trie is never falsy).
+            kr, ko, ka, kd, kva, kvd = go(
+                r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
+                o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow),
+                a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
+                d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
+                c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
             )
-            for edges, child, w in zip(out, kids, defaults):
-                if child is EMPTY if w is EMPTY else _redundant(child, arity, w):
-                    edges.pop(tok, None)
-                else:
-                    edges[tok] = child
-        return tuple(
-            Branch(w, edges) if edges or w is not EMPTY else EMPTY
-            for edges, w in zip(out, defaults)
+            if kr is EMPTY if wr is EMPTY else _redundant(kr, n, wr):
+                er.pop(tok, None)
+            else:
+                er[tok] = kr
+            if ko is EMPTY if wo is EMPTY else _redundant(ko, n, wo):
+                eo.pop(tok, None)
+            else:
+                eo[tok] = ko
+            if ka is not EMPTY if wa is EMPTY else not _redundant(ka, n, wa):
+                ea[tok] = ka
+            if kd is not EMPTY if wd is EMPTY else not _redundant(kd, n, wd):
+                ed[tok] = kd
+            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
+                eva[tok] = kva
+            if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
+                evd[tok] = kvd
+        return (
+            Branch(wr, er) if er or wr is not EMPTY else EMPTY,
+            Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
+            Branch(wa, ea) if ea or wa is not EMPTY else EMPTY,
+            Branch(wd, ed) if ed or wd is not EMPTY else EMPTY,
+            Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
+            Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
         )
 
-    return go(routes, own, added, removed)
+    return *go(routes, own, added, removed, interests), audience
 
 
 _NO_EDGES: dict = {}
@@ -631,7 +665,11 @@ def leaves_meeting(t: Trie, *probes: Trie) -> set:
             # An edge on one side meets the other side's default.
             toks = {**(a_edges if bw is not EMPTY else {}), **(b_edges if aw is not EMPTY else {})}
             for tok in toks:
-                todo.append((_child(a_edges, tok, aw), _child(b_edges, tok, bw)))
+                n = tok.arity
+                todo.append((
+                    a_edges.get(tok) or make_tail(n, aw),
+                    b_edges.get(tok) or make_tail(n, bw),
+                ))
     return acc
 
 
@@ -769,15 +807,22 @@ def render(t: Trie) -> str:
     return f"br({render(t.default)}, {{{items}}})"
 
 
+#: The unary push tokens of the labels that cross layers, made once.
+_UNARY = {label: PushTok((label, 1)) for label in (OBSERVE, INBOUND, OUTBOUND)}
+
+
 def wrap_trie(label, t: Trie) -> Trie:
     """Wrap every member of a 1-value trie in a unary labeled record."""
     if t is EMPTY:
         return EMPTY
-    return branch(EMPTY, {PushTok((label, 1)): t})
+    return Branch(EMPTY, {_UNARY.get(label) or PushTok((label, 1)): t})
 
 
 def unwrap_trie(label, t: Trie) -> Trie:
     """The set {c | label(c) ∈ t}; one edge hop thanks to implicit pops."""
-    if not isinstance(t, Branch):
+    if type(t) is not Branch:
         return EMPTY
-    return _child(t.edges, PushTok((label, 1)), t.default)
+    child = t.edges.get(_UNARY.get(label) or PushTok((label, 1)))
+    if child is not None:
+        return child
+    return EMPTY if t.default is EMPTY else Branch(t.default, {})

@@ -84,7 +84,7 @@ def _index_trie(values):
     """A routing trie of ``values``: each member's leaf holds its index."""
     t = EMPTY
     for i, v in enumerate(values):
-        t = update_routes(t, EMPTY, i, compile_pattern(v), EMPTY)[0]
+        t = update_routes(t, EMPTY, i, compile_pattern(v), EMPTY, EMPTY)[0]
     return t
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from dataspace import trie
 from dataspace.engine import ground_run
 from dataspace.facet import spawn_actor
-from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit
+from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit, observation_bodies
 from dataspace.trace import Tracer
 from dataspace.trie import (
     EMPTY,
@@ -42,6 +42,7 @@ from dataspace.values import (
     WILDCARD,
     atom_token,
     decompose,
+    observe,
     push_token,
     serialize,
 )
@@ -146,8 +147,8 @@ def test_default_fallback_skips_whole_value():
 
 
 def test_search_wild_unions_routing_leaves():
-    r = update_routes(EMPTY, EMPTY, 1, assertion_set([(S("a"), 0)]), EMPTY)[0]
-    r = update_routes(r, EMPTY, 2, compile_pattern((S("a"), WILDCARD)), EMPTY)[0]
+    r = update_routes(EMPTY, EMPTY, 1, assertion_set([(S("a"), 0)]), EMPTY, EMPTY)[0]
+    r = update_routes(r, EMPTY, 2, compile_pattern((S("a"), WILDCARD)), EMPTY, EMPTY)[0]
     key = serialize_wild((S("a"), WILDCARD))
     assert search_wild(key, r, frozenset.union) == frozenset({1, 2})
     assert search(serialize((S("a"), 0)), r) == frozenset({1, 2})
@@ -308,18 +309,26 @@ def _kind_compounds(parts):
 
 _SHALLOW = [c for c in _kind_compounds(KINDS) if len(decompose(c)[1]) <= 1]
 #: Values the routing walk's results are checked on: every atom kind,
-#: flat compounds over them, and compounds nesting those.
+#: flat compounds over them, compounds nesting those, and subscriptions
+#: to some of them, nested ones included.
 KIND_WITNESSES = (
     list(KINDS) + _kind_compounds(KINDS)
     + [c for x in _SHALLOW for c in ((x,), Record(P, (x,)))]
 )
-#: Operands mix kind-mixed patterns with the wider-shaped ``patterns``,
-#: as many per operand as ``wide_operands`` so that defaults are not
-#: EMPTY and the walk chooses which edges to visit under them.
+KIND_WITNESSES += [observe(x) for x in KIND_WITNESSES[::3]] + [observe(observe(x)) for x in KINDS]
+#: Every witness the routing walk is checked on, with its token key.
+ROUTE_WITNESSES = [(v, serialize(v)) for v in KIND_WITNESSES + WITNESSES]
+kind_patterns = st.builds(lambda seed: _kind_pattern(random.Random(seed)), st.integers(0, 10**9))
+#: Operands mix kind-mixed patterns with the wider-shaped ``patterns`` and
+#: with subscriptions (``observe``, once or twice, of either), as many per
+#: operand as ``wide_operands`` so that defaults are not EMPTY and the
+#: walk chooses which edges to visit under them.
 route_operands = st.lists(
     st.one_of(
-        st.builds(lambda seed: _kind_pattern(random.Random(seed)), st.integers(0, 10**9)),
+        kind_patterns,
         patterns,
+        st.one_of(kind_patterns, patterns).map(observe),
+        kind_patterns.map(lambda p: observe(observe(p))),
     ),
     min_size=4,
     max_size=16,
@@ -341,21 +350,23 @@ def _leaves(t):
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), route_operands, route_operands), max_size=8))
 def test_route_chains_stay_canonical(steps):
-    # update_routes against limit, aggregate_visibility and apply_patch,
-    # and the routing trie against a leaf-set map over witness values.
+    # update_routes against limit, aggregate_visibility, apply_patch and
+    # leaves_meeting, and the routing trie against a leaf-set map over
+    # witness values.
     routes = EMPTY
     own = {sid: EMPTY for sid in range(4)}
-    witnesses = KIND_WITNESSES + WITNESSES
-    want = {_hashable(v): set() for v in witnesses}
+    want = [set() for _ in ROUTE_WITNESSES]
     for op, sid, adds, removes in steps:
         if op == 0:
             adds, removes = [], [WILDCARD]
         requested = Patch(assertion_set(adds), assertion_set(removes))
-        out = update_routes(routes, own[sid], sid, requested.added, requested.removed)
-        for t in out:
+        interests = observation_bodies(routes)
+        out = update_routes(routes, own[sid], sid, requested.added, requested.removed, interests)
+        for t in out[:6]:
             assert_canonical(t)
             assert check_wf(t, 1)
-        routes_new, own_new, added, removed, appeared, vanished = out
+        routes_new, own_new, added, removed, appeared, vanished, audience = out
+        assert audience == leaves_meeting(interests, appeared, vanished)
         applied = limit(requested, own[sid])
         assert (added, removed) == (applied.added, applied.removed)
         visible = aggregate_visibility(applied, routes, routes_new)
@@ -365,15 +376,15 @@ def test_route_chains_stay_canonical(steps):
             _leaves(intersect(routes, appeared)) | _leaves(intersect(routes, vanished))
         )
         routes, own[sid] = routes_new, own_new
-        for v in witnesses:
+        for (v, _), ids in zip(ROUTE_WITNESSES, want):
             add = any(match(p, v) for p in adds)
             remove = any(match(p, v) for p in removes)
             if remove and not add:
-                want[_hashable(v)].discard(sid)
+                ids.discard(sid)
             elif add and not remove:
-                want[_hashable(v)].add(sid)
-        for v in witnesses:
-            assert (search(serialize(v), routes) or set()) == want[_hashable(v)]
+                ids.add(sid)
+        for (v, key), ids in zip(ROUTE_WITNESSES, want):
+            assert (search(key, routes) or set()) == ids, v
         for s, held in own.items():
             assert held == trie.relabel(lambda ids: () if s in ids else None, routes)
 
