@@ -31,11 +31,19 @@ frame per token it goes down; with no captures, it answers whether some
 member matches.  A subscriber compiles its items once per change of its
 pattern, not once per projection.
 
+``combine``, ``project`` and ``update_routes`` recurse through
+module-level helpers that take their context as arguments.  A nested
+function that calls itself is a reference cycle (it holds its own
+closure cell) that only the cyclic collector frees, so its garbage
+would make that collector run over the whole heap now and then; the
+walkers define none, and an event leaves the collector nothing.
+
 Edge labels are tokens (see ``values``): tuples, so an edge lookup
 hashes and compares in C.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterable
 
 from .values import (
@@ -325,23 +333,10 @@ def search_wild(key: list, t: Trie, combine_values: Callable):
 
 def serialize_wild(p) -> list:
     """Serialize a pattern into a key where wildcards stand for one value."""
-    out: list = []
-
-    def go(v):
-        if v is WILDCARD:
-            out.append(WILDCARD)
-        elif is_atom(v):
-            out.append(atom_token(v))
-        elif is_compound(v):
-            _, fields = decompose(v)
-            out.append(push_token(v))
-            for f in fields:
-                go(f)
-        else:
-            raise ValueError(f"not a pattern: {v!r}")
-
-    go(p)
-    return out
+    key = spec_items(p)
+    if any(item is CAPTURE for item in key):
+        raise ValueError(f"not a pattern: {p!r}")
+    return key
 
 
 # ---------------------------------------------------------------------------
@@ -358,56 +353,58 @@ def combine(t1: Trie, t2: Trie, f: Callable, left_only=KEEP, right_only=KEEP) ->
 
     ``f`` combines leaves (both arguments are Ok nodes).  ``left_only``
     and ``right_only`` state what happens to subtrees present on only
-    one side: KEEP or DROP.
+    one side: KEEP or DROP.  The walk recurses through ``_combine``,
+    which takes ``f`` and the one-sided flags as arguments, so a call
+    leaves no reference cycle behind (see the module docstring).
     """
     if left_only not in (KEEP, DROP) or right_only not in (KEEP, DROP):
         raise ValueError("one-sided handlers must be KEEP or DROP")
-    keep_left = left_only == KEEP
-    keep_right = right_only == KEEP
+    return _combine(t1, t2, f, left_only == KEEP, right_only == KEEP)
 
-    def go(a: Trie, b: Trie) -> Trie:
-        if a is EMPTY:
-            return b if keep_right else EMPTY
-        if b is EMPTY:
-            return a if keep_left else EMPTY
-        if type(a) is Ok or type(b) is Ok:
-            return f(a, b)
-        w = a.default
-        if w is not EMPTY or b.default is not EMPTY:
-            w = go(w, b.default)
-        # Iterate the smaller edge map; ties go to the left operand.
-        left_small = len(a.edges) <= len(b.edges)
-        small, large = (a, b) if left_small else (b, a)
-        small_edges, large_edges = small.edges, large.edges
-        if small.default is not EMPTY:
-            edges = {}
-            for tok, child in large_edges.items():
-                if tok not in small_edges:
-                    tail = make_tail(tok.arity, small.default)
-                    child = go(tail, child) if left_small else go(child, tail)
-                    if not _redundant(child, tok.arity, w):
-                        edges[tok] = child
-        elif keep_right if left_small else keep_left:
-            # The large side's edges carry over unchanged, and w is its
-            # default, so they stay canonical: only the small side's
-            # edges, recomputed below, are checked.
-            edges = dict(large_edges)
-        else:
-            edges = {}
-        for tok, child in small_edges.items():
-            other = large_edges.get(tok)
-            if other is None:
-                other = make_tail(tok.arity, large.default)
-            child = go(child, other) if left_small else go(other, child)
-            if not _redundant(child, tok.arity, w):
-                edges[tok] = child
-            elif tok in edges:
-                del edges[tok]
-        if not edges and w is EMPTY:
-            return EMPTY
-        return Branch(w, edges)
 
-    return go(t1, t2)
+def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -> Trie:
+    if a is EMPTY:
+        return b if keep_right else EMPTY
+    if b is EMPTY:
+        return a if keep_left else EMPTY
+    if type(a) is Ok or type(b) is Ok:
+        return f(a, b)
+    w = a.default
+    if w is not EMPTY or b.default is not EMPTY:
+        w = _combine(w, b.default, f, keep_left, keep_right)
+    # Iterate the smaller edge map; ties go to the left operand.
+    left_small = len(a.edges) <= len(b.edges)
+    small, large = (a, b) if left_small else (b, a)
+    small_edges, large_edges = small.edges, large.edges
+    if small.default is not EMPTY:
+        edges = {}
+        for tok, child in large_edges.items():
+            if tok not in small_edges:
+                tail = make_tail(tok.arity, small.default)
+                child = (_combine(tail, child, f, keep_left, keep_right) if left_small
+                         else _combine(child, tail, f, keep_left, keep_right))
+                if not _redundant(child, tok.arity, w):
+                    edges[tok] = child
+    elif keep_right if left_small else keep_left:
+        # The large side's edges carry over unchanged, and w is its
+        # default, so they stay canonical: only the small side's
+        # edges, recomputed below, are checked.
+        edges = dict(large_edges)
+    else:
+        edges = {}
+    for tok, child in small_edges.items():
+        other = large_edges.get(tok)
+        if other is None:
+            other = make_tail(tok.arity, large.default)
+        child = (_combine(child, other, f, keep_left, keep_right) if left_small
+                 else _combine(other, child, f, keep_left, keep_right))
+        if not _redundant(child, tok.arity, w):
+            edges[tok] = child
+        elif tok in edges:
+            del edges[tok]
+    if not edges and w is EMPTY:
+        return EMPTY
+    return Branch(w, edges)
 
 
 def _leaf_left(a: Ok, _b: Ok) -> Trie:
@@ -416,6 +413,10 @@ def _leaf_left(a: Ok, _b: Ok) -> Trie:
 
 def _leaf_none(_a: Ok, _b: Ok) -> Trie:
     return EMPTY
+
+
+def _tag(ids: frozenset, _leaf) -> frozenset:
+    return ids
 
 
 # union, intersect and subtract answer at once when an operand is EMPTY
@@ -557,86 +558,86 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     it, not what the other streams hold or watch there.  Where
     ``routes`` is empty, the stream's own set is empty too: the
     additions are taken whole, and their audience read with
-    ``leaves_meeting``.
+    ``leaves_meeting``.  The walk recurses through ``_update_routes``,
+    which takes ``ids`` and ``audience`` as arguments, so a call leaves
+    no reference cycle behind (see the module docstring).
     """
     ids = frozenset((sid,))
     audience: set = set()
+    return *_update_routes(routes, own, added, removed, interests, ids, audience), audience
 
-    def tag(_):
-        return ids
 
-    def go(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie) -> tuple:
-        if o is EMPTY:
-            d = EMPTY  # nothing to remove
-        if a is EMPTY and d is EMPTY:
-            return r, o, EMPTY, EMPTY, EMPTY, EMPTY
-        if r is EMPTY:
-            if type(c) is Ok:
+def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, audience: set) -> tuple:
+    if o is EMPTY:
+        d = EMPTY  # nothing to remove
+    if a is EMPTY and d is EMPTY:
+        return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+    if r is EMPTY:
+        if type(c) is Ok:
+            audience.update(c.value)
+        elif c is not EMPTY:
+            audience.update(leaves_meeting(c, a))
+        return relabel(partial(_tag, ids), a), a, a, EMPTY, a, EMPTY
+    if type(r) is Ok:
+        if d is not EMPTY:
+            left = r.value - ids
+            if left:
+                return Ok(left), EMPTY, EMPTY, d, EMPTY, EMPTY
+            if c is not EMPTY:
                 audience.update(c.value)
-            elif c is not EMPTY:
-                audience.update(leaves_meeting(c, a))
-            return relabel(tag, a), a, a, EMPTY, a, EMPTY
-        if type(r) is Ok:
-            if d is not EMPTY:
-                left = r.value - ids
-                if left:
-                    return Ok(left), EMPTY, EMPTY, d, EMPTY, EMPTY
-                if c is not EMPTY:
-                    audience.update(c.value)
-                return EMPTY, EMPTY, EMPTY, d, EMPTY, d
-            if o is EMPTY:
-                return Ok(r.value | ids), a, a, EMPTY, EMPTY, EMPTY
-            return r, o, EMPTY, EMPTY, EMPTY, EMPTY
-        r_edges, rw = r.edges, r.default
-        o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
-        a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
-        d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
-        c_edges, cw = (c.edges, c.default) if c is not EMPTY else (_NO_EDGES, EMPTY)
-        wr, wo, wa, wd, wva, wvd = go(rw, ow, aw, dw, cw)
-        # A dict, not a set, so that edges are visited in a fixed order.
-        visit = {**a_edges, **d_edges}
-        if aw is not EMPTY or dw is not EMPTY:
-            visit.update(o_edges)
-            if aw is not EMPTY or ow is not EMPTY:
-                visit.update(r_edges)
-                visit.update(c_edges)
-        er, eo, ea, ed, eva, evd = dict(r_edges), dict(o_edges), {}, {}, {}, {}
-        for tok in visit:
-            n = tok.arity
-            # A missing edge reads as its default's tail (a trie is never falsy).
-            kr, ko, ka, kd, kva, kvd = go(
-                r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
-                o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow),
-                a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
-                d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
-                c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
-            )
-            if kr is EMPTY if wr is EMPTY else _redundant(kr, n, wr):
-                er.pop(tok, None)
-            else:
-                er[tok] = kr
-            if ko is EMPTY if wo is EMPTY else _redundant(ko, n, wo):
-                eo.pop(tok, None)
-            else:
-                eo[tok] = ko
-            if ka is not EMPTY if wa is EMPTY else not _redundant(ka, n, wa):
-                ea[tok] = ka
-            if kd is not EMPTY if wd is EMPTY else not _redundant(kd, n, wd):
-                ed[tok] = kd
-            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
-                eva[tok] = kva
-            if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
-                evd[tok] = kvd
-        return (
-            Branch(wr, er) if er or wr is not EMPTY else EMPTY,
-            Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
-            Branch(wa, ea) if ea or wa is not EMPTY else EMPTY,
-            Branch(wd, ed) if ed or wd is not EMPTY else EMPTY,
-            Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
-            Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
+            return EMPTY, EMPTY, EMPTY, d, EMPTY, d
+        if o is EMPTY:
+            return Ok(r.value | ids), a, a, EMPTY, EMPTY, EMPTY
+        return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+    r_edges, rw = r.edges, r.default
+    o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
+    a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
+    d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
+    c_edges, cw = (c.edges, c.default) if c is not EMPTY else (_NO_EDGES, EMPTY)
+    wr, wo, wa, wd, wva, wvd = _update_routes(rw, ow, aw, dw, cw, ids, audience)
+    # A dict, not a set, so that edges are visited in a fixed order.
+    visit = {**a_edges, **d_edges}
+    if aw is not EMPTY or dw is not EMPTY:
+        visit.update(o_edges)
+        if aw is not EMPTY or ow is not EMPTY:
+            visit.update(r_edges)
+            visit.update(c_edges)
+    er, eo, ea, ed, eva, evd = dict(r_edges), dict(o_edges), {}, {}, {}, {}
+    for tok in visit:
+        n = tok.arity
+        # A missing edge reads as its default's tail (a trie is never falsy).
+        kr, ko, ka, kd, kva, kvd = _update_routes(
+            r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
+            o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow),
+            a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
+            d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
+            c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
+            ids, audience,
         )
-
-    return *go(routes, own, added, removed, interests), audience
+        if kr is EMPTY if wr is EMPTY else _redundant(kr, n, wr):
+            er.pop(tok, None)
+        else:
+            er[tok] = kr
+        if ko is EMPTY if wo is EMPTY else _redundant(ko, n, wo):
+            eo.pop(tok, None)
+        else:
+            eo[tok] = ko
+        if ka is not EMPTY if wa is EMPTY else not _redundant(ka, n, wa):
+            ea[tok] = ka
+        if kd is not EMPTY if wd is EMPTY else not _redundant(kd, n, wd):
+            ed[tok] = kd
+        if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
+            eva[tok] = kva
+        if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
+            evd[tok] = kvd
+    return (
+        Branch(wr, er) if er or wr is not EMPTY else EMPTY,
+        Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
+        Branch(wa, ea) if ea or wa is not EMPTY else EMPTY,
+        Branch(wd, ed) if ed or wd is not EMPTY else EMPTY,
+        Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
+        Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
+    )
 
 
 _NO_EDGES: dict = {}
@@ -703,41 +704,40 @@ def project(items: list, t: Trie) -> Trie:
     ``items`` are the spec's ``spec_items``.  The result is a unit trie
     over n-value sequences, n being the number of capture marks among
     them; with none, it is ``UNIT`` exactly when some member of ``t``
-    matches.  The walk follows the items and counts the whole values a
-    wildcard or capture mark has left to consume, so it takes one frame
-    per token and builds no closures.
+    matches.  ``_project`` follows the items, one frame per token, and
+    counts the whole values a wildcard or capture mark has left to
+    consume; it is passed ``items`` and ``end``, so it closes over nothing.
     """
-    end = len(items)
+    return _project(items, len(items), 0, t, 0)
 
-    def go(i: int, t: Trie, n: int) -> Trie:
-        # n > 0: items[i - 1] is a wildcard or capture mark with n whole
-        # values left to consume.
-        while not n:
-            if i == end:
-                return UNIT if type(t) is Ok else EMPTY
-            if type(t) is not Branch:
-                return EMPTY
-            item = items[i]
-            i += 1
-            if item is WILDCARD or item is CAPTURE:
-                n = 1
-            else:
-                child = t.edges.get(item)
-                t = make_tail(item.arity, t.default) if child is None else child
+
+def _project(items: list, end: int, i: int, t: Trie, n: int) -> Trie:
+    # n > 0: items[i - 1] is a wildcard or capture mark with n whole
+    # values left to consume.
+    while not n:
+        if i == end:
+            return UNIT if type(t) is Ok else EMPTY
         if type(t) is not Branch:
             return EMPTY
-        n -= 1
-        if items[i - 1] is CAPTURE:
-            edges = {}
-            for tok, child in t.edges.items():
-                edges[tok] = go(i, child, n + tok.arity)
-            return branch(go(i, t.default, n), edges)
-        acc = go(i, t.default, n)
+        item = items[i]
+        i += 1
+        if item is WILDCARD or item is CAPTURE:
+            n = 1
+        else:
+            child = t.edges.get(item)
+            t = make_tail(item.arity, t.default) if child is None else child
+    if type(t) is not Branch:
+        return EMPTY
+    n -= 1
+    if items[i - 1] is CAPTURE:
+        edges = {}
         for tok, child in t.edges.items():
-            acc = union(acc, go(i, child, n + tok.arity))
-        return acc
-
-    return go(0, t, 0)
+            edges[tok] = _project(items, end, i, child, n + tok.arity)
+        return branch(_project(items, end, i, t.default, n), edges)
+    acc = _project(items, end, i, t.default, n)
+    for tok, child in t.edges.items():
+        acc = union(acc, _project(items, end, i, child, n + tok.arity))
+    return acc
 
 
 # ---------------------------------------------------------------------------

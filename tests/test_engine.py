@@ -1,3 +1,5 @@
+import gc
+
 from dataspace import trie
 from dataspace.engine import (
     Dataspace,
@@ -11,8 +13,8 @@ from dataspace.engine import (
 from dataspace.facet import spawn_actor
 from dataspace.patch import Patch, assert_patch, from_sets, retract_patch
 from dataspace.trace import Tracer
-from dataspace.trie import assertion_set
-from dataspace.values import Record, Symbol, WILDCARD, inbound, observe, outbound
+from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
+from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
 S = Symbol
 
@@ -286,3 +288,61 @@ def test_deep_message_body_is_routed_without_recursion():
         ds, seen = _message_survival(deep, tracer)
         assert ds.crashes == {}
         assert any(isinstance(e, Message) and e.body is deep for e in seen)
+
+
+def test_event_path_leaves_no_cyclic_garbage():
+    # The trie walkers recurse through module-level functions, not through
+    # nested functions that name themselves, so an event's garbage is
+    # freed by reference counting and the cyclic collector finds none.
+    box_state = lambda n: Record(S("box-state"), (n,))
+    set_box = lambda n: Record(S("set-box"), (n,))
+    bump = lambda n: Record(S("bump"), (n,))
+
+    def box(f):
+        current = f.field(0, "current-value")
+        f.assert_(lambda: box_state(current.value))
+        f.on_message(set_box(CAPTURE), lambda n: setattr(current, "value", n))
+
+    def inner_box(f):
+        current = f.field(0, "current-value")
+        f.assert_(lambda: outbound(box_state(current.value)))
+        f.on_message(inbound(set_box(CAPTURE)), lambda n: setattr(current, "value", n))
+
+    def client(learned):
+        def run(f):
+            f.on_message(inbound(bump(CAPTURE)), lambda n: f.send(set_box(n)))
+            f.on_asserted(box_state(CAPTURE), learned.append)
+
+        return run
+
+    a = assertion_set([S("x"), Record(S("p"), (1, WILDCARD)), Record(S("p"), (WILDCARD, "y"))])
+    b = assertion_set([Record(S("p"), (1, 2)), Record(S("p"), (WILDCARD, WILDCARD)), S("z")])
+    items = spec_items(Record(S("p"), (CAPTURE, WILDCARD)))
+    # A routing trie where stream 0 holds a, and one where stream 2 watches p(_, _).
+    routes, own, *_ = update_routes(trie.EMPTY, trie.EMPTY, 0, a, trie.EMPTY, trie.EMPTY)
+    watching = assertion_set([Record(S("p"), (WILDCARD, WILDCARD))])
+    interests = update_routes(trie.EMPTY, trie.EMPTY, 2, watching, trie.EMPTY, trie.EMPTY)[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for box_action in (
+            spawn_actor("box", box),
+            spawn_dataspace([spawn_actor("box", inner_box)], name="inner"),
+        ):
+            learned = []
+            ds = Dataspace([box_action, spawn_actor("client", client(learned))])
+            ds.run()
+            ds.handle(Message(bump(1)))  # warm-up round trip
+            gc.collect()
+            for n in range(2, 52):
+                ds.handle(Message(bump(n)))
+            assert learned == list(range(52))
+            assert gc.collect() == 0
+        gc.collect()
+        union(a, b), intersect(a, b), subtract(a, b), project(items, union(a, b))
+        update_routes(routes, trie.EMPTY, 1, b, trie.EMPTY, interests)
+        update_routes(routes, own, 0, trie.EMPTY, assertion_set([WILDCARD]), interests)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -335,6 +335,25 @@ route_operands = st.lists(
 )
 
 
+#: Each pattern's matches over ROUTE_WITNESSES, as a bitmask, keyed by its
+#: token tuple so that atom kinds stay apart.
+_WITNESS_MATCHES: dict = {}
+
+
+def _witness_mask(patterns) -> int:
+    """Bitmask of the ROUTE_WITNESSES that some pattern matches; a
+    pattern's matches are worked out once."""
+    mask = 0
+    for p in patterns:
+        key = tuple(serialize_wild(p))
+        if key not in _WITNESS_MATCHES:
+            _WITNESS_MATCHES[key] = sum(
+                1 << i for i, (v, _) in enumerate(ROUTE_WITNESSES) if match(p, v)
+            )
+        mask |= _WITNESS_MATCHES[key]
+    return mask
+
+
 def _leaves(t):
     """Union of a routing trie's leaf sets."""
     out, todo = set(), [t]
@@ -376,9 +395,9 @@ def test_route_chains_stay_canonical(steps):
             _leaves(intersect(routes, appeared)) | _leaves(intersect(routes, vanished))
         )
         routes, own[sid] = routes_new, own_new
-        for (v, _), ids in zip(ROUTE_WITNESSES, want):
-            add = any(match(p, v) for p in adds)
-            remove = any(match(p, v) for p in removes)
+        add_mask, remove_mask = _witness_mask(adds), _witness_mask(removes)
+        for i, ids in enumerate(want):
+            add, remove = add_mask >> i & 1, remove_mask >> i & 1
             if remove and not add:
                 ids.discard(sid)
             elif add and not remove:
