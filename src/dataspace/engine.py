@@ -7,6 +7,17 @@ order, and the actions those deliveries produce join the back of the
 queue.  A dataspace is itself an actor: stream 0 is the relay to its
 container, which translates between the layer's own vocabulary and the
 ``outbound``/``inbound`` wrappers used across the boundary.
+
+The relay subscribes to ``outbound(_)`` and ``observe(inbound(_))``
+(``relay_interests``), exactly the parts of a patch that
+``patch.drop_outbound`` reads.  The mux therefore hands the relay the
+whole visible change without intersecting it with those interests
+(``Mux(relay=META)``), and ``_outward`` selects them as it translates.
+The two must select the same parts: if ``drop_outbound`` read a part
+the relay does not watch, the container would hear changes to it.
+``tests/test_engine.py::test_relay_translation_needs_no_restriction``
+checks that translating a patch equals translating its intersection
+with the relay's interests.
 """
 from __future__ import annotations
 
@@ -78,7 +89,7 @@ class Dataspace(Actor):
         self.name = name
         self.tracer = tracer
         self.path = path + (name,)
-        self.mux = Mux()
+        self.mux = Mux(relay=META)
         self.actors: dict = {}
         self.names: dict = {META: "<relay>"}
         self.crashes: dict = {}

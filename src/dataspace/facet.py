@@ -431,6 +431,9 @@ class ActorRuntime(Actor):
         actions = self._actions
         self._actions = []
         if not self.root.children:
+            # The actor quits: the root facet lets go of its runtime, the
+            # last cycle left between them.
+            self.root.runtime = None
             actions.append(QUIT)
         return actions
 
@@ -544,6 +547,11 @@ class ActorRuntime(Actor):
         for f in subtree:
             for h in f.stop_handlers:
                 h()
+        # A stopped facet is done with its endpoints, handlers and
+        # children.  They and their closures refer back to it, so
+        # dropping them lets reference counting free the subtree.
+        for f in subtree:
+            f.endpoints, f.stop_handlers, f.children = [], [], []
         parent = facet.parent
         if parent is not None and facet in parent.children:
             parent.children.remove(facet)

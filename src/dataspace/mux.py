@@ -33,6 +33,16 @@ subscriptions change; otherwise its feedback is empty, so none is
 worked out.  Every delta is built as a trusted disjoint patch (see
 ``patch``).
 
+A mux built with ``relay=sid`` serves stream ``sid`` as its layer's
+relay to the containing layer: in the audience, the relay hears the
+whole visible change, not its intersection with its subscriptions.
+This is exact for the engine's relay, because all it does with what it
+hears is ``patch.drop_outbound``, which reads only the ``outbound(_)``
+and ``observe(inbound(_))`` parts of a patch, and those are exactly
+what the relay subscribes to: translating the intersection gives what
+translating the whole change gives.  Every other peer, and the relay
+when it is the author, is served exactly.
+
 A message is routed by value: the index is walked along the message
 body, with no token list or ``observe(body)`` built.  A body holding a
 wildcard is compiled as a pattern, and its audience is every
@@ -58,15 +68,17 @@ class Mux:
     The index maps each assertion to the frozenset of stream ids
     currently asserting it, so candidate audiences for a change are
     found by one walk along the change instead of a scan over all
-    streams.
+    streams.  ``relay``, if given, is the stream that hears the visible
+    change unrestricted; ``Mux()`` has none.
     """
 
-    __slots__ = ("next_id", "streams", "routes")
+    __slots__ = ("next_id", "streams", "routes", "relay")
 
-    def __init__(self):
+    def __init__(self, relay: Optional[StreamId] = None):
         self.next_id: StreamId = 0
         self.streams: Dict[StreamId, Trie] = {}
         self.routes: Trie = EMPTY
+        self.relay = relay
 
     def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Patch, List[Tuple[StreamId, Patch]]]:
         sid = self.next_id
@@ -130,6 +142,9 @@ class Mux:
                     trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
                     trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
                 )
+            elif peer == self.relay:
+                # The relay's translation selects its interests itself.
+                delta = Patch.disjoint(appeared, vanished)
             else:
                 interests = observation_bodies(self.streams[peer])
                 delta = Patch.disjoint(

@@ -4,7 +4,9 @@
 rename or a fusion that leaves one unwrapped would read as zero calls
 rather than fail.  These runs pin the per-op counts of the two round
 trip workloads: two projections per op (the client's capture and its
-one known-before probe), and one mux update per layer crossed.
+one known-before probe), one mux update per layer crossed, and three
+``combine`` calls per op on both (a nested layer's relay hears the
+visible change without intersecting it with its interests).
 
 The benchmark scripts run from a copy, next to a link to the sources,
 so that their output stays out of the source tree.
@@ -39,4 +41,5 @@ def test_traced_run_counts_hot_entry_points(tmp_path, workload, updates_per_op):
     ops = metrics["ops"]
     assert result["failed"] == 0 and ops == result["attempted"] > 0
     assert metrics["trie.project.calls"] == 2 * ops
+    assert metrics["trie.combine.calls"] == 3 * ops
     assert metrics["mux.updates"] == updates_per_op * ops

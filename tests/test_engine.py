@@ -1,4 +1,5 @@
 import gc
+import random
 
 from dataspace import trie
 from dataspace.engine import (
@@ -6,12 +7,13 @@ from dataspace.engine import (
     Message,
     QUIT,
     Spawn,
+    _outward,
     ground_run,
     spawn_dataspace,
     spawn_full_state,
 )
 from dataspace.facet import spawn_actor
-from dataspace.patch import Patch, assert_patch, from_sets, retract_patch
+from dataspace.patch import Patch, assert_patch, from_sets, observation_bodies, retract_patch
 from dataspace.trace import Tracer
 from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
@@ -217,6 +219,50 @@ def test_layer_assertions_hide_relay_bookkeeping():
     assert frozenset(trie.key_set(ds.layer_assertions())) == frozenset({(S("x"),)})
 
 
+#: One atom of each kind, and the wildcard.
+RELAY_ATOMS = (True, 1, 1.0, "1", S("1"), WILDCARD)
+#: How an inner assertion may stand towards the layer boundary.
+RELAY_WRAPS = (
+    lambda v: v,
+    outbound,
+    lambda v: observe(inbound(v)),
+    lambda v: outbound(observe(v)),
+    lambda v: observe(outbound(v)),
+    inbound,
+)
+
+
+def _relay_assertion(rng):
+    if rng.random() < 0.05:
+        return WILDCARD
+    v = rng.choice(RELAY_ATOMS)
+    if rng.random() < 0.5:
+        v = Record(S("p"), (v, rng.choice(RELAY_ATOMS)))
+    return rng.choice(RELAY_WRAPS)(v)
+
+
+def test_relay_translation_needs_no_restriction():
+    # The mux hands a layer's relay the whole visible change, not its
+    # intersection with what the relay watches: translating it outwards
+    # reads only outbound(_) and observe(inbound(_)), which are exactly
+    # the relay's interests, so the restriction would change nothing.
+    interests = observation_bodies(Dataspace([]).relay_interests)
+    rng = random.Random(7)
+    crossed = 0
+    for _ in range(5000):
+        delta = from_sets(
+            added=[_relay_assertion(rng) for _ in range(rng.randrange(4))],
+            removed=[_relay_assertion(rng) for _ in range(rng.randrange(4))],
+        )
+        restricted = Patch.disjoint(
+            intersect(delta.added, interests), intersect(delta.removed, interests)
+        )
+        out = _outward(delta)
+        assert out == _outward(restricted), delta
+        crossed += out is not None
+    assert crossed > 2000, crossed
+
+
 def test_oversized_assertion_crashes_its_author_not_the_dataspace():
     # Too deep for the mux's trie walkers: the update fails before it
     # changes anything, so only its author dies.
@@ -282,7 +328,7 @@ def test_unroutable_message_crashes_its_author_not_the_dataspace():
 
 def test_deep_message_body_is_routed_without_recursion():
     deep = 1
-    for _ in range(3000):
+    for _ in range(5000):
         deep = (deep,)
     for tracer in (None, Tracer()):
         ds, seen = _message_survival(deep, tracer)
@@ -343,6 +389,77 @@ def test_event_path_leaves_no_cyclic_garbage():
         update_routes(routes, trie.EMPTY, 1, b, trie.EMPTY, interests)
         update_routes(routes, own, 0, trie.EMPTY, assertion_set([WILDCARD]), interests)
         assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_retired_actors_leave_no_cyclic_garbage():
+    # A stopped facet drops its endpoints, stop handlers and children, and
+    # a quitting actor's root facet drops its runtime, so actors that come
+    # and go are freed by reference counting too.  Two churns: members
+    # leaving and joining a presence group, each with a query_set view, and
+    # a requester swapping the requests a during_spawn supervisor serves.
+    present = lambda x: Record(S("present"), (x,))
+    churn = lambda old, new: Record(S("churn"), (old, new))
+    hello = lambda x: Record(S("hello"), (x,))
+    ready = lambda x: Record(S("ready"), (x,))
+    swap = lambda old, new: Record(S("swap"), (old, new))
+    views = {}
+    seen = []
+
+    def member(x):
+        def body(f):
+            views[x] = f.query_set(present(CAPTURE))
+            f.assert_(present(x))
+            f.on_stop(lambda: views.pop(x))
+            f.stop_when_message(inbound(churn(x, WILDCARD)))
+
+        return body
+
+    def door(f):
+        f.on_message(inbound(churn(WILDCARD, CAPTURE)), lambda x: f.spawn("member", member(x)))
+
+    def supervisor(f):
+        f.during_spawn(hello(CAPTURE), "worker", lambda w, x: w.assert_(ready(x)))
+
+    def requester(f):
+        def demand(x):
+            def body(r):
+                r.assert_(hello(x))
+                r.stop_when_message(inbound(swap(x, WILDCARD)))
+
+            f.react(body)
+
+        for x in range(4):
+            demand(x)
+        f.on_message(inbound(swap(WILDCARD, CAPTURE)), demand)
+        f.on_asserted(ready(CAPTURE), seen.append)
+
+    def presence_holds(n):
+        members = set(range(n + 1, n + 5))
+        return views.keys() == members and all(set(v.value) == members for v in views.values())
+
+    programs = (
+        ([spawn_actor("door", door)] + [spawn_actor("member", member(x)) for x in range(4)],
+         churn, presence_holds),
+        ([spawn_actor("supervisor", supervisor), spawn_actor("requester", requester)],
+         swap, lambda n: n + 4 in seen),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for boot, request, holds in programs:
+            ds = Dataspace(boot)
+            ds.run()
+            ds.handle(Message(request(0, 4)))  # warm-up op
+            assert holds(0)
+            gc.collect()
+            for n in range(1, 31):
+                ds.handle(Message(request(n, n + 4)))
+                assert holds(n), n
+            assert ds.crashes == {}
+            assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()

@@ -3,11 +3,11 @@ import sys
 from collections import Counter
 
 from dataspace import trie
-from dataspace.engine import Dataspace, Message
+from dataspace.engine import Dataspace, Message, spawn_dataspace
 from dataspace.facet import spawn_actor
 from dataspace.mux import Mux
 from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, retract_patch
-from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
+from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
 S = Symbol
 
@@ -221,31 +221,39 @@ def test_route_message_by_value_agrees_with_token_search():
     assert min(seen.values()) > 100, seen
 
 
-def test_box_round_trip_trie_work(monkeypatch):
-    # One round trip of a box: the client, told to bump, sends
-    # set-box(n), and the box re-asserts box-state(n), which the client
-    # learns.  The counts are deterministic, so the bounds are exact:
-    # trie work on this path may not creep back, neither as set
-    # operations nor inside the mux's routing walk.
-    box_state = lambda n: Record(S("box-state"), (n,))
-    set_box = lambda n: Record(S("set-box"), (n,))
-    bump = lambda n: Record(S("bump"), (n,))
-    learned = []
+box_state = lambda n: Record(S("box-state"), (n,))
+set_box = lambda n: Record(S("set-box"), (n,))
+
+
+def _box(state, order):
+    """A box asserting ``state(n)`` for the last n it was sent in ``order(n)``."""
 
     def box(f):
         current = f.field(0, "current-value")
-        f.assert_(lambda: box_state(current.value))
+        f.assert_(lambda: state(current.value))
 
         def set_value(n):
             current.value = n
 
-        f.on_message(set_box(CAPTURE), set_value)
+        f.on_message(order(CAPTURE), set_value)
+
+    return box
+
+
+def _round_trip_trie_work(monkeypatch, box_action):
+    """Trie work of one box round trip: the client, told to bump, sends
+    set-box(n), and the box (spawned by ``box_action``) re-asserts
+    box-state(n), which the client learns.  Returns the calls made to
+    ``combine``, ``update_routes`` and ``leaves_meeting``, and the calls
+    made into the trie module."""
+    bump = lambda n: Record(S("bump"), (n,))
+    learned = []
 
     def client(f):
         f.on_message(inbound(bump(CAPTURE)), lambda n: f.send(set_box(n)))
         f.on_asserted(box_state(CAPTURE), learned.append)
 
-    ds = Dataspace([spawn_actor("box", box), spawn_actor("client", client)])
+    ds = Dataspace([box_action, spawn_actor("client", client)])
     ds.run()
     ds.handle(Message(bump(1)))
     calls = Counter()
@@ -263,10 +271,33 @@ def test_box_round_trip_trie_work(monkeypatch):
         monkeypatch.setattr(trie, name, counting(name))
     _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
+    return calls, total
+
+
+def test_box_round_trip_trie_work(monkeypatch):
+    # The counts are deterministic, so the bounds are exact: trie work on
+    # this path may not creep back, neither as set operations nor inside
+    # the mux's routing walk.
+    calls, total = _round_trip_trie_work(monkeypatch, spawn_actor("box", _box(box_state, set_box)))
     assert calls["combine"] <= 3 and calls["update_routes"] == 1, calls
     # The routing walk reads the audience as it goes.
     assert calls["leaves_meeting"] == 0, calls
     assert total <= 90, total
+
+
+def test_relay_round_trip_trie_work(monkeypatch):
+    # As above, with the box inside a nested dataspace, speaking
+    # outbound(box-state(n)) and hearing inbound(set-box(n)): each update
+    # crosses the layer once.  The inner relay hears the visible change
+    # unrestricted, since dropping it to the outer layer selects what
+    # the relay watches anyway.
+    box = _box(lambda n: outbound(box_state(n)), lambda n: inbound(set_box(n)))
+    calls, total = _round_trip_trie_work(
+        monkeypatch, spawn_dataspace([spawn_actor("box", box)], name="inner")
+    )
+    assert calls["combine"] <= 3 and calls["update_routes"] == 2, calls
+    assert calls["leaves_meeting"] == 0, calls
+    assert total <= 140, total
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

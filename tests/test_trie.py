@@ -273,17 +273,38 @@ wide_operands = st.lists(patterns, min_size=4, max_size=16)
 WITNESSES = U[::8]
 
 
+def _mask_memo(witnesses):
+    """A function giving the bitmask of ``witnesses`` that some pattern
+    matches.  Each pattern's matches are worked out once, keyed by its
+    token tuple so that atom kinds stay apart."""
+    matches: dict = {}
+
+    def mask(patterns) -> int:
+        out = 0
+        for p in patterns:
+            key = tuple(serialize_wild(p))
+            if key not in matches:
+                matches[key] = sum(1 << i for i, v in enumerate(witnesses) if match(p, v))
+            out |= matches[key]
+        return out
+
+    return mask
+
+
+_set_op_mask = _mask_memo(WITNESSES)
+
+
 @given(wide_operands, st.lists(st.tuples(st.integers(0, 2), wide_operands), max_size=6))
 def test_set_op_chains_stay_canonical(first, steps):
     t = assertion_set(first)
-    inside = {_hashable(v) for v in WITNESSES if any(match(p, v) for p in first)}
+    inside = _set_op_mask(first)
     for op, ps in steps:
         t = (union, intersect, subtract)[op](t, assertion_set(ps))
         assert_canonical(t)
         assert check_wf(t, 1)
-        hit = {_hashable(v) for v in WITNESSES if any(match(p, v) for p in ps)}
-        inside = (inside | hit, inside & hit, inside - hit)[op]
-    assert {_hashable(v) for v in WITNESSES if contains(t, v)} == inside
+        hit = _set_op_mask(ps)
+        inside = (inside | hit, inside & hit, inside & ~hit)[op]
+    assert sum(1 << i for i, v in enumerate(WITNESSES) if contains(t, v)) == inside
 
 
 #: One atom of each kind, all equal as Python numbers or spelled alike.
@@ -335,23 +356,7 @@ route_operands = st.lists(
 )
 
 
-#: Each pattern's matches over ROUTE_WITNESSES, as a bitmask, keyed by its
-#: token tuple so that atom kinds stay apart.
-_WITNESS_MATCHES: dict = {}
-
-
-def _witness_mask(patterns) -> int:
-    """Bitmask of the ROUTE_WITNESSES that some pattern matches; a
-    pattern's matches are worked out once."""
-    mask = 0
-    for p in patterns:
-        key = tuple(serialize_wild(p))
-        if key not in _WITNESS_MATCHES:
-            _WITNESS_MATCHES[key] = sum(
-                1 << i for i, (v, _) in enumerate(ROUTE_WITNESSES) if match(p, v)
-            )
-        mask |= _WITNESS_MATCHES[key]
-    return mask
+_witness_mask = _mask_memo([v for v, _ in ROUTE_WITNESSES])
 
 
 def _leaves(t):
