@@ -267,7 +267,7 @@ _RETIRE = object()
 def _outward(event: Event):
     if isinstance(event, Patch):
         translated = drop_outbound(event)
-        return translated if translated.is_non_empty() else None
+        return None if translated.is_empty() else translated
     body = drop_message(event.body)
     return Message(body) if body is not None else None
 
@@ -353,7 +353,7 @@ class FullStateActor(Actor):
         self.state, wanted, messages = result
         actions: List[Action] = []
         delta = diff(self.published, wanted)
-        if delta.is_non_empty():
+        if not delta.is_empty():
             actions.append(delta)
         self.published = wanted
         actions.extend(Message(m) for m in messages)

@@ -603,7 +603,7 @@ class ActorRuntime(Actor):
         # not, so the halves are disjoint.
         before = [*went.values(), *(self._share(who) for who in live if who not in went)]
         delta = Patch.disjoint(_uncovered(came, before), _uncovered(went.values(), now))
-        if delta.is_non_empty():
+        if not delta.is_empty():
             self._actions.append(delta)
 
     def _share(self, who: Optional[Endpoint]) -> Trie:

@@ -151,7 +151,7 @@ class Mux:
                     trie.intersect(appeared, interests),
                     trie.intersect(vanished, interests),
                 )
-            if delta.is_non_empty():
+            if not delta.is_empty():
                 events.append((peer, delta))
 
         self.streams[sid] = own_new

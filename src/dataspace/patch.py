@@ -1,25 +1,24 @@
 """Patches: signed deltas over assertion sets, represented as trie pairs.
 
 A patch carries two disjoint unit tries, the assertions being added and
-the assertions being removed.  Patches compose associatively, can be
-limited against a base set so they describe only real change, and apply
-to a set by removing then adding.
+the assertions being removed.  Patches can be limited against a base
+set so they describe only real change, apply to a set by removing then
+adding, and translate across a layer boundary.
 
 ``Patch(added, removed)`` normalizes: an assertion on both sides
 cancels out, at the cost of intersecting the two halves, unless the
 cheap ``trie.may_meet`` finds them disjoint first.  Patches that
-actors build go through it, and so do three operations whose halves can
-meet: ``from_sets`` (its two lists are arbitrary), ``compose`` (an
-older removal the newer patch re-adds) and ``drop_outbound`` (the
-nested layer's ``+outbound(observe(x))`` and ``-observe(inbound(x))``
-are different assertions inside, but both translate to the outer
-``observe(x)``, and only cancelling the pair leaves the correct empty
-patch).  ``Patch.disjoint`` trusts its caller and skips the
-intersection; it is for halves disjoint by construction: ``limit``,
-``diff``, ``aggregate_visibility``, ``label_patch``/``unwrap_patch``
-(which map disjoint halves injectively), the mux's applied patch (its
-halves come from outside and from inside the stream's own set) and
-per-stream deltas, and the facet runtime's flush.
+actors build go through it, and so do two operations whose halves can
+meet: ``from_sets`` (its two lists are arbitrary) and ``drop_outbound``
+(the nested layer's ``+outbound(observe(x))`` and
+``-observe(inbound(x))`` are different assertions inside, but both
+translate to the outer ``observe(x)``, and only cancelling the pair
+leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
+and skips the intersection; it is for halves disjoint by construction:
+``limit``, ``diff``, ``aggregate_visibility``, ``label_patch`` (which
+maps disjoint halves injectively), the mux's applied patch (its halves
+come from outside and from inside the stream's own set) and per-stream
+deltas, and the facet runtime's flush.
 """
 from __future__ import annotations
 
@@ -56,9 +55,6 @@ class Patch:
     def is_empty(self) -> bool:
         return self.added is EMPTY and self.removed is EMPTY
 
-    def is_non_empty(self) -> bool:
-        return not self.is_empty()
-
     def __repr__(self) -> str:
         return render(self)
 
@@ -79,14 +75,6 @@ def assert_patch(*values: Value) -> Patch:
 
 def retract_patch(*values: Value) -> Patch:
     return from_sets(removed=values)
-
-
-def compose(newer: Patch, older: Patch) -> Patch:
-    """Sequential composition: the effect of ``older`` then ``newer``."""
-    return Patch(
-        trie.subtract(trie.union(older.added, newer.added), newer.removed),
-        trie.union(trie.subtract(older.removed, newer.added), newer.removed),
-    )
 
 
 def limit(requested: Patch, base: Trie) -> Patch:
@@ -122,10 +110,6 @@ def aggregate_visibility(applied: Patch, before: Trie, after: Trie) -> Patch:
 def label_patch(p: Patch, label) -> Patch:
     """Wrap every assertion in a unary record, e.g. to cross a layer boundary."""
     return Patch.disjoint(trie.wrap_trie(label, p.added), trie.wrap_trie(label, p.removed))
-
-
-def unwrap_patch(p: Patch, label) -> Patch:
-    return Patch.disjoint(trie.unwrap_trie(label, p.added), trie.unwrap_trie(label, p.removed))
 
 
 def observation_bodies(t: Trie) -> Trie:

@@ -8,6 +8,11 @@ drops edges indistinguishable from the default and collapses empty
 branches, so two canonical tries denote the same set exactly when they
 are structurally equal.
 
+The kernel's operations are the set operations ``union``,
+``intersect`` and ``subtract`` (all through ``combine``), ``project``,
+the routing walk ``update_routes``, and the read-only walks
+``search_value`` (one value's leaf) and ``leaves_meeting``.
+
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion.
 Canonical form is kept per rebuilt edge: ``combine`` checks
@@ -51,7 +56,6 @@ from .values import (
     OBSERVE,
     OUTBOUND,
     AtomTok,
-    MalformedTokens,
     PushTok,
     Record,
     Value,
@@ -63,10 +67,8 @@ from .values import (
     decompose,
     is_atom,
     is_compound,
-    is_well_formed,
     parse_exact,
     push_token,
-    skip_one_value,
     token_sort_key,
 )
 
@@ -227,33 +229,6 @@ def assertion_set(values: Iterable[Value]) -> Trie:
 # Search
 
 
-def search(key: list, t: Trie):
-    """Look up a serialized value; returns the leaf value or None.
-
-    The key must spell exactly one value.  Falling back to a branch
-    default consumes the whole value beginning at the current token.
-    """
-    if not is_well_formed(key, 1):
-        raise MalformedTokens(f"search key is not 1-well-formed: {key!r}")
-    pos = 0
-    while True:
-        if t is EMPTY:
-            return None
-        if isinstance(t, Ok):
-            return t.value if pos == len(key) else None
-        if pos == len(key):
-            return None
-        tok = key[pos]
-        child = t.edges.get(tok)
-        if child is not None:
-            pos += 1
-            t = child
-        else:
-            # The default covers the whole value starting here.
-            pos = skip_one_value(key, pos)
-            t = t.default
-
-
 def search_value(v: Value, t: Trie):
     """Look up one value, walking ``t`` along the value itself (an edge
     or the default per part); returns the leaf value or None.
@@ -289,77 +264,20 @@ def search_value(v: Value, t: Trie):
     return t.value if type(t) is Ok else None
 
 
-def contains(t: Trie, v: Value) -> bool:
-    return search_value(v, t) is not None
-
-
-def search_wild(key: list, t: Trie, combine_values: Callable):
-    """Search with embedded wildcards, folding leaf values of all branches spanned."""
-    def go(pos: int, t: Trie):
-        if t is EMPTY:
-            return None
-        if isinstance(t, Ok):
-            return t.value if pos == len(key) else None
-        if pos == len(key):
-            return None
-        tok = key[pos]
-        if tok is WILDCARD:
-            acc = go(pos + 1, t.default)
-            for etok, child in t.edges.items():
-                sub = go_wilds(etok.arity, pos + 1, child)
-                if sub is not None:
-                    acc = sub if acc is None else combine_values(acc, sub)
-            return acc
-        child = t.edges.get(tok)
-        if child is not None:
-            return go(pos + 1, child)
-        return go(skip_one_value(key, pos), t.default)
-
-    def go_wilds(n: int, pos: int, t: Trie):
-        # Match n whole values as wildcards before resuming the key.
-        if n == 0:
-            return go(pos, t)
-        if t is EMPTY or isinstance(t, Ok):
-            return None
-        acc = go_wilds(n - 1, pos, t.default)
-        for etok, child in t.edges.items():
-            sub = go_wilds(n - 1 + etok.arity, pos, child)
-            if sub is not None:
-                acc = sub if acc is None else combine_values(acc, sub)
-        return acc
-
-    return go(0, t)
-
-
-def serialize_wild(p) -> list:
-    """Serialize a pattern into a key where wildcards stand for one value."""
-    key = spec_items(p)
-    if any(item is CAPTURE for item in key):
-        raise ValueError(f"not a pattern: {p!r}")
-    return key
-
-
 # ---------------------------------------------------------------------------
 # Set operations
 
-#: One-sided handler: keep the present side unchanged.
-KEEP = "keep"
-#: One-sided handler: discard the present side.
-DROP = "drop"
-
-
-def combine(t1: Trie, t2: Trie, f: Callable, left_only=KEEP, right_only=KEEP) -> Trie:
+def combine(t1: Trie, t2: Trie, f: Callable, keep_left: bool = True, keep_right: bool = True) -> Trie:
     """Generic structural set operation on two tries of equal depth.
 
-    ``f`` combines leaves (both arguments are Ok nodes).  ``left_only``
-    and ``right_only`` state what happens to subtrees present on only
-    one side: KEEP or DROP.  The walk recurses through ``_combine``,
-    which takes ``f`` and the one-sided flags as arguments, so a call
-    leaves no reference cycle behind (see the module docstring).
+    ``f`` combines leaves (both arguments are Ok nodes).  ``keep_left``
+    and ``keep_right`` state whether a subtree present on only that side
+    is kept unchanged or dropped.  The walk recurses through
+    ``_combine``, which takes ``f`` and the one-sided flags as
+    arguments, so a call leaves no reference cycle behind (see the
+    module docstring).
     """
-    if left_only not in (KEEP, DROP) or right_only not in (KEEP, DROP):
-        raise ValueError("one-sided handlers must be KEEP or DROP")
-    return _combine(t1, t2, f, left_only == KEEP, right_only == KEEP)
+    return _combine(t1, t2, f, keep_left, keep_right)
 
 
 def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -> Trie:
@@ -436,7 +354,7 @@ def intersect(t1: Trie, t2: Trie) -> Trie:
         return EMPTY
     if t1 is t2:
         return t1
-    return combine(t1, t2, _leaf_left, DROP, DROP)
+    return combine(t1, t2, _leaf_left, False, False)
 
 
 def subtract(t1: Trie, t2: Trie) -> Trie:
@@ -444,7 +362,7 @@ def subtract(t1: Trie, t2: Trie) -> Trie:
         return EMPTY
     if t2 is EMPTY:
         return t1
-    return combine(t1, t2, _leaf_none, KEEP, DROP)
+    return combine(t1, t2, _leaf_none, True, False)
 
 
 def may_meet(t1: Trie, t2: Trie) -> bool:
@@ -477,20 +395,6 @@ def may_meet(t1: Trie, t2: Trie) -> bool:
 def universe(n: int = 1) -> Trie:
     """The trie accepting every sequence of ``n`` values."""
     return make_tail(n, UNIT)
-
-
-def negate(t: Trie, n: int = 1) -> Trie:
-    """Set complement within sequences of ``n`` values."""
-    if n == 0:
-        return EMPTY if isinstance(t, Ok) else UNIT
-    if t is EMPTY:
-        return universe(n)
-    if isinstance(t, Ok):
-        raise ValueError("trie deeper than its declared well-formedness")
-    edges = {
-        tok: negate(child, n - 1 + tok.arity) for tok, child in t.edges.items()
-    }
-    return branch(negate(t.default, n - 1), edges)
 
 
 def relabel(f: Callable, t: Trie) -> Trie:
@@ -778,20 +682,7 @@ def _members(t: Trie, wild) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Well-formedness and rendering
-
-
-def check_wf(t: Trie, n: int) -> bool:
-    """Decide whether ``t`` is n-well-formed."""
-    if t is EMPTY:
-        return True
-    if isinstance(t, Ok):
-        return n == 0
-    if n == 0:
-        return False
-    return check_wf(t.default, n - 1) and all(
-        check_wf(child, n - 1 + tok.arity) for tok, child in t.edges.items()
-    )
+# Rendering
 
 
 def render(t: Trie) -> str:

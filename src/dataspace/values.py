@@ -6,6 +6,8 @@ Patterns extend values with a wildcard; projection specs additionally
 allow capture marks.  Every value reads as a flat token sequence in
 which each compound contributes an arity-tagged push token followed by
 its fields; that sequence is the key format used by the trie index.
+``serialize`` writes a value's tokens, and ``parse_exact`` reads the
+values back off a trie path when a trie is enumerated.
 """
 from __future__ import annotations
 
@@ -234,70 +236,31 @@ def check_value(v) -> None:
             raise NotAValue(f"not serializable as an assertion value: {v!r}")
 
 
-def parse(tokens: Sequence[Token], n: int) -> tuple:
-    """Rebuild ``n`` values from a token sequence.
-
-    Returns ``(values, remainder)``; raises MalformedTokens when the
-    sequence does not start with an n-well-formed prefix.  A WILDCARD
-    token reads back as WILDCARD, one whole value.
-    """
-    values = []
-    pos = 0
-    for _ in range(n):
-        v, pos = _parse_one(tokens, pos)
-        values.append(v)
-    return tuple(values), list(tokens[pos:])
-
-
-def _parse_one(tokens: Sequence[Token], pos: int):
-    if pos >= len(tokens):
-        raise MalformedTokens("unexpected end of token sequence")
-    tok = tokens[pos]
-    if isinstance(tok, AtomTok):
-        return tok.payload, pos + 1
-    if tok is WILDCARD:
-        return WILDCARD, pos + 1
-    fields = []
-    pos += 1
-    for _ in range(tok.arity):
-        f, pos = _parse_one(tokens, pos)
-        fields.append(f)
-    if tok.label is None:
-        return tuple(fields), pos
-    return Record(tok.label, tuple(fields)), pos
-
-
 def parse_exact(tokens: Sequence[Token]) -> tuple:
-    """Parse values until the sequence is exhausted."""
-    values = []
-    pos = 0
-    while pos < len(tokens):
-        v, pos = _parse_one(tokens, pos)
-        values.append(v)
-    return tuple(values)
+    """Rebuild the values a token sequence spells, in order.
 
-
-def is_well_formed(tokens: Sequence[Token], n: int) -> bool:
-    try:
-        _, rest = parse(tokens, n)
-    except MalformedTokens:
-        return False
-    return not rest
-
-
-def skip_one_value(tokens: Sequence[Token], pos: int) -> int:
-    """Index just past the single value starting at ``pos``; a WILDCARD
-    token counts as one value."""
-    need = 1
-    while need:
-        if pos >= len(tokens):
-            raise MalformedTokens("unexpected end of token sequence")
-        tok = tokens[pos]
-        pos += 1
-        need -= 1
+    Raises MalformedTokens when the sequence ends inside a value.  A
+    WILDCARD token reads back as WILDCARD, one whole value.  The open
+    compounds are kept on an explicit stack, so a deep value takes no
+    Python frame per level.
+    """
+    values: list = []
+    fields = values  # where the next value read goes
+    stack: list = []  # per open compound: its push token, the fields it goes into
+    for tok in tokens:
         if isinstance(tok, PushTok):
-            need += tok.arity
-    return pos
+            stack.append((tok, fields))
+            fields = []
+        else:
+            fields.append(WILDCARD if tok is WILDCARD else tok.payload)
+        # Close every compound whose fields are all read.
+        while stack and len(fields) == stack[-1][0].arity:
+            push, outer = stack.pop()
+            outer.append(tuple(fields) if push.label is None else Record(push.label, tuple(fields)))
+            fields = outer
+    if stack:
+        raise MalformedTokens("unexpected end of token sequence")
+    return tuple(values)
 
 
 def values_equal(a, b) -> bool:

@@ -39,13 +39,12 @@ from dataspace.trie import (
     Ok,
     assertion_set,
     compile_pattern,
-    contains,
     intersect,
     key_set,
     leaves_meeting,
-    negate,
     pattern_set,
     project,
+    search_value,
     spec_items,
     subtract,
     union,
@@ -77,7 +76,6 @@ from oracles import (
 S = Symbol
 
 UNIVERSE = build_universe()
-U_ALL = frozenset(range(len(UNIVERSE)))
 
 
 def _index_trie(values):
@@ -123,7 +121,7 @@ def test_trie_operations_agree_with_set_oracle():
     for t, s in zip(tries, sets):
         assert denote(t) == s  # compilation itself agrees
 
-    ops = ("union", "intersect", "subtract", "negate", "search", "project", "keyset")
+    ops = ("union", "intersect", "subtract", "search", "project", "keyset")
     for case in range(10_000):
         op = ops[case % len(ops)]
         i, j = rng.randrange(len(pool)), rng.randrange(len(pool))
@@ -133,11 +131,9 @@ def test_trie_operations_agree_with_set_oracle():
             assert denote(intersect(tries[i], tries[j])) == sets[i] & sets[j]
         elif op == "subtract":
             assert denote(subtract(tries[i], tries[j])) == sets[i] - sets[j]
-        elif op == "negate":
-            assert denote(negate(tries[i])) == U_ALL - sets[i]
         elif op == "search":
             v = rng.choice(UNIVERSE)
-            assert contains(tries[i], v) == match(pool[i], v)
+            assert (search_value(v, tries[i]) is not None) == match(pool[i], v)
         elif op == "project":
             sample = rng.sample(UNIVERSE, 24)
             spec = _random_spec(rng)
@@ -200,17 +196,6 @@ def test_compiled_trie_fixture():
     assert t == expected
 
 
-def test_complement_trie_fixture():
-    t = compile_pattern((WILDCARD, 1))
-    assert t == Branch(
-        EMPTY, {PushTok((None, 2)): Branch(Branch(EMPTY, {atom_token(1): Ok(())}), {})}
-    )
-    assert negate(t) == Branch(
-        Ok(()),
-        {PushTok((None, 2)): Branch(Branch(Ok(()), {atom_token(1): EMPTY}), {})},
-    )
-
-
 def test_projection_fixtures():
     a, b = S("a"), S("b")
     base = assertion_set(
@@ -241,16 +226,12 @@ def test_equal_meaning_constructions_are_structurally_identical():
         for p in shuffled:
             t2 = union(t2, compile_pattern(p))
         assert t == t2
-        assert negate(negate(t)) == t
         assert union(t, t) == t
         assert union(t, EMPTY) == t
         assert intersect(t, t) == t
         assert intersect(t, universe(1)) == t
         assert subtract(t, EMPTY) == t
         assert subtract(t, t) == EMPTY
-        other = compile_pattern(rng.choice(patterns))
-        assert union(t, other) == negate(intersect(negate(t), negate(other)))
-        assert intersect(t, other) == negate(union(negate(t), negate(other)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +363,10 @@ def test_random_programs_match_shadow_model():
             for sid in sids:
                 delta = deltas.get(sid)
                 got_added = frozenset(
-                    v for v in candidates if delta and contains(delta.added, v)
+                    v for v in candidates if delta and search_value(v, delta.added) is not None
                 )
                 got_removed = frozenset(
-                    v for v in candidates if delta and contains(delta.removed, v)
+                    v for v in candidates if delta and search_value(v, delta.removed) is not None
                 )
                 assert got_added == after[sid] - before[sid]
                 assert got_removed == before[sid] - after[sid]

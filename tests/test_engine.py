@@ -282,8 +282,8 @@ def test_oversized_assertion_crashes_its_author_not_the_dataspace():
         assert ds.living_names() == {"peer#2", "later#3"}
         # The peer, watching everything, sees its own interest and the later assertion.
         assert peer.events == [assert_patch(observe(WILDCARD)), assert_patch(S("later"))]
-        assert not trie.contains(ds.assertions(), huge)
-        assert trie.contains(ds.assertions(), S("later"))
+        assert trie.search_value(huge, ds.assertions()) is None
+        assert trie.search_value(S("later"), ds.assertions()) == ()
 
 
 def test_nested_swap_meeting_outside_sends_the_container_nothing():

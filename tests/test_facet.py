@@ -81,8 +81,8 @@ def test_field_assignment_keeps_kinds_apart_inside_compounds():
     )
     assert log == [("+", (1,)), ("-", (1,)), ("+", (True,))]
     assert [type(v[1][0]) for v in log] == [int, int, bool]
-    assert trie.contains(ds.assertions(), rec("value", (True,)))
-    assert not trie.contains(ds.assertions(), rec("value", (1,)))
+    assert trie.search_value(rec("value", (True,)), ds.assertions()) == ()
+    assert trie.search_value(rec("value", (1,)), ds.assertions()) is None
 
 
 def test_during_child_lifecycle_and_captures():
@@ -492,7 +492,7 @@ class BagOracle:
             want = trie.union(want, ep.current)
         expected = diff(self.published, want)
         patches = [a for a in actions if isinstance(a, Patch)]
-        assert patches == ([expected] if expected.is_non_empty() else [])
+        assert patches == ([] if expected.is_empty() else [expected])
         self.published = want
 
     def run(self, steps):

@@ -2,9 +2,11 @@
 and every import statement sits at module level, not in a function body,
 where it would run again on each call.  Every function, class and public
 method the package defines is named somewhere in the sources, tests or
-benchmark."""
+benchmark; one of a kernel module must be named by the sources or the
+benchmark outside its own body."""
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -13,6 +15,11 @@ import dataspace
 MODULES = sorted(pathlib.Path(dataspace.__file__).parent.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+RUNTIME = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py"))
+#: The kernel modules: each of their definitions must serve the program
+#: or the benchmark, so a test naming it is not use enough.  The other
+#: modules are the API that user programs call.
+KERNEL = ("values", "trie", "patch", "mux", "dataflow")
 
 
 def unused_imports(source: str) -> list:
@@ -71,49 +78,62 @@ def test_scan_finds_an_import_in_a_function_body():
 def definitions(module: str, source: str) -> list:
     """The undecorated top-level functions and classes of a module, as
     ``module.name``, and the public undecorated methods of those classes,
-    as ``Class.method``; each paired with the bare name it goes by."""
+    as ``Class.method``; each with the bare name it goes by and its node."""
     funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, funcs + (ast.ClassDef,)) and not node.decorator_list:
-            out.append((f"{module}.{node.name}", node.name))
+            out.append((f"{module}.{node.name}", node.name, node))
             if isinstance(node, ast.ClassDef):
                 out.extend(
-                    (f"{node.name}.{m.name}", m.name)
+                    (f"{node.name}.{m.name}", m.name, m)
                     for m in node.body
                     if isinstance(m, funcs) and not m.decorator_list and not m.name.startswith("_")
                 )
     return out
 
 
-def names_used(source: str) -> set:
-    """The names a source mentions: as names, attributes or imports."""
-    used = set()
-    for node in ast.walk(ast.parse(source)):
+def names_used(tree: ast.AST) -> Counter:
+    """How often a syntax tree names each name: as a name, an attribute,
+    an import or an identifier-shaped string (the benchmark's spans reach
+    the functions they wrap through strings)."""
+    used = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            used[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
+            used[node.attr] += 1
         elif isinstance(node, ast.alias):
-            used.add(node.name)
+            used[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            used[node.value] += 1
     return used
 
 
-def dead_definitions(modules: dict, corpus: list) -> list:
+def dead_definitions(modules: dict, corpus: list, runtime: list = (), kernel=()) -> list:
     """The definitions of ``modules`` (name -> source) that no source of
-    ``corpus`` names."""
-    used = set().union(*(names_used(source) for source in corpus))
-    return sorted(
-        qualified
-        for module, source in modules.items()
-        for qualified, name in definitions(module, source)
-        if name not in used
-    )
+    ``corpus`` names.  One of a ``kernel`` module counts as used only if
+    a source of ``runtime``, which holds the module's own, names it
+    outside its own body."""
+    used = sum((names_used(ast.parse(source)) for source in corpus), Counter())
+    served = sum((names_used(ast.parse(source)) for source in runtime), Counter())
+    dead = []
+    for module, source in modules.items():
+        for qualified, name, node in definitions(module, source):
+            if module in kernel:
+                alive = served[name] > names_used(node)[name]
+            else:
+                alive = used[name] > 0
+            if not alive:
+                dead.append(qualified)
+    return sorted(dead)
 
 
 def test_no_dead_definitions():
     modules = {path.stem: path.read_text() for path in MODULES}
-    assert dead_definitions(modules, [path.read_text() for path in CORPUS]) == []
+    corpus = [path.read_text() for path in CORPUS]
+    runtime = [path.read_text() for path in RUNTIME]
+    assert dead_definitions(modules, corpus, runtime, KERNEL) == []
 
 
 def test_scan_finds_a_dead_definition():
@@ -128,3 +148,15 @@ def test_scan_finds_a_dead_definition():
     )
     client = "from m import used\n\nC().called()\n"
     assert dead_definitions({"m": source}, [source, client]) == ["C.uncalled", "m.dead"]
+    # In a kernel module, a test's call or a call from the definition's
+    # own body is not use; a benchmark naming it in a string is.
+    kernel = (
+        "def tested():\n    pass\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def spanned():\n    pass\n"
+    )
+    test = "from k import recursive, tested\n\ntested()\nrecursive(3)\n"
+    bench = 'import k\n\nTARGETS = [getattr(k, name) for name in ("spanned",)]\n'
+    corpus = [kernel, test, bench]
+    assert dead_definitions({"k": kernel}, corpus) == []
+    assert dead_definitions({"k": kernel}, corpus, [kernel, bench], {"k"}) == ["k.recursive", "k.tested"]

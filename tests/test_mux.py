@@ -6,7 +6,7 @@ from dataspace import trie
 from dataspace.engine import Dataspace, Message, spawn_dataspace
 from dataspace.facet import spawn_actor
 from dataspace.mux import Mux
-from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, retract_patch
+from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, observation_bodies, retract_patch
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
 S = Symbol
@@ -178,14 +178,14 @@ def _random_term(rng, depth, extra=()):
     return fields if r < 0.6 else Record(rng.choice(LABELS), fields)
 
 
-def _route_by_tokens(m, body):
-    """Routing as a token search over serialize_wild(observe(body))."""
-    key = trie.serialize_wild(observe(body))
-    if any(t is WILDCARD for t in key):
-        ids = trie.search_wild(key, m.routes, frozenset.union)
-    else:
-        ids = trie.search(key, m.routes)
-    return sorted(ids) if ids else []
+def _route_by_scan(m, body):
+    """Routing as a scan over the streams, ignoring the routing index: a
+    stream hears the body if one of its subscriptions meets it."""
+    pattern = trie.compile_pattern(body)
+    return sorted(
+        sid for sid, own in m.streams.items()
+        if trie.intersect(observation_bodies(own), pattern) is not trie.EMPTY
+    )
 
 
 def _outcome(route, m, body):
@@ -195,7 +195,7 @@ def _outcome(route, m, body):
         return type(e)
 
 
-def test_route_message_by_value_agrees_with_token_search():
+def test_route_message_agrees_with_per_stream_scan():
     rng = random.Random(4)
     seen = {"routed": 0, "wild": 0, "malformed": 0}
     for _ in range(150):
@@ -210,11 +210,11 @@ def test_route_message_by_value_agrees_with_token_search():
             r = rng.random()
             extra = (WILDCARD,) if r < 0.2 else (rng.choice(MALFORMED),) if r < 0.4 else ()
             body = _random_term(rng, 4, extra)
-            want = _outcome(_route_by_tokens, m, body)
+            want = _outcome(_route_by_scan, m, body)
             assert _outcome(Mux.route_message, m, body) == want, body
             if isinstance(want, type):
                 seen["malformed"] += 1
-            elif any(t is WILDCARD for t in trie.serialize_wild(body)):
+            elif any(t is WILDCARD for t in trie.spec_items(body)):
                 seen["wild"] += 1
             elif want:
                 seen["routed"] += 1

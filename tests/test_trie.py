@@ -15,28 +15,23 @@ from dataspace.trie import (
     Ok,
     assertion_set,
     branch,
-    check_wf,
     compile_pattern,
-    contains,
     key_set,
     make_tail,
-    negate,
     project,
     spec_items,
     render,
-    search,
-    search_wild,
-    serialize_wild,
+    search_value,
     leaves_meeting,
     union,
     intersect,
     subtract,
-    universe,
     update_routes,
 )
 from dataspace.values import (
     CAPTURE,
-    MalformedTokens,
+    NotAValue,
+    PushTok,
     Record,
     Symbol,
     WILDCARD,
@@ -44,7 +39,6 @@ from dataspace.values import (
     decompose,
     observe,
     push_token,
-    serialize,
 )
 
 from oracles import build_universe, match, random_pattern, _hashable, _match
@@ -62,6 +56,20 @@ def tset(values):
     return frozenset(_hashable(v[0]) for v in values)
 
 
+def check_wf(t, n):
+    """Decide whether ``t`` is n-well-formed: every path to a leaf spells
+    exactly ``n`` whole values."""
+    if t is EMPTY:
+        return True
+    if isinstance(t, Ok):
+        return n == 0
+    if n == 0:
+        return False
+    return check_wf(t.default, n - 1) and all(
+        check_wf(child, n - 1 + tok.arity) for tok, child in t.edges.items()
+    )
+
+
 @given(patterns)
 def test_compiled_tries_well_formed(p):
     assert check_wf(compile_pattern(p), 1)
@@ -70,7 +78,7 @@ def test_compiled_tries_well_formed(p):
 @given(patterns, patterns)
 def test_set_ops_preserve_wf_and_canonical_idempotence(p, q):
     a, b = compile_pattern(p), compile_pattern(q)
-    for t in (union(a, b), intersect(a, b), subtract(a, b), negate(a)):
+    for t in (union(a, b), intersect(a, b), subtract(a, b)):
         assert check_wf(t, 1)
     assert union(a, a) == a
     assert intersect(a, a) == a
@@ -82,22 +90,15 @@ def test_set_ops_preserve_wf_and_canonical_idempotence(p, q):
 @given(patterns, st.sampled_from(U))
 def test_search_agrees_with_matching(p, v):
     t = compile_pattern(p)
-    assert contains(t, v) == match(p, v)
+    assert (search_value(v, t) is not None) == match(p, v)
 
 
 @given(patterns, patterns, st.sampled_from(U))
 def test_algebra_agrees_with_sets(p, q, v):
     a, b = compile_pattern(p), compile_pattern(q)
-    assert contains(union(a, b), v) == (match(p, v) or match(q, v))
-    assert contains(intersect(a, b), v) == (match(p, v) and match(q, v))
-    assert contains(subtract(a, b), v) == (match(p, v) and not match(q, v))
-    assert contains(negate(a), v) == (not match(p, v))
-
-
-@given(patterns)
-def test_double_negation_is_identity(p):
-    t = compile_pattern(p)
-    assert negate(negate(t)) == t
+    assert (search_value(v, union(a, b)) is not None) == (match(p, v) or match(q, v))
+    assert (search_value(v, intersect(a, b)) is not None) == (match(p, v) and match(q, v))
+    assert (search_value(v, subtract(a, b)) is not None) == (match(p, v) and not match(q, v))
 
 
 @given(concrete_sets)
@@ -126,33 +127,33 @@ def test_key_set_refuses_infinite():
         key_set(compile_pattern((WILDCARD, 1)))
 
 
-def test_universe_and_negate_empty():
-    assert negate(EMPTY) == universe(1)
-    assert negate(universe(1)) is EMPTY
-    assert contains(universe(1), (S("a"), (1, 2)))
+def test_key_set_reads_back_a_deeply_nested_value():
+    # Built by hand, because compile_pattern takes a frame per level.
+    depth = 1500
+    t = Branch(EMPTY, {atom_token(1): trie.UNIT})
+    for _ in range(depth):
+        t = Branch(EMPTY, {PushTok((None, 1)): t})
+    ((v,),) = key_set(t)
+    # Unwrapped level by level: == on nested tuples recurses too.
+    for _ in range(depth):
+        assert type(v) is tuple and len(v) == 1
+        (v,) = v
+    assert (type(v), v) == (int, 1)
 
 
 def test_search_key_must_be_one_value():
     t = assertion_set([1])
-    with pytest.raises(MalformedTokens):
-        search(serialize(1) + serialize(2), t)
+    for key in ((1, [2]), (1, WILDCARD), CAPTURE):
+        with pytest.raises(NotAValue):
+            search_value(key, t)
 
 
 def test_default_fallback_skips_whole_value():
     # A trie of pairs (x, 1) for any x: searching must skip an entire
     # compound first element, not a single token.
     t = compile_pattern((WILDCARD, 1))
-    assert contains(t, ((S("a"), (S("b"),)), 1))
-    assert not contains(t, ((S("a"),), 2))
-
-
-def test_search_wild_unions_routing_leaves():
-    r = update_routes(EMPTY, EMPTY, 1, assertion_set([(S("a"), 0)]), EMPTY, EMPTY)[0]
-    r = update_routes(r, EMPTY, 2, compile_pattern((S("a"), WILDCARD)), EMPTY, EMPTY)[0]
-    key = serialize_wild((S("a"), WILDCARD))
-    assert search_wild(key, r, frozenset.union) == frozenset({1, 2})
-    assert search(serialize((S("a"), 0)), r) == frozenset({1, 2})
-    assert search(serialize((S("a"), 5)), r) == frozenset({2})
+    assert search_value(((S("a"), (S("b"),)), 1), t) == ()
+    assert search_value(((S("a"),), 2), t) is None
 
 
 def test_canonical_constructor_prunes_redundant_edges():
@@ -197,9 +198,7 @@ def test_pattern_set_reads_defaults_as_wildcards_in_trie_order():
     p = lambda *xs: Record(S("p"), xs)
     t = assertion_set([p(2, 1), p(True, WILDCARD), p(WILDCARD, "x")])
     want = [p(WILDCARD, "x"), p(True, WILDCARD), p(2, 1), p(2, "x")]
-    assert [serialize_wild(v) for (v,) in trie.pattern_set(t)] == [
-        serialize_wild(v) for v in want
-    ]
+    assert [spec_items(v) for (v,) in trie.pattern_set(t)] == [spec_items(v) for v in want]
 
 
 def test_projection_of_wildcard_capture_is_infinite():
@@ -242,7 +241,7 @@ def test_render_stable_forms():
 def test_relabel_drops_and_maps():
     t = assertion_set([1, 2])
     r = trie.relabel(lambda _: frozenset({7}), t)
-    assert search(serialize(1), r) == frozenset({7})
+    assert search_value(1, r) == frozenset({7})
     assert trie.relabel(lambda _: None, t) is EMPTY
 
 
@@ -282,7 +281,7 @@ def _mask_memo(witnesses):
     def mask(patterns) -> int:
         out = 0
         for p in patterns:
-            key = tuple(serialize_wild(p))
+            key = tuple(spec_items(p))
             if key not in matches:
                 matches[key] = sum(1 << i for i, v in enumerate(witnesses) if match(p, v))
             out |= matches[key]
@@ -304,7 +303,7 @@ def test_set_op_chains_stay_canonical(first, steps):
         assert check_wf(t, 1)
         hit = _set_op_mask(ps)
         inside = (inside | hit, inside & hit, inside & ~hit)[op]
-    assert sum(1 << i for i, v in enumerate(WITNESSES) if contains(t, v)) == inside
+    assert sum(1 << i for i, v in enumerate(WITNESSES) if search_value(v, t) is not None) == inside
 
 
 #: One atom of each kind, all equal as Python numbers or spelled alike.
@@ -337,8 +336,8 @@ KIND_WITNESSES = (
     + [c for x in _SHALLOW for c in ((x,), Record(P, (x,)))]
 )
 KIND_WITNESSES += [observe(x) for x in KIND_WITNESSES[::3]] + [observe(observe(x)) for x in KINDS]
-#: Every witness the routing walk is checked on, with its token key.
-ROUTE_WITNESSES = [(v, serialize(v)) for v in KIND_WITNESSES + WITNESSES]
+#: Every witness the routing walk is checked on.
+ROUTE_WITNESSES = KIND_WITNESSES + WITNESSES
 kind_patterns = st.builds(lambda seed: _kind_pattern(random.Random(seed)), st.integers(0, 10**9))
 #: Operands mix kind-mixed patterns with the wider-shaped ``patterns`` and
 #: with subscriptions (``observe``, once or twice, of either), as many per
@@ -356,7 +355,7 @@ route_operands = st.lists(
 )
 
 
-_witness_mask = _mask_memo([v for v, _ in ROUTE_WITNESSES])
+_witness_mask = _mask_memo(ROUTE_WITNESSES)
 
 
 def _leaves(t):
@@ -407,8 +406,8 @@ def test_route_chains_stay_canonical(steps):
                 ids.discard(sid)
             elif add and not remove:
                 ids.add(sid)
-        for (v, key), ids in zip(ROUTE_WITNESSES, want):
-            assert (search(key, routes) or set()) == ids, v
+        for v, ids in zip(ROUTE_WITNESSES, want):
+            assert (search_value(v, routes) or set()) == ids, v
         for s, held in own.items():
             assert held == trie.relabel(lambda ids: () if s in ids else None, routes)
 
@@ -425,7 +424,7 @@ def test_tokens_keep_atom_kinds_apart():
 def test_wide_tuple_assertion_publishes():
     wide = tuple(range(900))
     ds = ground_run([spawn_actor("wide", lambda f: f.assert_(wide))])
-    assert contains(ds.assertions(), wide)
+    assert search_value(wide, ds.assertions()) == ()
 
 
 def test_wide_subscription_is_delivered():

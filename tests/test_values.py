@@ -13,13 +13,10 @@ from dataspace.values import (
     atom_kind,
     atom_token,
     format_value,
-    is_well_formed,
     observe,
-    parse,
     parse_exact,
     parse_text,
     serialize,
-    skip_one_value,
     token_sort_key,
     unwrap,
     values_equal,
@@ -62,22 +59,17 @@ def test_nan_rejected():
 def test_serialize_parse_roundtrip(v):
     toks = serialize(v)
     assert parse_exact(toks) == (v,)
-    assert is_well_formed(toks, 1)
-    assert skip_one_value(toks, 0) == len(toks)
 
 
 @given(values, values)
 def test_parse_two_values(v, w):
-    toks = serialize(v) + serialize(w)
-    got, rest = parse(toks, 2)
-    assert got == (v, w) and rest == []
-    assert not is_well_formed(toks, 1)
+    assert parse_exact(serialize(v) + serialize(w)) == (v, w)
 
 
 def test_parse_truncated_rejected():
     toks = serialize((1, 2, 3))
     with pytest.raises(MalformedTokens):
-        parse(toks[:-1], 1)
+        parse_exact(toks[:-1])
 
 
 @given(values)
