@@ -120,7 +120,8 @@ class Dataspace(Actor):
 
     def _trace(self, kind: str, who, payload, cause: int = -1) -> int:
         """Record a trace event; ``payload`` (an action, an event or a
-        text) is rendered only when a tracer is set."""
+        text) is rendered only when a tracer is set, and hot paths call
+        it only then."""
         if self.tracer is None:
             return -1
         path = self.path + ((self.names.get(who, str(who)),) if who is not None else ())
@@ -133,7 +134,7 @@ class Dataspace(Actor):
         return self.tracer.record(kind, path, text, cause)
 
     def _enqueue(self, author: StreamId, action: Action, cause: int) -> None:
-        seq = self._trace("action-produced", author, action, cause)
+        seq = -1 if self.tracer is None else self._trace("action-produced", author, action, cause)
         self.pending.append((author, action, seq))
 
     def run(self) -> List[Action]:
@@ -141,7 +142,7 @@ class Dataspace(Actor):
         outward: List[Action] = []
         while self.pending:
             author, action, cause = self.pending.popleft()
-            seq = self._trace("action-interpreted", author, action, cause)
+            seq = -1 if self.tracer is None else self._trace("action-interpreted", author, action, cause)
             if isinstance(action, Patch):
                 self._interpret_patch(author, action, seq, outward)
             elif isinstance(action, Message):
@@ -202,10 +203,7 @@ class Dataspace(Actor):
             self._kill(sid, seq)
             return
         self.actors[sid] = handler
-        front = []
-        for a in startup:
-            s = self._trace("action-produced", sid, a, seq)
-            front.append((sid, a, s))
+        front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
         self.pending.extendleft(reversed(front))
 
     def _deliver_all(self, events, cause, outward) -> None:
@@ -216,13 +214,14 @@ class Dataspace(Actor):
         if target == META:
             out = _outward(event)
             if out is not None:
-                self._trace("event-delivered", META, out, cause)
+                if self.tracer is not None:
+                    self._trace("event-delivered", META, out, cause)
                 outward.append(out)
             return
         handler = self.actors.get(target)
         if handler is None:
             return  # exited actors receive nothing further
-        seq = self._trace("event-delivered", target, event, cause)
+        seq = -1 if self.tracer is None else self._trace("event-delivered", target, event, cause)
         try:
             actions = handler.handle(event)
         except Exception as e:

@@ -34,13 +34,16 @@ actor-level ``adhoc`` set and each living endpoint's trie
 flush notes what it contributed before, so ``_flush`` reads the change
 off the notes: the contributors whose trie is now structurally unequal
 to their note (tries are canonical and keep atom kinds apart, so that is
-set inequality).  Added is the union of their new tries less all that
-stood before (the notes and the unchanged contributions); removed, the
-union of their notes less all that stands now.  Removal is therefore
-exact under overlap: retracting ``p(3)`` while ``p(*)`` stands, or while
-another contributor also asserts ``p(3)``, publishes nothing.  A flush
-where nothing changed, such as an assertion recomputed to an equal
-trie, only compares: it publishes no patch and runs no set operation.
+set inequality).  It probes each pair with ``trie.may_meet`` before it
+compares them, as disjoint tries are unequal, and probes no EMPTY trie.
+Added is the union of their new tries less all that stood before (the
+notes and the unchanged contributions); removed, the union of their
+notes less all that stands now.  Removal is therefore exact under
+overlap: retracting ``p(3)`` while ``p(*)`` stands, or while another
+contributor also asserts ``p(3)``, publishes nothing.  A flush where
+nothing changed, such as an assertion recomputed to an equal trie, only
+compares: it publishes no patch and runs no set operation.  With no
+note and no damage there is nothing to flush, and none is run.
 """
 from __future__ import annotations
 
@@ -239,7 +242,7 @@ class Facet:
         return self.runtime._add_stop(self, pattern, "message", continuation)
 
     def on_start(self, fn) -> None:
-        self.runtime._schedule(PRIORITY_DEFAULT, self, lambda: fn())
+        self.runtime._schedule(PRIORITY_DEFAULT, self, fn)
 
     def on_stop(self, fn) -> None:
         self.stop_handlers.append(fn)
@@ -250,9 +253,7 @@ class Facet:
         return self.runtime._add_facet(self, body)
 
     def stop(self, continuation: Optional[Callable] = None) -> None:
-        self.runtime._schedule(
-            PRIORITY_DEFAULT, None, lambda: self.runtime._stop_facet(self, continuation)
-        )
+        self.runtime._schedule(PRIORITY_DEFAULT, None, self.runtime._stop_facet, (self, continuation))
 
     def during(self, pattern, body: Callable) -> Endpoint:
         """Scoped reaction: run ``body`` in a child facet for each match,
@@ -417,14 +418,14 @@ class ActorRuntime(Actor):
         while self._queue:
             idle: List[Facet] = []
             while self._queue:
-                _, _, facet, thunk = heapq.heappop(self._queue)
+                _, _, facet, fn, args = heapq.heappop(self._queue)
                 if facet is not None:
                     facet.pending_scripts -= 1
                     if facet.pending_scripts == 0:
                         idle.append(facet)
                     if not facet.alive:
                         continue
-                thunk()
+                fn(*args)
             for facet in idle:
                 self._maybe_prune(facet)
         self._flush()
@@ -508,12 +509,13 @@ class ActorRuntime(Actor):
 
     def _activate(self, ep: Endpoint, caps: tuple) -> None:
         # The turn loop drops the script if ep's facet has stopped by then.
-        self._schedule(ep.priority, ep.facet, lambda: ep.handler(*caps))
+        self._schedule(ep.priority, ep.facet, ep.handler, caps)
 
-    def _schedule(self, priority: int, facet: Optional[Facet], thunk: Callable) -> None:
+    def _schedule(self, priority: int, facet: Optional[Facet], fn: Callable, args: tuple = ()) -> None:
+        # An entry holds the script's function and arguments, not a closure.
         if facet is not None:
             facet.pending_scripts += 1
-        heapq.heappush(self._queue, (priority, self._seq, facet, thunk))
+        heapq.heappush(self._queue, (priority, self._seq, facet, fn, args))
         self._seq += 1
 
     # -- facet lifecycle ----------------------------------------------------
@@ -583,33 +585,40 @@ class ActorRuntime(Actor):
         self.adhoc = trie.subtract(self.adhoc, trie.compile_pattern(v))
 
     def _emit(self, action) -> None:
-        self._flush()
+        if self._was or self.graph.damaged:
+            self._flush()
         self._actions.append(action)
 
     def _flush(self) -> None:
-        self.graph.repair_damage(self._refresh_endpoint)
+        if self.graph.damaged:
+            self.graph.repair_damage(self._refresh_endpoint)
         if not self._was:
             return
         was, self._was = self._was, {}
-        went = {who: old for who, old in was.items() if old != self._share(who)}
+        # Who changed: probe before comparing, as disjoint tries are unequal.
+        went: set = set()
+        came = gone = EMPTY
+        for who, old in was.items():
+            new = self.adhoc if who is None else who.current  # EMPTY once stopped
+            if old is new:
+                continue
+            probe = old is not EMPTY and new is not EMPTY and trie.may_meet(old, new)
+            if not probe or old != new:
+                went.add(who)
+                came, gone, meets = trie.union(came, new), trie.union(gone, old), probe
         if not went:
             return
-        live = [None, *self.endpoints.values()]
-        came = [self._share(who) for who in went]
-        now = [self._share(who) for who in live]
-        # What stood before: the notes of the contributors that changed
-        # (a stopped endpoint's among them), and what the others still
-        # contribute.  What is added stands now and what is removed does
-        # not, so the halves are disjoint.
-        before = [*went.values(), *(self._share(who) for who in live if who not in went)]
-        delta = Patch.disjoint(_uncovered(came, before), _uncovered(went.values(), now))
+        # A lone changed pair was probed above, a union is probed here;
+        # after this, came and gone are disjoint, and so are the halves.
+        if meets if len(went) == 1 else trie.may_meet(came, gone):
+            came, gone = trie.subtract(came, gone), trie.subtract(gone, came)
+        # Before: the notes (a stopped endpoint's among them) and the
+        # unchanged others; now: the new tries and the same others.
+        others = [self.adhoc] if None not in went else []
+        others += [ep.current for ep in self.endpoints.values() if ep not in went]
+        delta = Patch.disjoint(_uncovered(came, others), _uncovered(gone, others))
         if not delta.is_empty():
             self._actions.append(delta)
-
-    def _share(self, who: Optional[Endpoint]) -> Trie:
-        """What a contributor contributes now: ``adhoc`` for None, else
-        the endpoint's ``current`` (EMPTY once it has stopped)."""
-        return self.adhoc if who is None else who.current
 
 
 def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
@@ -692,14 +701,11 @@ def _captures(items: list, body) -> Optional[list]:
     return caps
 
 
-def _uncovered(tries, cover) -> Trie:
-    """The union of ``tries`` less whatever the tries of ``cover`` hold."""
-    t = EMPTY
-    for k in tries:
-        t = trie.union(t, k)
+def _uncovered(t: Trie, cover) -> Trie:
+    """``t`` less whatever the tries of ``cover`` hold; an EMPTY one is not probed."""
     for k in cover:
         if t is EMPTY:
             break
-        if trie.may_meet(t, k):
+        if k is not EMPTY and trie.may_meet(t, k):
             t = trie.subtract(t, k)
     return t

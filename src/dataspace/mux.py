@@ -7,16 +7,20 @@ else's assertions and (b) covered by their own subscriptions, while the
 updating stream additionally receives feedback for subscriptions it just
 added or removed.
 
-An update makes one walk over the routing index (``trie.update_routes``),
-down the stream's own set and the two halves of its patch together.
-The walk trims the patch to the change it makes to the stream's own set,
-moves the stream's id into or out of the index's leaf sets, reads what
-became visible or invisible off those leaf sets (an assertion shows when
-its leaf set fills from empty, and goes when it empties), and rebuilds
-the stream's own set, all at once.  Retracting a wildcard can remove
+An update makes one walk over the routing index
+(``trie.update_routes``), down the stream's own set and the two halves
+of its patch together.  The walk moves the stream's id into or out of
+the index's leaf sets where the patch changes the stream's own set,
+reads what became visible or invisible off those leaf sets (an assertion
+shows when its leaf set fills from empty, and goes when it empties), and
+rebuilds the stream's own set, all at once.  If it hands back the old
+own set itself, the patch changed nothing and the update ends there.
+The subscriptions the stream adds and drops are the differences of its
+subscriptions (``observation_bodies``) after and before, worked out only
+when those are not the same object.  Retracting a wildcard can remove
 only what the stream holds, so under a removal wildcard the walk follows
-the stream's own set, not the index, where the other streams' edges
-are: an update costs O(|patch| + |own set under the patch's removal
+the stream's own set, not the index, where the other streams' edges are:
+an update costs O(|patch| + |own set under the patch's removal
 wildcards|), plus the index's edges under its addition wildcards.
 ``remove_stream`` retracts the universe, so it costs O(|own set|).
 
@@ -80,12 +84,12 @@ class Mux:
         self.routes: Trie = EMPTY
         self.relay = relay
 
-    def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Patch, List[Tuple[StreamId, Patch]]]:
+    def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Trie, List[Tuple[StreamId, Patch]]]:
         sid = self.next_id
         self.next_id += 1
         self.streams[sid] = EMPTY
-        applied, events = self.update_stream(sid, initial)
-        return sid, applied, events
+        own, events = self.update_stream(sid, initial)
+        return sid, own, events
 
     def remove_stream(self, sid: StreamId) -> List[Tuple[StreamId, Patch]]:
         # The departing stream hears nothing, so its feedback is not worked out.
@@ -97,30 +101,34 @@ class Mux:
         """Every assertion some stream holds, except those held by ``hide`` alone."""
         return trie.relabel(lambda ids: () if ids - {hide} else None, self.routes)
 
-    def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
-        """Apply a stream's patch; returns what it changed and the events
-        it yields, ordered by stream.  Nothing changes if the trie work
-        raises, so a caller may drop the patch and carry on."""
+    def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Trie, List[Tuple[StreamId, Patch]]]:
+        """Apply a stream's patch; returns the stream's assertion set
+        after it (the one before, the same object, if the patch changes
+        nothing) and the events it yields, ordered by stream.  Nothing
+        changes if the trie work raises, so a caller may drop the patch
+        and carry on."""
         return self._update(sid, requested, feedback=True)
 
     def _update(
         self, sid: StreamId, requested: Patch, feedback: bool
-    ) -> Tuple[Patch, List[Tuple[StreamId, Patch]]]:
+    ) -> Tuple[Trie, List[Tuple[StreamId, Patch]]]:
         old = self.streams[sid]
         routes_old = self.routes
         # The audience, the streams whose subscriptions meet the visible
         # change, is read off the subscriptions standing before: one the
         # patch adds meets it only through the author's feedback below.
-        routes_new, own_new, added, removed, appeared, vanished, audience = trie.update_routes(
+        routes_new, own_new, appeared, vanished, audience = trie.update_routes(
             routes_old, old, sid, requested.added, requested.removed, observation_bodies(routes_old)
         )
-        applied = Patch.disjoint(added, removed)
-        if applied.is_empty():
-            return applied, []
+        if own_new is old:
+            return old, []
 
+        came = gone = EMPTY
         if feedback:
-            came = observation_bodies(added)
-            gone = observation_bodies(removed)
+            # A part of the own set the walk left alone is the same object.
+            subs_old, subs_new = observation_bodies(old), observation_bodies(own_new)
+            if subs_new is not subs_old:
+                came, gone = trie.subtract(subs_new, subs_old), trie.subtract(subs_old, subs_new)
             # The author hears feedback only if it is in the audience or
             # its subscriptions change.  Its kept subscriptions, those of
             # ``old`` less ``gone``, meet the visible change only if some
@@ -137,7 +145,7 @@ class Mux:
                 # Subscriptions the stream keeps hear what became
                 # visible; those it adds catch up on what stands after,
                 # those it drops let go of what stood before.
-                kept = trie.subtract(observation_bodies(old), gone)
+                kept = trie.subtract(subs_old, gone)
                 delta = Patch.disjoint(
                     trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
                     trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
@@ -156,7 +164,7 @@ class Mux:
 
         self.streams[sid] = own_new
         self.routes = routes_new
-        return applied, events
+        return own_new, events
 
     def route_message(self, body: Value) -> List[StreamId]:
         """Stream ids subscribed to a message body, ascending.

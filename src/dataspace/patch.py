@@ -16,9 +16,8 @@ translate to the outer ``observe(x)``, and only cancelling the pair
 leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
 and skips the intersection; it is for halves disjoint by construction:
 ``limit``, ``diff``, ``aggregate_visibility``, ``label_patch`` (which
-maps disjoint halves injectively), the mux's applied patch (its halves
-come from outside and from inside the stream's own set) and per-stream
-deltas, and the facet runtime's flush.
+maps disjoint halves injectively), the mux's per-stream deltas, and the
+facet runtime's flush.
 """
 from __future__ import annotations
 

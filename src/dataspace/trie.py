@@ -23,12 +23,14 @@ An edge is redundant when its child is ``make_tail(arity, default)``;
 tail.
 
 A routing trie has frozensets of stream ids as leaves.
-``update_routes`` applies one stream's patch to it in a single walk,
-which also yields the stream's new own set, the part of the change
-that becomes visible and its audience: the leaf sets of a second
-routing trie (the standing subscriptions) at the values that become
-visible or invisible.  ``leaves_meeting`` reads which leaf sets a
-probe meets without building an intersection.
+``update_routes`` applies one stream's patch to it in a single walk
+with four results: the new routing trie, the stream's new own set (the
+old one itself if the patch changes nothing), and the part of the
+change that becomes visible, added and removed; it also collects the
+audience, the leaf sets of a second routing trie (the standing
+subscriptions) at the values that become visible or invisible.
+``leaves_meeting`` reads which leaf sets a probe meets without
+building an intersection.
 
 ``project`` reads the captures of a pattern off a trie in one direct
 walk over the pattern's compiled pre-order items (``spec_items``), one
@@ -298,10 +300,11 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
         edges = {}
         for tok, child in large_edges.items():
             if tok not in small_edges:
-                tail = make_tail(tok.arity, small.default)
+                n = tok.arity
+                tail = make_tail(n, small.default) if n else small.default
                 child = (_combine(tail, child, f, keep_left, keep_right) if left_small
                          else _combine(child, tail, f, keep_left, keep_right))
-                if not _redundant(child, tok.arity, w):
+                if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
                     edges[tok] = child
     elif keep_right if left_small else keep_left:
         # The large side's edges carry over unchanged, and w is its
@@ -311,12 +314,11 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
     else:
         edges = {}
     for tok, child in small_edges.items():
-        other = large_edges.get(tok)
-        if other is None:
-            other = make_tail(tok.arity, large.default)
+        n = tok.arity
+        other = large_edges.get(tok) or (make_tail(n, large.default) if n else large.default)
         child = (_combine(child, other, f, keep_left, keep_right) if left_small
                  else _combine(other, child, f, keep_left, keep_right))
-        if not _redundant(child, tok.arity, w):
+        if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
             edges[tok] = child
         elif tok in edges:
             del edges[tok]
@@ -431,21 +433,21 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     ``own`` is the stream's own set, ``added``/``removed`` are the
     requested halves, and ``interests`` is the routing trie the audience
     is read from (the mux passes ``observation_bodies(routes)``).
-    Returns six canonical tries and a set, ``(routes_new, own_new,
-    applied_added, applied_removed, visible_added, visible_removed,
-    audience)``.  Pointwise, for each value x:
+    Returns four canonical tries and a set, ``(routes_new, own_new,
+    visible_added, visible_removed, audience)``.  Pointwise, for each
+    value x:
 
-    - x in ``own`` and in ``removed``: ``sid`` leaves x's leaf set, and x
-      is applied as removed; it is visible if the leaf set empties;
-    - x not in ``own`` and in ``added``: ``sid`` joins x's leaf set, and x
-      is applied as added; it is visible if the leaf set was empty;
+    - x in ``own`` and in ``removed``: ``sid`` leaves x's leaf set and
+      the own set; x is visible if the leaf set empties;
+    - x not in ``own`` and in ``added``: ``sid`` joins x's leaf set and
+      the own set; x is visible if the leaf set was empty;
     - otherwise nothing changes at x.
 
-    The audience is the union of ``interests``' leaf sets at the visible
-    values, ``leaves_meeting(interests, visible_added, visible_removed)``.
-    The walk does that, ``limit`` of the request against ``own``, the
-    routing update, ``aggregate_visibility`` and ``apply_patch`` on
-    ``own`` at once.
+    A subtree the walk leaves unchanged is returned as it came, so
+    ``own_new`` is ``own`` itself exactly when ``limit`` of the request
+    against ``own`` is empty.  The audience is the union of
+    ``interests``' leaf sets at the visible values,
+    ``leaves_meeting(interests, visible_added, visible_removed)``.
 
     The walk goes down the edges of ``added`` and ``removed``.  Under a
     removal wildcard it also goes down ``own``'s edges, since only what
@@ -453,18 +455,17 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     ``routes`` and ``interests`` only under an addition wildcard or
     where ``own`` has a default; elsewhere the visible change has no
     default, so an edge of ``interests`` off the walk meets none of it.
-    Any other edge of ``routes`` or ``own`` is carried over unchanged,
-    under an unchanged default, so it stays canonical; the edges the
-    walk rebuilds are checked with ``_redundant``, as in ``combine``.
-    An update thus costs O(|patch| + |own set under its removal
-    wildcards| + |edges of routes and interests under its addition
-    wildcards|): retracting a wildcard costs what the stream holds under
-    it, not what the other streams hold or watch there.  Where
-    ``routes`` is empty, the stream's own set is empty too: the
-    additions are taken whole, and their audience read with
-    ``leaves_meeting``.  The walk recurses through ``_update_routes``,
-    which takes ``ids`` and ``audience`` as arguments, so a call leaves
-    no reference cycle behind (see the module docstring).
+    Where neither half has a default, those of ``routes`` and ``own``
+    carry over.  Other edges carry over unchanged, under an unchanged
+    default, so they stay canonical; rebuilt edges are checked with
+    ``_redundant``, as in ``combine``.  An update thus costs O(|patch| +
+    |own set under its removal wildcards| + |edges of routes and
+    interests under its addition wildcards|).  Where ``routes`` is
+    empty, so is the own set: the additions are taken whole, and their
+    audience read with ``leaves_meeting``.  The walk recurses through
+    ``_update_routes``, which takes ``ids`` and ``audience`` as
+    arguments, so a call leaves no reference cycle behind (see the
+    module docstring).
     """
     ids = frozenset((sid,))
     audience: set = set()
@@ -475,70 +476,73 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
     if o is EMPTY:
         d = EMPTY  # nothing to remove
     if a is EMPTY and d is EMPTY:
-        return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+        return r, o, EMPTY, EMPTY
     if r is EMPTY:
         if type(c) is Ok:
             audience.update(c.value)
         elif c is not EMPTY:
             audience.update(leaves_meeting(c, a))
-        return relabel(partial(_tag, ids), a), a, a, EMPTY, a, EMPTY
+        return relabel(partial(_tag, ids), a), a, a, EMPTY
     if type(r) is Ok:
         if d is not EMPTY:
             left = r.value - ids
             if left:
-                return Ok(left), EMPTY, EMPTY, d, EMPTY, EMPTY
+                return Ok(left), EMPTY, EMPTY, EMPTY
             if c is not EMPTY:
                 audience.update(c.value)
-            return EMPTY, EMPTY, EMPTY, d, EMPTY, d
+            return EMPTY, EMPTY, EMPTY, d
         if o is EMPTY:
-            return Ok(r.value | ids), a, a, EMPTY, EMPTY, EMPTY
-        return r, o, EMPTY, EMPTY, EMPTY, EMPTY
+            return Ok(r.value | ids), a, EMPTY, EMPTY
+        return r, o, EMPTY, EMPTY
     r_edges, rw = r.edges, r.default
     o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
     a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
     d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
     c_edges, cw = (c.edges, c.default) if c is not EMPTY else (_NO_EDGES, EMPTY)
-    wr, wo, wa, wd, wva, wvd = _update_routes(rw, ow, aw, dw, cw, ids, audience)
     # A dict, not a set, so that edges are visited in a fixed order.
     visit = {**a_edges, **d_edges}
-    if aw is not EMPTY or dw is not EMPTY:
+    if aw is EMPTY and dw is EMPTY:
+        wr, wo, wva, wvd = rw, ow, EMPTY, EMPTY
+    else:
+        wr, wo, wva, wvd = _update_routes(rw, ow, aw, dw, cw, ids, audience)
         visit.update(o_edges)
         if aw is not EMPTY or ow is not EMPTY:
             visit.update(r_edges)
             visit.update(c_edges)
-    er, eo, ea, ed, eva, evd = dict(r_edges), dict(o_edges), {}, {}, {}, {}
+    same = wo is ow
+    er, eo, eva, evd = dict(r_edges), dict(o_edges), {}, {}
     for tok in visit:
         n = tok.arity
         # A missing edge reads as its default's tail (a trie is never falsy).
-        kr, ko, ka, kd, kva, kvd = _update_routes(
+        ko = o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow)
+        kr, kn, kva, kvd = _update_routes(
             r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
-            o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow),
+            ko,
             a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
             d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
             c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
             ids, audience,
         )
+        if kn is ko and wo is ow:
+            continue  # unchanged here, under unchanged defaults
+        same = False
         if kr is EMPTY if wr is EMPTY else _redundant(kr, n, wr):
             er.pop(tok, None)
         else:
             er[tok] = kr
-        if ko is EMPTY if wo is EMPTY else _redundant(ko, n, wo):
+        if kn is EMPTY if wo is EMPTY else _redundant(kn, n, wo):
             eo.pop(tok, None)
         else:
-            eo[tok] = ko
-        if ka is not EMPTY if wa is EMPTY else not _redundant(ka, n, wa):
-            ea[tok] = ka
-        if kd is not EMPTY if wd is EMPTY else not _redundant(kd, n, wd):
-            ed[tok] = kd
+            eo[tok] = kn
         if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
             eva[tok] = kva
         if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
             evd[tok] = kvd
+    if same:
+        return r, o, EMPTY, EMPTY
     return (
         Branch(wr, er) if er or wr is not EMPTY else EMPTY,
         Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
-        Branch(wa, ea) if ea or wa is not EMPTY else EMPTY,
-        Branch(wd, ed) if ed or wd is not EMPTY else EMPTY,
         Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
         Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )

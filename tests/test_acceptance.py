@@ -6,11 +6,16 @@ forms, deterministic traces, routing against an independent shadow
 model, the full-state adapter, example transcripts, failure isolation,
 cross-layer assertion sets, benchmark cost shapes, and dataflow repair.
 """
+import importlib.util
+import pathlib
 import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
+from dataspace import facet, trie
 from dataspace.cli import (
     bench_broadcast,
     bench_conn_scale,
@@ -558,6 +563,52 @@ def test_benchmark_shapes():
     assert a > 0  # per-delivery floor survives amortization
     assert points[0][1] >= points[-1][1]  # trend decreases with k
     assert time.monotonic() - started <= 600
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, the benchmark's actor programs, loaded as a module."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _calls_per_op(w, modules, ops: int) -> dict:
+    """Run ``ops`` requests of workload ``w``; return the calls made per
+    op into each of ``modules``, by module name."""
+    files = {m.__file__: m.__name__ for m in modules}
+    calls = Counter()
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            calls[files[frame.f_code.co_filename]] += 1
+
+    sys.setprofile(count)
+    try:
+        for _ in range(ops):
+            w.ds.handle(w.request())
+    finally:
+        sys.setprofile(None)
+    assert w.check()
+    return {name: calls[name] / ops for name in files.values()}
+
+
+def test_presence_work_per_member_is_flat():
+    # A cost shape gated by counted work, not time: the counts are exact
+    # for a seed, so the gate needs no retries and load cannot flake it.
+    # A churn op notifies each of the K members once, so its trie and
+    # facet work per member may not grow with K.
+    workloads = _bench_workloads()
+    per_member = {}
+    for k in (8, 32, 100):
+        w = type("Presence", (workloads.Presence,), {"size": k})(1)
+        for _ in range(w.warmup_ops):
+            w.ds.handle(w.request())
+        per_member[k] = {name: n / k for name, n in _calls_per_op(w, (trie, facet), 10).items()}
+    for name in (trie.__name__, facet.__name__):
+        points = [(k, counts[name]) for k, counts in per_member.items()]
+        assert flatness(points) <= 2.0, (name, points)
 
 
 # ---------------------------------------------------------------------------

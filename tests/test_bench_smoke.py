@@ -4,9 +4,11 @@
 rename or a fusion that leaves one unwrapped would read as zero calls
 rather than fail.  These runs pin the per-op counts of the two round
 trip workloads: two projections per op (the client's capture and its
-one known-before probe), one mux update per layer crossed, and three
+one known-before probe), one mux update per layer crossed, three
 ``combine`` calls per op on both (a nested layer's relay hears the
-visible change without intersecting it with its interests).
+visible change without intersecting it with its interests), and one
+dataflow repair per op, the box's (a flush with no damage repairs
+nothing).
 
 The benchmark scripts run from a copy, next to a link to the sources,
 so that their output stays out of the source tree.
@@ -43,3 +45,4 @@ def test_traced_run_counts_hot_entry_points(tmp_path, workload, updates_per_op):
     assert metrics["trie.project.calls"] == 2 * ops
     assert metrics["trie.combine.calls"] == 3 * ops
     assert metrics["mux.updates"] == updates_per_op * ops
+    assert metrics["dataflow.repairs"] == ops

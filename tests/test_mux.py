@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 from collections import Counter
@@ -55,8 +56,12 @@ def test_no_op_patch_produces_no_events():
     m = Mux()
     m.add_stream(assert_patch(observe(pres(WILDCARD))))
     s, _, _ = m.add_stream(assert_patch(pres(S("a"))))
-    applied, events = m.update_stream(s, assert_patch(pres(S("a"))))
-    assert applied.is_empty() and events == []
+    before, routes = m.streams[s], m.routes
+    own, events = m.update_stream(s, assert_patch(pres(S("a"))))
+    # A patch that changes nothing leaves the stream's set as it was:
+    # the same object, not an equal copy.
+    assert own is before and m.streams[s] is before and m.routes is routes
+    assert events == []
 
 
 def test_events_ascending_stream_order():
@@ -87,15 +92,18 @@ def test_remove_stream_retracts_everything():
     assert s not in m.streams
 
 
-def _trie_calls(thunk):
-    """Run ``thunk``; return its result and how many calls it made into
-    the trie module, a measure of its trie work."""
-    calls = 0
+#: The directory of the ``dataspace`` package's modules.
+PACKAGE = os.path.dirname(trie.__file__)
+
+
+def _module_calls(thunk):
+    """Run ``thunk``; return its result and the calls it made into each
+    ``dataspace`` module, by the module's file."""
+    calls = Counter()
 
     def count(frame, event, _arg):
-        nonlocal calls
-        if event == "call" and frame.f_code.co_filename == trie.__file__:
-            calls += 1
+        if event == "call" and os.path.dirname(frame.f_code.co_filename) == PACKAGE:
+            calls[frame.f_code.co_filename] += 1
 
     sys.setprofile(count)
     try:
@@ -103,6 +111,13 @@ def _trie_calls(thunk):
     finally:
         sys.setprofile(None)
     return result, calls
+
+
+def _trie_calls(thunk):
+    """Run ``thunk``; return its result and how many calls it made into
+    the trie module, a measure of its trie work."""
+    result, calls = _module_calls(thunk)
+    return result, calls[trie.__file__]
 
 
 def test_remove_stream_work_does_not_grow_with_what_it_watched():
@@ -142,11 +157,11 @@ def test_wildcard_retraction_work_does_not_grow_with_peers():
         holder, _, _ = m.add_stream(assert_patch(pres(3), pres("3")))
         ref = Mux()
         ref.next_id, ref.streams, ref.routes = m.next_id, dict(m.streams), m.routes
-        ref_applied, ref_events = ref.update_stream(holder, retract_patch(pres(3), pres("3")))
-        (applied, events), calls = _trie_calls(
+        ref_own, ref_events = ref.update_stream(holder, retract_patch(pres(3), pres("3")))
+        (own, events), calls = _trie_calls(
             lambda: m.update_stream(holder, retract_patch(pres(WILDCARD)))
         )
-        assert applied == ref_applied and events == ref_events
+        assert own == ref_own == ref.streams[holder] and events == ref_events
         assert events == [(watcher, retract_patch(pres("3")))]
         assert m.routes == ref.routes and m.streams == ref.streams
         work.append(calls)
@@ -244,8 +259,9 @@ def _round_trip_trie_work(monkeypatch, box_action):
     """Trie work of one box round trip: the client, told to bump, sends
     set-box(n), and the box (spawned by ``box_action``) re-asserts
     box-state(n), which the client learns.  Returns the calls made to
-    ``combine``, ``update_routes`` and ``leaves_meeting``, and the calls
-    made into the trie module."""
+    ``combine``, ``update_routes`` and ``leaves_meeting``, the calls made
+    into the trie module, and the calls made into any ``dataspace``
+    module, a measure of the round trip's whole kernel work."""
     bump = lambda n: Record(S("bump"), (n,))
     learned = []
 
@@ -269,20 +285,22 @@ def _round_trip_trie_work(monkeypatch, box_action):
 
     for name in ("combine", "update_routes", "leaves_meeting"):
         monkeypatch.setattr(trie, name, counting(name))
-    _, total = _trie_calls(lambda: ds.handle(Message(bump(2))))
+    _, by_module = _module_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
-    return calls, total
+    return calls, by_module[trie.__file__], sum(by_module.values())
 
 
 def test_box_round_trip_trie_work(monkeypatch):
     # The counts are deterministic, so the bounds are exact: trie work on
     # this path may not creep back, neither as set operations nor inside
     # the mux's routing walk.
-    calls, total = _round_trip_trie_work(monkeypatch, spawn_actor("box", _box(box_state, set_box)))
+    calls, total, kernel = _round_trip_trie_work(monkeypatch, spawn_actor("box", _box(box_state, set_box)))
     assert calls["combine"] <= 3 and calls["update_routes"] == 1, calls
     # The routing walk reads the audience as it goes.
     assert calls["leaves_meeting"] == 0, calls
-    assert total <= 90, total
+    assert total <= 75, total
+    # Nor may the fixed cost of a turn, a flush or a delivery creep back.
+    assert kernel <= 185, kernel
 
 
 def test_relay_round_trip_trie_work(monkeypatch):
@@ -292,12 +310,13 @@ def test_relay_round_trip_trie_work(monkeypatch):
     # unrestricted, since dropping it to the outer layer selects what
     # the relay watches anyway.
     box = _box(lambda n: outbound(box_state(n)), lambda n: inbound(set_box(n)))
-    calls, total = _round_trip_trie_work(
+    calls, total, kernel = _round_trip_trie_work(
         monkeypatch, spawn_dataspace([spawn_actor("box", box)], name="inner")
     )
     assert calls["combine"] <= 3 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0, calls
-    assert total <= 140, total
+    assert total <= 115, total
+    assert kernel <= 260, kernel
 
 
 def test_wildcard_interest_intersected_with_concrete_change():
