@@ -9,7 +9,8 @@ container, which translates between the layer's own vocabulary and the
 ``outbound``/``inbound`` wrappers used across the boundary.
 
 The relay subscribes to ``outbound(_)`` and ``observe(inbound(_))``
-(``relay_interests``), exactly the parts of a patch that
+(``relay_interests``, one trie every layer shares, installed by a
+trusted disjoint patch), exactly the parts of a patch that
 ``patch.drop_outbound`` reads.  The mux therefore hands the relay the
 whole visible change without intersecting it with those interests
 (``Mux(relay=META)``), and ``_outward`` selects them as it translates.
@@ -18,12 +19,14 @@ the relay does not watch, the container would hear changes to it.
 ``tests/test_engine.py::test_relay_translation_needs_no_restriction``
 checks that translating a patch equals translating its intersection
 with the relay's interests.
+
+Messages and spawn requests, like patches, are immutable slotted
+objects (``values.Frozen``).
 """
 from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from . import trie
@@ -40,16 +43,20 @@ from .patch import (
 )
 from .mux import Mux, StreamId
 from .trace import Tracer
-from .values import NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound
+from .values import Frozen, NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound, slot_setter
 
 
-@dataclass(frozen=True)
-class Message:
-    body: Value
+class Message(Frozen):
+    __slots__ = ("body",)
+
+    def __init__(self, body: Value):
+        _set_body(self, body)
+
+    def _state(self) -> tuple:
+        return (self.body,)
 
 
-@dataclass(frozen=True)
-class Spawn:
+class Spawn(Frozen):
     """Request to create an actor; ``boot(identity)`` returns (handler,
     startup actions).
 
@@ -57,8 +64,19 @@ class Spawn:
     the new actor's ``name#sid``, unique across nested layers.
     """
 
-    boot: Callable
-    name: str = "actor"
+    __slots__ = ("boot", "name")
+
+    def __init__(self, boot: Callable, name: str = "actor"):
+        _set_boot(self, boot)
+        _set_name(self, name)
+
+    def _state(self) -> tuple:
+        return (self.boot, self.name)
+
+
+_set_body = slot_setter(Message, "body")
+_set_boot = slot_setter(Spawn, "boot")
+_set_name = slot_setter(Spawn, "name")
 
 
 #: Marker an actor includes in its returned actions to terminate itself.
@@ -79,6 +97,13 @@ META = 0  # stream id of the relay to the containing layer
 
 
 class Dataspace(Actor):
+    #: The relay subscribes on behalf of the container: it must see
+    #: outbound assertions and interest in inbound ones.  Every layer
+    #: shares this one trie.
+    relay_interests = trie.assertion_set(
+        [observe(outbound(WILDCARD)), observe(observe(inbound(WILDCARD)))]
+    )
+
     def __init__(
         self,
         boot_actions: List[Action],
@@ -94,14 +119,8 @@ class Dataspace(Actor):
         self.names: dict = {META: "<relay>"}
         self.crashes: dict = {}
         self.pending: deque = deque()
-        sid, _, _ = self.mux.add_stream(EMPTY_PATCH)
+        sid, _, _ = self.mux.add_stream(Patch.disjoint(self.relay_interests, trie.EMPTY))
         assert sid == META
-        # The relay subscribes on behalf of the container: it must see
-        # outbound assertions and interest in inbound ones.
-        self.relay_interests = trie.assertion_set(
-            [observe(outbound(WILDCARD)), observe(observe(inbound(WILDCARD)))]
-        )
-        self.mux.update_stream(META, Patch(self.relay_interests, trie.EMPTY))
         for a in boot_actions:
             self._enqueue(META, a, -1)
 

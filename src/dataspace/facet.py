@@ -21,12 +21,15 @@ one, if known before and not after (a removal need not have been known).
 Both the captures and whether an instance is known are read by
 projection (``trie.project``) over the subscription's compiled items
 (``Endpoint.items``, from ``trie.spec_items``), made once each time the
-endpoint's pattern is resolved.  An instance's items are the endpoint's
-with each capture's tokens spliced in at its capture mark; they hold no
-captures, so their projection onto what is known is ``UNIT`` exactly
-when the instance is known.  A message is matched against the same
-items, in one pass over the body: atoms by kind and payload, compounds
-by label and arity.
+endpoint's pattern is resolved.  The trie the endpoint asserts is
+compiled from the same items under an ``observe`` push token
+(``trie.compile_items`` reads the capture marks as wildcards), with no
+wildcarded copy of the pattern built.  An instance's items are the
+endpoint's with each capture's tokens spliced in at its capture mark;
+they hold no captures, so their projection onto what is known is
+``UNIT`` exactly when the instance is known.  A message is matched
+against the same items, in one pass over the body: atoms by kind and
+payload, compounds by label and arity.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -58,8 +61,10 @@ from .patch import Patch, apply_patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
+    OBSERVE,
     AtomTok,
     NotAValue,
+    PushTok,
     Record,
     Symbol,
     Value,
@@ -79,6 +84,9 @@ PRIORITY_QUERY_ADD = 1
 PRIORITY_DEFAULT = 2
 
 _INSTANCE = Symbol("instance")
+#: The item of an ``observe(…)`` record's push token: a subscription
+#: asserts its items under it.
+_OBSERVE = PushTok((OBSERVE, 1))
 
 
 class InfiniteMatchSet(Exception):
@@ -475,7 +483,7 @@ class ActorRuntime(Actor):
             pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
             ep.items = trie.spec_items(pat)
-            new = trie.compile_pattern(observe(_wildify(pat)))
+            new = trie.compile_items([_OBSERVE] + ep.items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
 

@@ -21,41 +21,47 @@ facet runtime's flush.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Value, format_value, inbound, unwrap
+from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, Value, format_value, inbound, slot_setter, unwrap
 from .trie import EMPTY, Trie
 
 
-@dataclass(frozen=True)
-class Patch:
-    added: Trie
-    removed: Trie
+class Patch(Frozen):
+    __slots__ = ("added", "removed")
+    __hash__ = None  # its halves are tries, which do not hash
 
-    def __post_init__(self):
+    def __init__(self, added: Trie, removed: Trie):
         # Normalize: an assertion both added and removed cancels out.
-        if not trie.may_meet(self.added, self.removed):
-            return
-        overlap = trie.intersect(self.added, self.removed)
-        if overlap is not EMPTY:
-            object.__setattr__(self, "added", trie.subtract(self.added, overlap))
-            object.__setattr__(self, "removed", trie.subtract(self.removed, overlap))
+        if trie.may_meet(added, removed):
+            overlap = trie.intersect(added, removed)
+            if overlap is not EMPTY:
+                added, removed = trie.subtract(added, overlap), trie.subtract(removed, overlap)
+        _set_added(self, added)
+        _set_removed(self, removed)
 
     @classmethod
     def disjoint(cls, added: Trie, removed: Trie) -> "Patch":
         """A patch from halves the caller knows to be disjoint; not normalized."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "added", added)
-        object.__setattr__(p, "removed", removed)
+        p = _new(cls)
+        _set_added(p, added)
+        _set_removed(p, removed)
         return p
+
+    def _state(self) -> tuple:
+        return (self.added, self.removed)
 
     def is_empty(self) -> bool:
         return self.added is EMPTY and self.removed is EMPTY
 
     def __repr__(self) -> str:
         return render(self)
+
+
+_new = object.__new__
+_set_added = slot_setter(Patch, "added")
+_set_removed = slot_setter(Patch, "removed")
 
 
 EMPTY_PATCH = Patch(EMPTY, EMPTY)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO
 
-from .values import Record, Symbol, format_value, parse_text
+from .values import Frozen, Record, Symbol, format_value, parse_text, slot_setter
 
 KINDS = (
     "action-produced",
@@ -31,13 +30,21 @@ HEADER = "#trace-v1"
 ENV_VAR = "DATASPACE_TRACE"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    seq: int
-    cause: int  # seq of the record this one reacts to; -1 for roots
-    path: tuple  # actor path, outermost first
-    kind: str
-    payload: str  # canonical text of the value/patch involved
+class TraceRecord(Frozen):
+    __slots__ = (
+        "seq",
+        "cause",  # seq of the record this one reacts to; -1 for roots
+        "path",  # actor path, outermost first
+        "kind",
+        "payload",  # canonical text of the value/patch involved
+    )
+
+    def __init__(self, seq: int, cause: int, path: tuple, kind: str, payload: str):
+        for set_field, value in zip(_SETTERS, (seq, cause, path, kind, payload)):
+            set_field(self, value)
+
+    def _state(self) -> tuple:
+        return (self.seq, self.cause, self.path, self.kind, self.payload)
 
     def to_value(self) -> Record:
         return Record(
@@ -51,6 +58,9 @@ class TraceRecord:
             raise ValueError(f"not a trace record: {v!r}")
         seq, cause, path, kind, payload = v.fields
         return TraceRecord(seq, cause, tuple(str(p) for p in path), kind.name, payload)
+
+
+_SETTERS = tuple(slot_setter(TraceRecord, name) for name in TraceRecord.__slots__)
 
 
 class Tracer:

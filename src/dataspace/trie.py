@@ -13,8 +13,19 @@ The kernel's operations are the set operations ``union``,
 the routing walk ``update_routes``, and the read-only walks
 ``search_value`` (one value's leaf) and ``leaves_meeting``.
 
+A pattern compiles to a chain, one node per pre-order item: a token is
+an edge and a wildcard a default.  It is built as a right fold, with
+an explicit stack, so a pattern of any depth compiles without
+recursion.  ``compile_pattern`` folds straight off the pattern, since
+listing its items first would make the compile of a small pattern, as
+an actor asserts one per change, dearer than the fold itself.
+``compile_items`` folds a spec's pre-order items (``spec_items``) and
+reads a capture mark as a wildcard, so a subscription compiles the
+trie it asserts from the items its projections walk.
+
 Equality is structural, with an identity fast path, and walks the two
-tries with an explicit stack, so deep tries compare without recursion.
+tries with an explicit stack, so deep tries compare without recursion;
+so does ``render``.
 Canonical form is kept per rebuilt edge: ``combine`` checks
 only the edges it recomputes, because an edge copied unchanged from a
 canonical operand, under that operand's own default, stays canonical.
@@ -60,17 +71,14 @@ from .values import (
     AtomTok,
     PushTok,
     Record,
+    Symbol,
     Value,
     WILDCARD,
     CAPTURE,
     atom_kind,
     atom_token,
     check_value,
-    decompose,
-    is_atom,
-    is_compound,
     parse_exact,
-    push_token,
     token_sort_key,
 )
 
@@ -197,26 +205,59 @@ def branch(default: Trie, edges: dict) -> Trie:
 # Pattern compilation
 
 
+#: The kinds of the atom types but float, whose NaN ``atom_kind`` refuses:
+#: an atom of exactly one of these types is told apart in one lookup.
+_KIND_OF_TYPE = {bool: "bool", int: "int", str: "str", Symbol: "symbol"}
+#: Marks, on ``compile_pattern``'s stack, that the push token under it is
+#: due: the fields of its compound are all folded in.
+_FOLD_PUSH = object()
+
+
 def compile_pattern(pattern) -> Trie:
-    """Compile a wildcard-capable pattern into a canonical unit trie."""
-    return _compile(pattern, UNIT)
+    """Compile a wildcard-capable pattern into a canonical unit trie.
+
+    The same right fold as ``compile_items``, made straight off the
+    pattern rather than off a list of its items: the stack holds the
+    parts still to fold, the last on top, and a compound's push token
+    waits under its fields until they are folded in.  Raises ValueError
+    for a capture mark or for a part that is neither a pattern nor a
+    value, and NotAValue for NaN."""
+    k = UNIT
+    todo = [pattern]
+    while todo:
+        p = todo.pop()
+        kind = _KIND_OF_TYPE.get(type(p))
+        if kind is not None:
+            k = Branch(EMPTY, {AtomTok((kind, p)): k})
+        elif p is _FOLD_PUSH:
+            k = Branch(EMPTY, {todo.pop(): k})
+        elif isinstance(p, Record):
+            fields = p.fields
+            todo += (PushTok((p.label, len(fields))), _FOLD_PUSH)
+            todo += fields
+        elif p is WILDCARD:
+            k = Branch(k, {})
+        elif isinstance(p, tuple):
+            todo += (PushTok((None, len(p))), _FOLD_PUSH)
+            todo += p
+        elif p is CAPTURE:
+            raise ValueError("capture marks are not allowed in plain patterns")
+        else:
+            kind = atom_kind(p)
+            if kind is None:
+                raise ValueError(f"not a pattern: {p!r}")
+            k = Branch(EMPTY, {AtomTok((kind, p)): k})
+    return k
 
 
-def _compile(p, k: Trie) -> Trie:
-    # k is never EMPTY, so each node is canonical as built.
-    if is_compound(p):
-        label, fields = decompose(p)
-        for f in reversed(fields):
-            k = _compile(f, k)
-        return Branch(EMPTY, {PushTok((label, len(fields))): k})
-    if p is WILDCARD:
-        return Branch(k, {})
-    if p is CAPTURE:
-        raise ValueError("capture marks are not allowed in plain patterns")
-    kind = atom_kind(p)
-    if kind is None:
-        raise ValueError(f"not a pattern: {p!r}")
-    return Branch(EMPTY, {AtomTok((kind, p)): k})
+def compile_items(items: list) -> Trie:
+    """The unit trie of a pattern's pre-order items (``spec_items``), a
+    capture mark read as a wildcard: a right fold, one chain node per
+    item, each canonical as built (its continuation is never EMPTY)."""
+    k = UNIT
+    for item in reversed(items):
+        k = Branch(k, {}) if item is WILDCARD or item is CAPTURE else Branch(EMPTY, {item: k})
+    return k
 
 
 def assertion_set(values: Iterable[Value]) -> Trie:
@@ -589,20 +630,30 @@ def leaves_meeting(t: Trie, *probes: Trie) -> set:
 def spec_items(spec) -> list:
     """A projection spec's pre-order items: tokens, ``WILDCARD`` and
     ``CAPTURE``.  A subscription's items are made once, when its pattern
-    is resolved, and every projection of it walks them."""
+    is resolved; every projection of it walks them, and they compile to
+    its trie (``compile_items``).  The walk keeps its own stack, and
+    works out each atom's kind once."""
     items: list = []
     todo = [spec]
     while todo:
         p = todo.pop()
-        if p is WILDCARD or p is CAPTURE:
+        kind = _KIND_OF_TYPE.get(type(p))
+        if kind is not None:
+            items.append(AtomTok((kind, p)))
+        elif p is WILDCARD or p is CAPTURE:
             items.append(p)
-        elif is_compound(p):
-            items.append(push_token(p))
-            todo.extend(reversed(decompose(p)[1]))
-        elif is_atom(p):
-            items.append(atom_token(p))
+        elif isinstance(p, tuple):
+            items.append(PushTok((None, len(p))))
+            todo.extend(reversed(p))
+        elif isinstance(p, Record):
+            fields = p.fields
+            items.append(PushTok((p.label, len(fields))))
+            todo.extend(reversed(fields))
         else:
-            raise ValueError(f"not a projection spec: {p!r}")
+            kind = atom_kind(p)
+            if kind is None:
+                raise ValueError(f"not a pattern: {p!r}")
+            items.append(AtomTok((kind, p)))
     return items
 
 
@@ -690,16 +741,25 @@ def _members(t: Trie, wild) -> tuple:
 
 
 def render(t: Trie) -> str:
-    """Stable debug rendering: mt, ok(α), br(default, {tok→…})."""
-    if t is EMPTY:
-        return "mt"
-    if isinstance(t, Ok):
-        return f"ok({_format_leaf(t.value)})"
-    items = ", ".join(
-        f"{tok!r}→{render(t.edges[tok])}"
-        for tok in sorted(t.edges, key=token_sort_key)
-    )
-    return f"br({render(t.default)}, {{{items}}})"
+    """Stable debug rendering: mt, ok(α), br(default, {tok→…}).  The
+    walk keeps its own stack of tries and text still to write."""
+    out: list = []
+    todo: list = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is str:
+            out.append(t)
+        elif t is EMPTY:
+            out.append("mt")
+        elif type(t) is Ok:
+            out.append(f"ok({_format_leaf(t.value)})")
+        else:
+            parts: list = ["br(", t.default, ", {"]
+            for i, tok in enumerate(sorted(t.edges, key=token_sort_key)):
+                parts += [", " if i else "", f"{tok!r}→", t.edges[tok]]
+            parts.append("})")
+            todo.extend(reversed(parts))
+    return "".join(out)
 
 
 #: The unary push tokens of the labels that cross layers, made once.

@@ -8,12 +8,16 @@ which each compound contributes an arity-tagged push token followed by
 its fields; that sequence is the key format used by the trie index.
 ``serialize`` writes a value's tokens, and ``parse_exact`` reads the
 values back off a trie path when a trie is enumerated.
+
+A record is an immutable slotted object (``Frozen``) that compares and
+hashes by its label and fields.  The engine's messages and spawn
+requests, patches and trace records are ``Frozen`` too, so no part of
+the package imports ``dataclasses``.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -43,15 +47,68 @@ class Symbol:
         return self.name < other.name
 
 
-@dataclass(frozen=True)
-class Record:
+class Frozen:
+    """Base of the immutable slotted classes: values, events and trace
+    records.
+
+    A subclass lists its fields in ``__slots__``, sets each once in its
+    constructor through the slot's own descriptor (``slot_setter``), and
+    returns them in order from ``_state``.  Assigning or deleting a field
+    afterwards raises AttributeError.  Two objects are equal when they
+    are of the same class and their fields are equal, and equal ones
+    hash equal; the repr names the fields.  A slotted object is cheaper
+    to build and to hold than a frozen dataclass's, and the package
+    need not import ``dataclasses``.
+    """
+
+    __slots__ = ()
+
+    def _state(self) -> tuple:
+        raise NotImplementedError
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._state() == other._state()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._state())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._state()))
+        return f"{type(self).__name__}({fields})"
+
+
+def slot_setter(cls, name: str):
+    """The function setting field ``name`` of a ``Frozen`` subclass, past
+    its ``__setattr__``."""
+    return cls.__dict__[name].__set__
+
+
+class Record(Frozen):
     """A labeled compound value: a named constructor applied to fields."""
 
-    label: Symbol
-    fields: tuple
+    __slots__ = ("label", "fields")
+
+    def __init__(self, label: Symbol, fields: tuple):
+        _set_label(self, label)
+        _set_fields(self, fields)
+
+    def _state(self) -> tuple:
+        return (self.label, self.fields)
 
     def __repr__(self) -> str:
         return format_value(self)
+
+
+_set_label = slot_setter(Record, "label")
+_set_fields = slot_setter(Record, "fields")
 
 
 class _Wildcard:

@@ -611,6 +611,40 @@ def test_presence_work_per_member_is_flat():
         assert flatness(points) <= 2.0, (name, points)
 
 
+def _setup_calls(cls) -> Counter:
+    """Calls made into each function of the ``dataspace`` package while
+    one fresh copy of workload ``cls`` is set up, by (file, name)."""
+    package = pathlib.Path(trie.__file__).parent
+    calls = Counter()
+
+    def count(frame, event, _arg):
+        if event == "call":
+            path = pathlib.Path(frame.f_code.co_filename)
+            if path.parent == package:
+                calls[(path.name, frame.f_code.co_name)] += 1
+
+    cls(1)  # the first copy settles what is built once per process
+    sys.setprofile(count)
+    try:
+        cls(1)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_setup_work_is_bounded():
+    # Conversations start all the time, so the fixed cost of starting
+    # actors and layers is gated by counted work, as a round trip's is.
+    # A subscription compiles its trie from its items, and every layer
+    # shares one relay-interests trie, so the box's own assertion is the
+    # one pattern a box set-up compiles.
+    workloads = _bench_workloads()
+    box, relay = _setup_calls(workloads.Box), _setup_calls(workloads.Relay)
+    assert box[("trie.py", "compile_pattern")] <= 1, box
+    assert sum(box.values()) <= 420, sum(box.values())
+    assert sum(relay.values()) <= 610, sum(relay.values())
+
+
 # ---------------------------------------------------------------------------
 # 12. Dataflow repair behavior
 

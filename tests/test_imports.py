@@ -5,7 +5,10 @@ method the package defines is named somewhere in the sources, tests or
 benchmark; one of a kernel module must be named by the sources or the
 benchmark outside its own body."""
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -53,6 +56,19 @@ def function_imports(source: str) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_leaves_dataclasses_and_inspect_unimported():
+    # Neither is needed, and together they pull in ast and dis: start-up
+    # time and memory every run would pay.
+    code = (
+        "import sys\nimport dataspace.engine, dataspace.facet, dataspace.trace\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dataspace.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["[]"]
 
 
 def test_scan_finds_an_unused_import():

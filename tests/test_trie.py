@@ -30,6 +30,7 @@ from dataspace.trie import (
 )
 from dataspace.values import (
     CAPTURE,
+    OBSERVE,
     NotAValue,
     PushTok,
     Record,
@@ -128,7 +129,7 @@ def test_key_set_refuses_infinite():
 
 
 def test_key_set_reads_back_a_deeply_nested_value():
-    # Built by hand, because compile_pattern takes a frame per level.
+    # Built by hand, so that only the enumeration is under test.
     depth = 1500
     t = Branch(EMPTY, {atom_token(1): trie.UNIT})
     for _ in range(depth):
@@ -139,6 +140,78 @@ def test_key_set_reads_back_a_deeply_nested_value():
         assert type(v) is tuple and len(v) == 1
         (v,) = v
     assert (type(v), v) == (int, 1)
+
+
+def test_compile_pattern_takes_a_deeply_nested_value():
+    depth = 1500
+    v = 1
+    for _ in range(depth):
+        v = (v,)
+    t = compile_pattern(v)
+    assert search_value(v, t) == ()
+    w = WILDCARD
+    for _ in range(depth):
+        w = (w,)
+    assert search_value(v, compile_pattern(w)) == ()
+
+
+def test_render_takes_a_wide_trie():
+    toks = ["⟪1000"] + [str(i) for i in range(1000)]
+    want = "".join(f"br(mt, {{{tok}→" for tok in toks) + "ok(())" + "})" * len(toks)
+    assert repr(compile_pattern(tuple(range(1000)))) == want
+
+
+SPEC_ATOMS = st.sampled_from([True, False, 0, 1, -2, 1.0, 0.5, "", "1", S("a"), S("1")])
+
+
+def _specs(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            st.lists(kids, max_size=3).map(tuple),
+            st.builds(
+                lambda label, fields: Record(label, tuple(fields)),
+                st.sampled_from([S("r"), OBSERVE]),
+                st.lists(kids, max_size=3),
+            ),
+        ),
+        max_leaves=10,
+    )
+
+
+concrete_values = _specs(SPEC_ATOMS)
+wild_patterns = _specs(st.one_of(SPEC_ATOMS, st.just(WILDCARD)))
+subscription_specs = _specs(st.one_of(SPEC_ATOMS, st.just(WILDCARD), st.just(CAPTURE)))
+
+
+def _replace_leaves(p, leaf):
+    if isinstance(p, tuple):
+        return tuple(_replace_leaves(f, leaf) for f in p)
+    if isinstance(p, Record):
+        return Record(p.label, tuple(_replace_leaves(f, leaf) for f in p.fields))
+    return leaf(p)
+
+
+@given(subscription_specs)
+def test_subscription_trie_compiles_from_its_items(spec):
+    # A subscription asserts observe(spec), its capture marks read as
+    # wildcards, compiled from the spec's own items.
+    t = trie.compile_items([PushTok((OBSERVE, 1))] + spec_items(spec))
+    wild = _replace_leaves(spec, lambda p: WILDCARD if p is CAPTURE else p)
+    assert t == compile_pattern(observe(wild))
+    assert check_wf(t, 1)
+
+
+@given(wild_patterns, st.lists(concrete_values, min_size=1, max_size=4), st.lists(concrete_values, max_size=4))
+def test_compiled_pattern_agrees_with_matching(p, fillers, others):
+    # The pattern with its wildcards filled in matches it; the other
+    # values may or may not.
+    fill = iter(fillers * 10)
+    filled = _replace_leaves(p, lambda q: next(fill, fillers[0]) if q is WILDCARD else q)
+    assert match(p, filled)
+    t = compile_pattern(p)
+    for v in [filled] + others:
+        assert (search_value(v, t) == ()) == match(p, v), v
 
 
 def test_search_key_must_be_one_value():

@@ -3,6 +3,10 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from dataspace.engine import Message, Spawn
+from dataspace.patch import Patch
+from dataspace.trace import TraceRecord
+from dataspace.trie import EMPTY, compile_pattern
 from dataspace.values import (
     AtomTok,
     MalformedTokens,
@@ -154,3 +158,44 @@ def test_unwrap_only_matching_ctor():
     assert unwrap(Symbol("observe"), v) is S("x")
     assert unwrap(Symbol("inbound"), v) is None
     assert unwrap(Symbol("observe"), S("x")) is None
+
+
+def test_value_and_event_types_are_immutable_and_compare_by_fields():
+    boot = lambda _identity: (None, [])
+    objects = {
+        "label": Record(S("r"), (1, "x")),
+        "body": Message(S("ping")),
+        "name": Spawn(boot, "worker"),
+        "added": Patch(compile_pattern(1), EMPTY),
+        "payload": TraceRecord(0, -1, ("ground",), "actor-spawned", "worker"),
+    }
+    for field, obj in objects.items():
+        before = getattr(obj, field)
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, field) is before
+    # Equal records are interchangeable as keys; the label and every
+    # field take part, and a record is no plain tuple.
+    r1, r2 = Record(S("r"), (1, "x")), Record(S("r"), (1, "x"))
+    assert r1 is not r2 and r1 == r2 and hash(r1) == hash(r2)
+    assert {r1: "first"}[r2] == "first"
+    assert r1 != Record(S("q"), (1, "x")) and r1 != Record(S("r"), (1, "y"))
+    assert r1 != (S("r"), (1, "x"))
+    # A patch holds tries, which do not hash.
+    with pytest.raises(TypeError):
+        hash(Patch(compile_pattern(1), EMPTY))
+    assert Patch(compile_pattern(1), EMPTY) == Patch(compile_pattern(1), EMPTY)
+    body = (S("ping"), [1])  # equality does not need a hashable body
+    assert Message(body) == Message(body) and Message(1) != Message(2)
+    assert Message(1) != 1 and hash(Message(S("ping"))) == hash(Message(S("ping")))
+    assert Spawn(boot, "worker") == Spawn(boot, name="worker") != Spawn(boot)
+    assert Spawn(boot).name == "actor"
+    assert TraceRecord(0, -1, (), "actor-exited", "") == TraceRecord(0, -1, (), "actor-exited", "")
+    assert repr(Message(1)) == "Message(body=1)"
+    assert repr(objects["payload"]) == (
+        "TraceRecord(seq=0, cause=-1, path=('ground',), kind='actor-spawned', payload='worker')"
+    )
