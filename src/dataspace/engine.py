@@ -43,14 +43,14 @@ from .patch import (
 )
 from .mux import Mux, StreamId
 from .trace import Tracer
-from .values import Frozen, NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound, slot_setter
+from .values import Frozen, NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound
 
 
 class Message(Frozen):
     __slots__ = ("body",)
 
     def __init__(self, body: Value):
-        _set_body(self, body)
+        object.__setattr__(self, "body", body)
 
     def _state(self) -> tuple:
         return (self.body,)
@@ -67,16 +67,11 @@ class Spawn(Frozen):
     __slots__ = ("boot", "name")
 
     def __init__(self, boot: Callable, name: str = "actor"):
-        _set_boot(self, boot)
-        _set_name(self, name)
+        object.__setattr__(self, "boot", boot)
+        object.__setattr__(self, "name", name)
 
     def _state(self) -> tuple:
         return (self.boot, self.name)
-
-
-_set_body = slot_setter(Message, "body")
-_set_boot = slot_setter(Spawn, "boot")
-_set_name = slot_setter(Spawn, "name")
 
 
 #: Marker an actor includes in its returned actions to terminate itself.

@@ -6,14 +6,14 @@ set so they describe only real change, apply to a set by removing then
 adding, and translate across a layer boundary.
 
 ``Patch(added, removed)`` normalizes: an assertion on both sides
-cancels out, at the cost of intersecting the two halves, unless the
-cheap ``trie.may_meet`` finds them disjoint first.  Patches that
-actors build go through it, and so do two operations whose halves can
-meet: ``from_sets`` (its two lists are arbitrary) and ``drop_outbound``
-(the nested layer's ``+outbound(observe(x))`` and
-``-observe(inbound(x))`` are different assertions inside, but both
-translate to the outer ``observe(x)``, and only cancelling the pair
-leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
+cancels out, at the cost of intersecting the two halves, unless one
+is empty or the cheap ``trie.may_meet`` finds them disjoint first.
+Patches that actors build go through it, and so do two operations
+whose halves can meet: ``from_sets`` (its two lists are arbitrary)
+and ``drop_outbound`` (the nested layer's ``+outbound(observe(x))``
+and ``-observe(inbound(x))`` are different assertions inside, but
+both translate to the outer ``observe(x)``, and only cancelling the
+pair leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
 and skips the intersection; it is for halves disjoint by construction:
 ``limit``, ``diff``, ``aggregate_visibility``, ``label_patch`` (which
 maps disjoint halves injectively), the mux's per-stream deltas, and the
@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, Value, format_value, inbound, slot_setter, unwrap
+from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, Value, format_value, inbound, unwrap
 from .trie import EMPTY, Trie
 
 
@@ -34,19 +34,19 @@ class Patch(Frozen):
 
     def __init__(self, added: Trie, removed: Trie):
         # Normalize: an assertion both added and removed cancels out.
-        if trie.may_meet(added, removed):
+        if added is not EMPTY and removed is not EMPTY and trie.may_meet(added, removed):
             overlap = trie.intersect(added, removed)
             if overlap is not EMPTY:
                 added, removed = trie.subtract(added, overlap), trie.subtract(removed, overlap)
-        _set_added(self, added)
-        _set_removed(self, removed)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "removed", removed)
 
     @classmethod
     def disjoint(cls, added: Trie, removed: Trie) -> "Patch":
         """A patch from halves the caller knows to be disjoint; not normalized."""
-        p = _new(cls)
-        _set_added(p, added)
-        _set_removed(p, removed)
+        p = object.__new__(cls)
+        object.__setattr__(p, "added", added)
+        object.__setattr__(p, "removed", removed)
         return p
 
     def _state(self) -> tuple:
@@ -57,11 +57,6 @@ class Patch(Frozen):
 
     def __repr__(self) -> str:
         return render(self)
-
-
-_new = object.__new__
-_set_added = slot_setter(Patch, "added")
-_set_removed = slot_setter(Patch, "removed")
 
 
 EMPTY_PATCH = Patch(EMPTY, EMPTY)

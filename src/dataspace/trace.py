@@ -12,7 +12,7 @@ import os
 import sys
 from typing import List, Optional, Sequence, TextIO
 
-from .values import Frozen, Record, Symbol, format_value, parse_text, slot_setter
+from .values import Frozen, Record, Symbol, format_value, parse_text
 
 KINDS = (
     "action-produced",
@@ -40,8 +40,8 @@ class TraceRecord(Frozen):
     )
 
     def __init__(self, seq: int, cause: int, path: tuple, kind: str, payload: str):
-        for set_field, value in zip(_SETTERS, (seq, cause, path, kind, payload)):
-            set_field(self, value)
+        for name, value in zip(self.__slots__, (seq, cause, path, kind, payload)):
+            object.__setattr__(self, name, value)
 
     def _state(self) -> tuple:
         return (self.seq, self.cause, self.path, self.kind, self.payload)
@@ -58,9 +58,6 @@ class TraceRecord(Frozen):
             raise ValueError(f"not a trace record: {v!r}")
         seq, cause, path, kind, payload = v.fields
         return TraceRecord(seq, cause, tuple(str(p) for p in path), kind.name, payload)
-
-
-_SETTERS = tuple(slot_setter(TraceRecord, name) for name in TraceRecord.__slots__)
 
 
 class Tracer:

@@ -6,22 +6,22 @@ and a branch with a default subtree (the wildcard continuation, which
 consumes one whole value) plus token-labeled edges.  Canonical form
 drops edges indistinguishable from the default and collapses empty
 branches, so two canonical tries denote the same set exactly when they
-are structurally equal.
+are structurally equal.  The empty trie reads as a branch with no edges
+and an empty default, so a walk may take a node's ``edges`` and
+``default`` without first testing it for emptiness.
 
 The kernel's operations are the set operations ``union``,
 ``intersect`` and ``subtract`` (all through ``combine``), ``project``,
 the routing walk ``update_routes``, and the read-only walks
 ``search_value`` (one value's leaf) and ``leaves_meeting``.
 
-A pattern compiles to a chain, one node per pre-order item: a token is
-an edge and a wildcard a default.  It is built as a right fold, with
-an explicit stack, so a pattern of any depth compiles without
-recursion.  ``compile_pattern`` folds straight off the pattern, since
-listing its items first would make the compile of a small pattern, as
-an actor asserts one per change, dearer than the fold itself.
-``compile_items`` folds a spec's pre-order items (``spec_items``) and
-reads a capture mark as a wildcard, so a subscription compiles the
-trie it asserts from the items its projections walk.
+A pattern compiles to a chain, one node per pre-order item
+(``spec_items``): a token is an edge and a wildcard a default.
+``compile_items`` builds it as a right fold over the items, reading a
+capture mark as a wildcard, and neither it nor ``spec_items``
+recurses, so a pattern of any depth compiles.  ``compile_pattern`` is
+that fold for a plain pattern, and a subscription compiles the trie it
+asserts from the items its projections walk.
 
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion;
@@ -65,13 +65,13 @@ from functools import partial
 from typing import Callable, Iterable
 
 from .values import (
+    ATOM_KIND_OF_TYPE,
     INBOUND,
     OBSERVE,
     OUTBOUND,
     AtomTok,
     PushTok,
     Record,
-    Symbol,
     Value,
     WILDCARD,
     CAPTURE,
@@ -94,12 +94,14 @@ class Trie:
 
 class _Empty(Trie):
     __slots__ = ()
+    edges: dict = {}  # never written to
 
     def __repr__(self) -> str:
         return "mt"
 
 
 EMPTY = _Empty()
+_Empty.default = EMPTY
 
 
 class Ok(Trie):
@@ -205,49 +207,15 @@ def branch(default: Trie, edges: dict) -> Trie:
 # Pattern compilation
 
 
-#: The kinds of the atom types but float, whose NaN ``atom_kind`` refuses:
-#: an atom of exactly one of these types is told apart in one lookup.
-_KIND_OF_TYPE = {bool: "bool", int: "int", str: "str", Symbol: "symbol"}
-#: Marks, on ``compile_pattern``'s stack, that the push token under it is
-#: due: the fields of its compound are all folded in.
-_FOLD_PUSH = object()
-
-
 def compile_pattern(pattern) -> Trie:
-    """Compile a wildcard-capable pattern into a canonical unit trie.
-
-    The same right fold as ``compile_items``, made straight off the
-    pattern rather than off a list of its items: the stack holds the
-    parts still to fold, the last on top, and a compound's push token
-    waits under its fields until they are folded in.  Raises ValueError
-    for a capture mark or for a part that is neither a pattern nor a
-    value, and NotAValue for NaN."""
-    k = UNIT
-    todo = [pattern]
-    while todo:
-        p = todo.pop()
-        kind = _KIND_OF_TYPE.get(type(p))
-        if kind is not None:
-            k = Branch(EMPTY, {AtomTok((kind, p)): k})
-        elif p is _FOLD_PUSH:
-            k = Branch(EMPTY, {todo.pop(): k})
-        elif isinstance(p, Record):
-            fields = p.fields
-            todo += (PushTok((p.label, len(fields))), _FOLD_PUSH)
-            todo += fields
-        elif p is WILDCARD:
-            k = Branch(k, {})
-        elif isinstance(p, tuple):
-            todo += (PushTok((None, len(p))), _FOLD_PUSH)
-            todo += p
-        elif p is CAPTURE:
-            raise ValueError("capture marks are not allowed in plain patterns")
-        else:
-            kind = atom_kind(p)
-            if kind is None:
-                raise ValueError(f"not a pattern: {p!r}")
-            k = Branch(EMPTY, {AtomTok((kind, p)): k})
-    return k
+    """Compile a wildcard-capable pattern into a canonical unit trie, the
+    fold of its pre-order items.  Raises ValueError for a capture mark or
+    for a part that is neither a pattern nor a value, and NotAValue for
+    NaN."""
+    items = spec_items(pattern)
+    if CAPTURE in items:
+        raise ValueError("capture marks are not allowed in plain patterns")
+    return compile_items(items)
 
 
 def compile_items(items: list) -> Trie:
@@ -356,7 +324,9 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
         edges = {}
     for tok, child in small_edges.items():
         n = tok.arity
-        other = large_edges.get(tok) or (make_tail(n, large.default) if n else large.default)
+        other = large_edges.get(tok) or (
+            make_tail(n, large.default) if n and large.default is not EMPTY else large.default
+        )
         child = (_combine(child, other, f, keep_left, keep_right) if left_small
                  else _combine(other, child, f, keep_left, keep_right))
         if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
@@ -486,7 +456,8 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
 
     A subtree the walk leaves unchanged is returned as it came, so
     ``own_new`` is ``own`` itself exactly when ``limit`` of the request
-    against ``own`` is empty.  The audience is the union of
+    against ``own`` is empty; where ``own`` is empty, the new own set
+    is the addition itself, not a copy.  The audience is the union of
     ``interests``' leaf sets at the visible values,
     ``leaves_meeting(interests, visible_added, visible_removed)``.
 
@@ -523,7 +494,7 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             audience.update(c.value)
         elif c is not EMPTY:
             audience.update(leaves_meeting(c, a))
-        return relabel(partial(_tag, ids), a), a, a, EMPTY
+        return Ok(ids) if type(a) is Ok else relabel(partial(_tag, ids), a), a, a, EMPTY
     if type(r) is Ok:
         if d is not EMPTY:
             left = r.value - ids
@@ -536,10 +507,10 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             return Ok(r.value | ids), a, EMPTY, EMPTY
         return r, o, EMPTY, EMPTY
     r_edges, rw = r.edges, r.default
-    o_edges, ow = (o.edges, o.default) if o is not EMPTY else (_NO_EDGES, EMPTY)
-    a_edges, aw = (a.edges, a.default) if a is not EMPTY else (_NO_EDGES, EMPTY)
-    d_edges, dw = (d.edges, d.default) if d is not EMPTY else (_NO_EDGES, EMPTY)
-    c_edges, cw = (c.edges, c.default) if c is not EMPTY else (_NO_EDGES, EMPTY)
+    o_edges, ow = o.edges, o.default
+    a_edges, aw = a.edges, a.default
+    d_edges, dw = d.edges, d.default
+    c_edges, cw = c.edges, c.default
     # A dict, not a set, so that edges are visited in a fixed order.
     visit = {**a_edges, **d_edges}
     if aw is EMPTY and dw is EMPTY:
@@ -583,13 +554,11 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         return r, o, EMPTY, EMPTY
     return (
         Branch(wr, er) if er or wr is not EMPTY else EMPTY,
-        Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
+        # Holding nothing here, the stream comes to hold exactly ``a``.
+        a if o is EMPTY else Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
         Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
         Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )
-
-
-_NO_EDGES: dict = {}
 
 
 def leaves_meeting(t: Trie, *probes: Trie) -> set:
@@ -637,18 +606,18 @@ def spec_items(spec) -> list:
     todo = [spec]
     while todo:
         p = todo.pop()
-        kind = _KIND_OF_TYPE.get(type(p))
+        kind = ATOM_KIND_OF_TYPE.get(type(p))
         if kind is not None:
             items.append(AtomTok((kind, p)))
         elif p is WILDCARD or p is CAPTURE:
             items.append(p)
-        elif isinstance(p, tuple):
-            items.append(PushTok((None, len(p))))
-            todo.extend(reversed(p))
         elif isinstance(p, Record):
             fields = p.fields
             items.append(PushTok((p.label, len(fields))))
-            todo.extend(reversed(fields))
+            todo += fields[::-1]
+        elif isinstance(p, tuple):
+            items.append(PushTok((None, len(p))))
+            todo += p[::-1]
         else:
             kind = atom_kind(p)
             if kind is None:

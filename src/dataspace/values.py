@@ -52,13 +52,12 @@ class Frozen:
     records.
 
     A subclass lists its fields in ``__slots__``, sets each once in its
-    constructor through the slot's own descriptor (``slot_setter``), and
-    returns them in order from ``_state``.  Assigning or deleting a field
-    afterwards raises AttributeError.  Two objects are equal when they
-    are of the same class and their fields are equal, and equal ones
-    hash equal; the repr names the fields.  A slotted object is cheaper
-    to build and to hold than a frozen dataclass's, and the package
-    need not import ``dataclasses``.
+    constructor with ``object.__setattr__``, and returns them in order
+    from ``_state``.  Assigning or deleting a field afterwards raises
+    AttributeError.  Two objects are equal when they are of the same
+    class and their fields are equal, and equal ones hash equal; the
+    repr names the fields.  A slotted object is smaller than a frozen
+    dataclass's, and the package need not import ``dataclasses``.
     """
 
     __slots__ = ()
@@ -85,30 +84,20 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-def slot_setter(cls, name: str):
-    """The function setting field ``name`` of a ``Frozen`` subclass, past
-    its ``__setattr__``."""
-    return cls.__dict__[name].__set__
-
-
 class Record(Frozen):
     """A labeled compound value: a named constructor applied to fields."""
 
     __slots__ = ("label", "fields")
 
     def __init__(self, label: Symbol, fields: tuple):
-        _set_label(self, label)
-        _set_fields(self, fields)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "fields", fields)
 
     def _state(self) -> tuple:
         return (self.label, self.fields)
 
     def __repr__(self) -> str:
         return format_value(self)
-
-
-_set_label = slot_setter(Record, "label")
-_set_fields = slot_setter(Record, "fields")
 
 
 class _Wildcard:
@@ -148,7 +137,15 @@ class MalformedTokens(ValueError):
     pass
 
 
+#: The kinds of the atom types but float, whose NaN ``atom_kind`` refuses:
+#: an atom of exactly one of these types is told apart in one lookup.
+ATOM_KIND_OF_TYPE = {bool: "bool", int: "int", str: "str", Symbol: "symbol"}
+
+
 def atom_kind(a) -> Optional[str]:
+    kind = ATOM_KIND_OF_TYPE.get(type(a))
+    if kind is not None:
+        return kind
     if isinstance(a, bool):
         return "bool"
     if isinstance(a, int):
