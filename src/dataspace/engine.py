@@ -18,7 +18,14 @@ The two must select the same parts: if ``drop_outbound`` read a part
 the relay does not watch, the container would hear changes to it.
 ``tests/test_engine.py::test_relay_translation_needs_no_restriction``
 checks that translating a patch equals translating its intersection
-with the relay's interests.
+with the relay's interests.  ``drop_outbound`` normalizes its result
+only when a side holds an ``observe(inbound(_))`` part, the one part
+that can cancel against the other side; a patch of ``outbound`` parts
+alone translates with no set operation past the unwrapping.
+
+A patch's events are delivered as the mux returns them, in the loop
+that interprets it, and an untraced actor's actions join the queue
+without a trace record each.
 
 Messages and spawn requests, like patches, are immutable slotted
 objects (``values.Frozen``).
@@ -50,10 +57,13 @@ class Message(Frozen):
     __slots__ = ("body",)
 
     def __init__(self, body: Value):
-        object.__setattr__(self, "body", body)
+        _set_body(self, body)
 
     def _state(self) -> tuple:
         return (self.body,)
+
+
+_set_body = Message.body.__set__
 
 
 class Spawn(Frozen):
@@ -181,7 +191,8 @@ class Dataspace(Actor):
             # walkers, say) changed nothing.
             self._refuse(author, e, cause)
             return
-        self._deliver_all(events, cause, outward)
+        for target, delta in events:
+            self._deliver(target, delta, cause, outward)
 
     def _refuse(self, author, e: Exception, cause) -> None:
         """The mux refused an action: its author crashes, and the layer
@@ -193,8 +204,8 @@ class Dataspace(Actor):
 
     def _interpret_retire(self, author, cause, outward) -> None:
         if author in self.mux.streams:
-            events = self.mux.remove_stream(author)
-            self._deliver_all(events, cause, outward)
+            for target, delta in self.mux.remove_stream(author):
+                self._deliver(target, delta, cause, outward)
         self.names.pop(author, None)
 
     def _interpret_message(self, author, action: Message, cause, outward) -> None:
@@ -220,10 +231,6 @@ class Dataspace(Actor):
         front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
         self.pending.extendleft(reversed(front))
 
-    def _deliver_all(self, events, cause, outward) -> None:
-        for target, delta in events:
-            self._deliver(target, delta, cause, outward)
-
     def _deliver(self, target: StreamId, event: Event, cause, outward) -> None:
         if target == META:
             out = _outward(event)
@@ -241,8 +248,14 @@ class Dataspace(Actor):
         except Exception as e:
             self._report_crash(target, e)
             actions = [QUIT]
-        for a in actions:
-            self._enqueue(target, a, seq)
+        if self.tracer is None:
+            # Inline appends: cheaper than one extend over a comprehension
+            # for the zero to two actions a turn usually returns.
+            for a in actions:
+                self.pending.append((target, a, -1))
+        else:
+            for a in actions:
+                self._enqueue(target, a, seq)
 
     def _kill(self, sid: StreamId, cause) -> None:
         self.actors.pop(sid, None)

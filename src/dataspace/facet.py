@@ -18,18 +18,21 @@ one endpoint, a patch's captures activate in trie order, atom kinds
 apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
-Both the captures and whether an instance is known are read by
-projection (``trie.project``) over the subscription's compiled items
-(``Endpoint.items``, from ``trie.spec_items``), made once each time the
-endpoint's pattern is resolved.  The trie the endpoint asserts is
-compiled from the same items under an ``observe`` push token
+Both are read over the subscription's compiled items (``Endpoint.items``,
+from ``trie.spec_items``), made once each time the endpoint's pattern
+is resolved; a pattern holding no ``Field`` is never resolved, and is
+its own resolved pattern.  The captures come straight off the patch
+side, in one walk (``trie.captures``), each as the flat tuple of its
+tokens, which ``values.parse_exact`` reads into values only for an
+activation.  An instance's items are the endpoint's with those tokens
+spliced in at the capture marks; they hold no captures, so their
+projection (``trie.project``) onto what is known is ``UNIT`` exactly
+when the instance is known.  The trie the endpoint asserts is compiled
+from the same items under an ``observe`` push token
 (``trie.compile_items`` reads the capture marks as wildcards), with no
-wildcarded copy of the pattern built.  An instance's items are the
-endpoint's with each capture's tokens spliced in at its capture mark;
-they hold no captures, so their projection onto what is known is
-``UNIT`` exactly when the instance is known.  A message is matched
-against the same items, in one pass over the body: atoms by kind and
-payload, compounds by label and arity.
+wildcarded copy of the pattern built.  A message is matched against
+the same items, in one pass over the body: atoms by kind and payload,
+compounds by label and arity.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -46,7 +49,8 @@ overlap: retracting ``p(3)`` while ``p(*)`` stands, or while another
 contributor also asserts ``p(3)``, publishes nothing.  A flush where
 nothing changed, such as an assertion recomputed to an equal trie, only
 compares: it publishes no patch and runs no set operation.  With no
-note and no damage there is nothing to flush, and none is run.
+note and no damage there is nothing to flush, and none is run, neither
+at the end of a turn nor before an action is emitted.
 """
 from __future__ import annotations
 
@@ -75,6 +79,7 @@ from .values import (
     format_value,
     is_compound,
     observe,
+    parse_exact,
     serialize,
     values_equal,
 )
@@ -176,6 +181,7 @@ class Endpoint:
         "kind",  # "assert" | "sub"
         "compute",  # assert: () -> value or None
         "pattern",  # sub: pattern possibly containing Field refs
+        "holds_field",  # sub: whether some part of pattern is a Field
         "on",  # sub: "asserted" | "retracted" | "message"
         "handler",  # sub: fn(*captures)
         "priority",
@@ -190,6 +196,7 @@ class Endpoint:
         self.kind = kind
         self.compute = None
         self.pattern = None
+        self.holds_field = False
         self.on = None
         self.handler = None
         self.priority = PRIORITY_DEFAULT
@@ -226,8 +233,10 @@ class Facet:
         ep = self.runtime._new_endpoint(self, "assert")
         if callable(value_or_fn):
             ep.compute = value_or_fn
-        else:
+        elif _holds_field(value_or_fn):
             ep.compute = lambda: _resolve(value_or_fn)
+        else:
+            ep.compute = lambda: value_or_fn
         self.runtime._refresh_endpoint(ep)
         return ep
 
@@ -429,14 +438,15 @@ class ActorRuntime(Actor):
                 _, _, facet, fn, args = heapq.heappop(self._queue)
                 if facet is not None:
                     facet.pending_scripts -= 1
-                    if facet.pending_scripts == 0:
+                    if facet.pending_scripts == 0 and not facet.endpoints:
                         idle.append(facet)
                     if not facet.alive:
                         continue
                 fn(*args)
             for facet in idle:
                 self._maybe_prune(facet)
-        self._flush()
+        if self._was or self.graph.damaged:
+            self._flush()
         actions = self._actions
         self._actions = []
         if not self.root.children:
@@ -460,6 +470,7 @@ class ActorRuntime(Actor):
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
         ep = self._new_endpoint(facet, "sub")
         ep.pattern = pattern
+        ep.holds_field = _holds_field(pattern)
         ep.on = on
         ep.handler = handler
         ep.priority = priority
@@ -480,7 +491,9 @@ class ActorRuntime(Actor):
             v = self.graph.with_subject(ep, ep.compute)
             new = EMPTY if v is None else trie.compile_pattern(v)
         else:
-            pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
+            pat = ep.pattern
+            if ep.holds_field:  # resolved, with its reads recorded
+                pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
             ep.items = trie.spec_items(pat)
             new = trie.compile_items([_OBSERVE] + ep.items)
@@ -495,20 +508,20 @@ class ActorRuntime(Actor):
             return
         items = ep.items
         try:
-            keys = trie.key_set(trie.project(items, side))
+            found = trie.captures(items, side)
         except InfiniteSet:
             raise InfiniteMatchSet(
                 f"subscription {format_value(_wildify(ep.current_pattern))} matched "
                 "infinitely many values"
             )
-        for caps in keys:
+        for toks in found:
             # A capture-free projection is EMPTY exactly when no member matches.
-            inst = _instance_items(items, caps)
+            inst = _spliced(items, toks)
             if trie.project(inst, before) is EMPTY:
                 if ep.on == "asserted":  # known after: it comes from delta.added
-                    self._activate(ep, caps)
+                    self._activate(ep, parse_exact(toks))
             elif ep.on == "retracted" and trie.project(inst, after) is EMPTY:
-                self._activate(ep, caps)
+                self._activate(ep, parse_exact(toks))
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
         caps = _captures(ep.items, body)
@@ -642,12 +655,42 @@ def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
 
 
 def _rebuild(pattern, leaf: Callable):
-    """Copy ``pattern``, replacing each non-compound part ``p`` by ``leaf(p)``."""
-    if is_compound(pattern):
-        label, fields = decompose(pattern)
-        out = tuple(_rebuild(f, leaf) for f in fields)
-        return out if label is None else Record(label, out)
-    return leaf(pattern)
+    """Copy ``pattern``, replacing each non-compound part ``p`` by ``leaf(p)``.
+
+    ``leaf`` sees the parts in pre-order.  The open compounds are kept on
+    an explicit stack, as ``values.parse_exact`` keeps them, so a deep
+    pattern takes no Python frame per level.
+    """
+    fields: list = []  # where the next rebuilt part goes
+    stack: list = []  # per open compound: its label, its arity, the fields it goes into
+    todo = [pattern]
+    while todo:
+        p = todo.pop()
+        if is_compound(p):
+            label, parts = decompose(p)
+            stack.append((label, len(parts), fields))
+            fields = []
+            todo += parts[::-1]
+        else:
+            fields.append(leaf(p))
+        # Close every compound whose fields are all rebuilt.
+        while stack and len(fields) == stack[-1][1]:
+            label, _, outer = stack.pop()
+            outer.append(tuple(fields) if label is None else Record(label, tuple(fields)))
+            fields = outer
+    return fields[0]
+
+
+def _holds_field(pattern) -> bool:
+    """Whether some part of ``pattern`` is a ``Field``."""
+    todo = [pattern]
+    while todo:
+        p = todo.pop()
+        if isinstance(p, Field):
+            return True
+        if is_compound(p):
+            todo += decompose(p)[1]
+    return False
 
 
 def _resolve(pattern):
@@ -667,13 +710,19 @@ def _instantiate(pattern, caps):
     return result
 
 
-def _instance_items(items: list, caps: tuple) -> list:
-    """Spec items with each capture mark replaced by its capture's tokens."""
+def _spliced(items: list, toks: tuple) -> list:
+    """Spec items with each capture mark replaced by its capture's tokens,
+    read off ``toks``, the flat token tuple ``trie.captures`` gives: one
+    whole value per mark."""
     out: list = []
-    caps = iter(caps)
+    j = 0
     for item in items:
         if item is CAPTURE:
-            out += serialize(next(caps))
+            start, n = j, 1
+            while n:
+                n += toks[j].arity - 1
+                j += 1
+            out += toks[start:j]
         else:
             out.append(item)
     return out

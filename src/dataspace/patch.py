@@ -10,14 +10,17 @@ cancels out, at the cost of intersecting the two halves, unless one
 is empty or the cheap ``trie.may_meet`` finds them disjoint first.
 Patches that actors build go through it, and so do two operations
 whose halves can meet: ``from_sets`` (its two lists are arbitrary)
-and ``drop_outbound`` (the nested layer's ``+outbound(observe(x))``
-and ``-observe(inbound(x))`` are different assertions inside, but
-both translate to the outer ``observe(x)``, and only cancelling the
-pair leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
+and ``drop_outbound`` when a side holds an ``observe(inbound(_))``
+part (the nested layer's ``+outbound(observe(x))`` and
+``-observe(inbound(x))`` are different assertions inside, but both
+translate to the outer ``observe(x)``, and only cancelling the pair
+leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
 and skips the intersection; it is for halves disjoint by construction:
 ``limit``, ``diff``, ``aggregate_visibility``, ``label_patch`` (which
-maps disjoint halves injectively), the mux's per-stream deltas, and the
-facet runtime's flush.
+maps disjoint halves injectively), ``drop_outbound`` of a patch with no
+``observe(inbound(_))`` part (the unwrapped ``outbound`` parts of
+disjoint halves), the mux's per-stream deltas, and the facet runtime's
+flush.
 """
 from __future__ import annotations
 
@@ -128,14 +131,27 @@ def drop_outbound(p: Patch) -> Patch:
     outbound(c) becomes a direct assertion of c; observe(inbound(c))
     becomes an outer subscription observe(c); everything else stays
     inside the layer and vanishes here.
+
+    Only an ``observe(inbound(_))`` part on one side can cancel against
+    an ``outbound(observe(_))`` part on the other, so a patch with no
+    such part on either side translates to the unwrapped ``outbound``
+    parts of its disjoint halves, themselves disjoint, and skips the
+    normalization.
     """
-    return Patch(_drop_side(p.added), _drop_side(p.removed))
+    added, added_interests = _drop_parts(p.added)
+    removed, removed_interests = _drop_parts(p.removed)
+    if added_interests is EMPTY and removed_interests is EMPTY:
+        return Patch.disjoint(added, removed)
+    return Patch(
+        trie.union(added, trie.wrap_trie(OBSERVE, added_interests)),
+        trie.union(removed, trie.wrap_trie(OBSERVE, removed_interests)),
+    )
 
 
-def _drop_side(t: Trie) -> Trie:
-    direct = trie.unwrap_trie(OUTBOUND, t)
-    interests = trie.unwrap_trie(INBOUND, trie.unwrap_trie(OBSERVE, t))
-    return trie.union(direct, trie.wrap_trie(OBSERVE, interests))
+def _drop_parts(t: Trie) -> tuple:
+    """A patch side's ``outbound(c)`` parts as c and its
+    ``observe(inbound(c))`` parts as c."""
+    return trie.unwrap_trie(OUTBOUND, t), trie.unwrap_trie(INBOUND, trie.unwrap_trie(OBSERVE, t))
 
 
 def drop_message(body: Value):

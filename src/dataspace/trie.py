@@ -13,7 +13,8 @@ and an empty default, so a walk may take a node's ``edges`` and
 The kernel's operations are the set operations ``union``,
 ``intersect`` and ``subtract`` (all through ``combine``), ``project``,
 the routing walk ``update_routes``, and the read-only walks
-``search_value`` (one value's leaf) and ``leaves_meeting``.
+``search_value`` (one value's leaf), ``leaves_meeting`` and
+``captures`` (a projection's members, without building it).
 
 A pattern compiles to a chain, one node per pre-order item
 (``spec_items``): a token is an edge and a wildcard a default.
@@ -47,7 +48,15 @@ building an intersection.
 walk over the pattern's compiled pre-order items (``spec_items``), one
 frame per token it goes down; with no captures, it answers whether some
 member matches.  A subscriber compiles its items once per change of its
-pattern, not once per projection.
+pattern, not once per projection.  ``captures`` walks the same way with
+its own stack, but collects the captured tokens of each match: it
+returns the members ``key_set(project(items, t))`` would spell, in the
+same order, as flat token tuples, without building the projected trie
+or re-reading its paths.  Facet dispatch reads an endpoint's captures
+with ``captures`` and asks ``project`` only the capture-free question
+(is this instance known?).  ``project`` with ``key_set`` stays the
+reference that ``test_dispatch_matches_two_probe_oracle`` checks
+dispatch against, and the benchmark's spans wrap both by name.
 
 ``combine``, ``project`` and ``update_routes`` recurse through
 module-level helpers that take their context as arguments.  A nested
@@ -242,7 +251,11 @@ def assertion_set(values: Iterable[Value]) -> Trie:
 
 def search_value(v: Value, t: Trie):
     """Look up one value, walking ``t`` along the value itself (an edge
-    or the default per part); returns the leaf value or None.
+    or the default per part); returns the leaf value or None.  Edges are
+    looked up with plain ``(kind, atom)`` and ``(label, arity)`` tuples,
+    which hash and compare equal to the stored tokens, so no token
+    object is made on the way but for an atom outside
+    ``ATOM_KIND_OF_TYPE``.
 
     Every part of ``v`` is checked, also below a default and past the
     point where the trie runs out, so a non-value (a wildcard among
@@ -262,10 +275,14 @@ def search_value(v: Value, t: Trie):
         elif isinstance(v, Record):
             label, fields = v.label, v.fields
         else:
-            child = t.edges.get(atom_token(v))
+            # An atom of a listed type is looked up in one step; any other
+            # part (a float, a subclass, a non-value) goes through
+            # atom_token, which checks it.
+            kind = ATOM_KIND_OF_TYPE.get(type(v))
+            child = t.edges.get((kind, v) if kind is not None else atom_token(v))
             t = t.default if child is None else child
             continue
-        child = t.edges.get(PushTok((label, len(fields))))
+        child = t.edges.get((label, len(fields)))
         if child is None:
             check_value(v)  # the default consumes the whole value
             t = t.default
@@ -666,6 +683,60 @@ def _project(items: list, end: int, i: int, t: Trie, n: int) -> Trie:
     for tok, child in t.edges.items():
         acc = union(acc, _project(items, end, i, child, n + tok.arity))
     return acc
+
+
+def captures(items: list, t: Trie) -> list:
+    """The captures of a spec's items in ``t``, read off ``t`` in one walk.
+
+    Each member of ``project(items, t)`` comes back once, as the flat
+    tuple of its captures' tokens, in trie order: the order
+    ``key_set(project(items, t))`` gives, which ``values.parse_exact``
+    turns into the same value tuples.  Raises InfiniteSet where a
+    capture meets a default that leads to a match, as ``key_set`` does.
+    The walk follows the items as ``_project`` does, keeping its own
+    stack of ``(item index, node, values left to consume, tokens
+    captured so far, whether a capture took a default)``; a wildcard
+    consumes a value's tokens without keeping them.
+    """
+    end = len(items)
+    found: dict = {}  # token tuple -> None: deduplicated, in walk order
+    todo = [(0, t, 0, (), False)]
+    while todo:
+        i, t, n, toks, wild = todo.pop()
+        while not n:
+            if i == end:
+                if type(t) is Ok:
+                    if wild:
+                        raise InfiniteSet("a capture matches infinitely many values")
+                    found[toks] = None
+                break
+            if type(t) is not Branch:
+                break
+            item = items[i]
+            i += 1
+            if item is WILDCARD or item is CAPTURE:
+                n = 1
+            else:
+                child = t.edges.get(item)
+                t = make_tail(item.arity, t.default) if child is None else child
+        else:
+            # items[i - 1] is a wildcard or capture mark with n whole
+            # values left to consume.
+            if type(t) is not Branch:
+                continue
+            n -= 1
+            cap = items[i - 1] is CAPTURE
+            if t.default is not EMPTY:
+                todo.append((i, t.default, n, toks, wild or cap))
+            for tok, child in t.edges.items():
+                todo.append((i, child, n + tok.arity, toks + (tok,) if cap else toks, wild))
+    if len(found) < 2:
+        return list(found)
+    return sorted(found, key=_tokens_key)
+
+
+def _tokens_key(toks: tuple) -> list:
+    return [tok.sort_key() for tok in toks]
 
 
 # ---------------------------------------------------------------------------

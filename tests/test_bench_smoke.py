@@ -3,8 +3,10 @@
 ``bench/spans.py`` counts calls by wrapping entry points by name, so a
 rename or a fusion that leaves one unwrapped would read as zero calls
 rather than fail.  These runs pin the per-op counts of the two round
-trip workloads: two projections per op (the client's capture and its
-one known-before probe), one mux update per layer crossed, three
+trip workloads: one projection per op (the client's known-before probe;
+dispatch reads the capture itself with ``trie.captures``, so it
+enumerates no projection with ``key_set``), one mux update per layer
+crossed, three
 ``combine`` calls per op on both (a nested layer's relay hears the
 visible change without intersecting it with its interests), and one
 dataflow repair per op, the box's (a flush with no damage repairs
@@ -42,7 +44,8 @@ def test_traced_run_counts_hot_entry_points(tmp_path, workload, updates_per_op):
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     ops = metrics["ops"]
     assert result["failed"] == 0 and ops == result["attempted"] > 0
-    assert metrics["trie.project.calls"] == 2 * ops
+    assert metrics["trie.project.calls"] == ops
+    assert metrics["trie.key_set.calls"] == 0
     assert metrics["trie.combine.calls"] == 3 * ops
     assert metrics["mux.updates"] == updates_per_op * ops
     assert metrics["dataflow.repairs"] == ops

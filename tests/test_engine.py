@@ -13,10 +13,21 @@ from dataspace.engine import (
     spawn_full_state,
 )
 from dataspace.facet import spawn_actor
-from dataspace.patch import Patch, assert_patch, from_sets, observation_bodies, retract_patch
+from dataspace.patch import Patch, assert_patch, drop_outbound, from_sets, observation_bodies, retract_patch
 from dataspace.trace import Tracer
 from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
-from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
+from dataspace.values import (
+    CAPTURE,
+    INBOUND,
+    OBSERVE,
+    OUTBOUND,
+    Record,
+    Symbol,
+    WILDCARD,
+    inbound,
+    observe,
+    outbound,
+)
 
 S = Symbol
 
@@ -261,6 +272,37 @@ def test_relay_translation_needs_no_restriction():
         assert out == _outward(restricted), delta
         crossed += out is not None
     assert crossed > 2000, crossed
+
+
+def _interests(t):
+    """The c of a patch side's observe(inbound(c)) parts."""
+    return trie.unwrap_trie(INBOUND, trie.unwrap_trie(OBSERVE, t))
+
+
+def _drop_side(t):
+    """The outer-layer terms of one patch side: its outbound(c) parts as
+    c, and its observe(inbound(c)) parts as observe(c)."""
+    return union(trie.unwrap_trie(OUTBOUND, t), trie.wrap_trie(OBSERVE, _interests(t)))
+
+
+def test_drop_outbound_matches_normalized_translation():
+    # drop_outbound skips the normalization unless a side holds an
+    # observe(inbound(_)) part; it must still equal the normalized
+    # translation of the two sides, cancellations included.
+    rng = random.Random(11)
+    seen = {"unnormalized": 0, "cancelled": 0}
+    for _ in range(5000):
+        delta = from_sets(
+            added=[_relay_assertion(rng) for _ in range(rng.randrange(4))],
+            removed=[_relay_assertion(rng) for _ in range(rng.randrange(4))],
+        )
+        added, removed = _drop_side(delta.added), _drop_side(delta.removed)
+        want = Patch(added, removed)
+        assert drop_outbound(delta) == want, delta
+        no_interests = _interests(delta.added) is _interests(delta.removed) is trie.EMPTY
+        seen["unnormalized"] += no_interests and not want.is_empty()
+        seen["cancelled"] += (want.added, want.removed) != (added, removed)
+    assert min(seen.values()) > 100, seen
 
 
 def test_oversized_assertion_crashes_its_author_not_the_dataspace():

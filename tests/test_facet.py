@@ -13,7 +13,7 @@ from dataspace.facet import (
 )
 from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patch
 from dataspace.trie import EMPTY
-from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, observe
+from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
 
 from oracles import _hashable, _match
 
@@ -106,6 +106,39 @@ def test_during_child_lifecycle_and_captures():
 
     ground_run([spawn_actor("source", source), spawn_actor("reactor", reactor)])
     assert log == [("up", S("x")), ("down", S("x"))]
+
+
+def test_deep_patterns_resolve_and_instantiate():
+    # A pattern holding a Field is resolved, and a during's match
+    # instantiated, by copying it part by part; the copy keeps its own
+    # stack, so a pattern nested 900 deep works end to end.
+    def nest(x, depth=900):
+        for _ in range(depth):
+            x = rec("n", x)
+        return x
+
+    log = []
+
+    def watcher(f):
+        def body(g, x):
+            log.append(("up", x))
+            g.on_stop(lambda: log.append(("down", x)))
+
+        f.during(nest(CAPTURE), body)
+
+    def asserter(f):
+        level = f.field(1, "level")
+        f.assert_(nest(level))
+
+        def bump():
+            level.value = 2
+
+        f.on_message(inbound(S("bump")), bump)
+
+    ds = ground_run([spawn_actor("w", watcher), spawn_actor("a", asserter)])
+    ds.handle(Message(S("bump")))
+    assert ds.crashes == {}
+    assert log == [("up", 1), ("up", 2), ("down", 1)]
 
 
 def test_stop_when_runs_continuation_after_stop_handlers():

@@ -300,7 +300,7 @@ def test_box_round_trip_trie_work(monkeypatch):
     assert calls["leaves_meeting"] == 0, calls
     assert total <= 75, total
     # Nor may the fixed cost of a turn, a flush or a delivery creep back.
-    assert kernel <= 185, kernel
+    assert kernel <= 150, kernel
 
 
 def test_relay_round_trip_trie_work(monkeypatch):
@@ -316,7 +316,7 @@ def test_relay_round_trip_trie_work(monkeypatch):
     assert calls["combine"] <= 3 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0, calls
     assert total <= 115, total
-    assert kernel <= 260, kernel
+    assert kernel <= 220, kernel
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

@@ -1,11 +1,12 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dataspace import trie
 from dataspace.engine import ground_run
-from dataspace.facet import spawn_actor
+from dataspace.facet import _instantiate, _spliced, spawn_actor
 from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit, observation_bodies
 from dataspace.trace import Tracer
 from dataspace.trie import (
@@ -39,6 +40,7 @@ from dataspace.values import (
     atom_token,
     decompose,
     observe,
+    parse_exact,
     push_token,
 )
 
@@ -293,6 +295,61 @@ def test_projection_oracle_on_finite_sets(values, p):
         tuple(_hashable(c) for c in caps) for caps in key_set(project(spec_items(spec), t))
     }
     assert got == expected
+
+
+def _projected_captures(items, t):
+    """The reference: enumerate the capture projection."""
+    try:
+        return [tuple(_hashable(c) for c in caps) for caps in key_set(project(items, t))]
+    except InfiniteSet:
+        return "infinite"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # Half the specs lead with a capture, so that the trie holds several.
+    st.one_of(subscription_specs, subscription_specs.map(lambda spec: (CAPTURE, spec))),
+    st.lists(concrete_values, min_size=2, max_size=5),
+    st.integers(-3, 4),
+    st.lists(wild_patterns, max_size=3),
+)
+def test_captures_agree_with_projection(spec, fillers, wild, others):
+    # The trie holds copies of the spec with its marks filled in and
+    # unrelated patterns.  A WILDCARD filler puts a default under a mark.
+    if 0 <= wild < len(fillers):
+        fillers[wild] = WILDCARD
+    members = []
+    for k in range(len(fillers)):
+        fill = itertools.cycle(fillers[k:] + fillers[:k])
+        members.append(_replace_leaves(spec, lambda p: next(fill) if p is CAPTURE or p is WILDCARD else p))
+    t = assertion_set(members + others)
+    items = spec_items(spec)
+    want = _projected_captures(items, t)
+    try:
+        found = trie.captures(items, t)
+    except InfiniteSet:
+        assert want == "infinite"
+        return
+    assert len(set(found)) == len(found)
+    assert [tuple(_hashable(c) for c in parse_exact(toks)) for toks in found] == want
+    # Splicing a capture's tokens in at the capture marks spells the instance.
+    for toks in found:
+        assert _spliced(items, toks) == spec_items(_instantiate(spec, parse_exact(toks)))
+
+
+def test_captures_read_several_members_in_trie_order():
+    p = lambda *xs: Record(S("p"), xs)
+    t = assertion_set([p(S("b"), 1), p((2,), 1.0), p(True, WILDCARD), p("a", 1), p(2, "x")])
+    items = spec_items(p(CAPTURE, 1))
+    assert [parse_exact(toks) for toks in trie.captures(items, t)] == list(key_set(project(items, t)))
+    assert [[(type(c), c) for c in parse_exact(toks)] for toks in trie.captures(items, t)] == [
+        [(bool, True)], [(str, "a")], [(Symbol, S("b"))],
+    ]
+    with pytest.raises(InfiniteSet):
+        trie.captures(spec_items(p(1, CAPTURE)), assertion_set([p(WILDCARD, 3), p(1, WILDCARD)]))
+    # A default under a wildcard, not a capture, is no infinite set.
+    got = trie.captures(spec_items(p(WILDCARD, CAPTURE)), assertion_set([p(WILDCARD, 3), p(1, 2)]))
+    assert [parse_exact(toks) for toks in got] == [(2,), (3,)]
 
 
 def _capture_everything(p):
