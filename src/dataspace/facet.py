@@ -51,6 +51,14 @@ nothing changed, such as an assertion recomputed to an equal trie, only
 compares: it publishes no patch and runs no set operation.  With no
 note and no damage there is nothing to flush, and none is run, neither
 at the end of a turn nor before an action is emitted.
+
+The four queries (``Facet.query_set``, ``query_value``, ``query_count``
+and ``query_hash``) are four views of one table per query, which maps
+each standing match's capture token tuple to its captures, in the order
+they were asserted.  One add/rem handler pair, retract first, keeps it
+and damages the query's field through the dataflow graph when it
+changes.  The view is built anew when the field is next read after a
+change, not once per capture, so a value a reader kept stays as it was.
 """
 from __future__ import annotations
 
@@ -89,6 +97,8 @@ PRIORITY_QUERY_ADD = 1
 PRIORITY_DEFAULT = 2
 
 _INSTANCE = Symbol("instance")
+#: A query field's value while its view waits to be built.
+_STALE = object()
 #: The item of an ``observe(…)`` record's push token: a subscription
 #: asserts its items under it.
 _OBSERVE = PushTok((OBSERVE, 1))
@@ -127,8 +137,7 @@ class Field:
 def _same(a, b) -> bool:
     """Whether assigning ``a`` over ``b`` changes nothing.  Compound
     values compare kind-faithfully, so ``(1,)`` is not ``(True,)``;
-    anything else compares by its own equality, within one type (a
-    query's ``KindDict`` or its ``keys()`` keep kinds apart too)."""
+    anything else compares by its own equality, within one type."""
     if not (type(a) is type(b) and a == b):
         return False
     if not is_compound(a):
@@ -142,16 +151,17 @@ def _same(a, b) -> bool:
 
 
 class KindDict(Mapping):
-    """A query's read-only mapping.  Keys are keyed by their token tuple
-    (``serialize``), so atom kinds stay apart: 1, True and 1.0 are three
-    keys, and lookups and ``in`` tell them apart too; so does ``keys()``,
-    the read-only set a ``query_set`` holds.  Equal mappings have
-    kind-faithfully equal values too."""
+    """A query's read-only mapping, of the ``(key, value)`` pairs it is
+    made from; a later pair for a key replaces an earlier one.  Keys are
+    keyed by their token tuple (``serialize``), so atom kinds stay apart:
+    1, True and 1.0 are three keys, and lookups and ``in`` tell them
+    apart too; so does ``keys()``, the read-only set a ``query_set``
+    holds.  Equal mappings have kind-faithfully equal values too."""
 
     __slots__ = ("_entries",)
 
-    def __init__(self, entries: dict):
-        self._entries = entries  # key's token tuple -> (key, value)
+    def __init__(self, pairs):
+        self._entries = {tuple(serialize(k)): (k, v) for k, v in pairs}
 
     def __getitem__(self, key):
         entry = self._entries.get(tuple(serialize(key)))
@@ -320,68 +330,58 @@ class Facet:
     # -- queries ------------------------------------------------------------
 
     def query_set(self, pattern, name="query-set") -> Field:
-        f = self.field(KindDict({}).keys(), name)
-        members: dict = {}  # token tuple -> (member, member)
-
-        def add(*caps):
-            v = caps[0] if len(caps) == 1 else caps
-            members[tuple(serialize(v))] = (v, v)
-            f.value = KindDict(dict(members)).keys()
-
-        def rem(*caps):
-            members.pop(tuple(serialize(caps[0] if len(caps) == 1 else caps)), None)
-            f.value = KindDict(dict(members)).keys()
-
-        self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
-        self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
-        return f
+        """The set of the pattern's standing matches, each read as its
+        capture, or as the tuple of its captures if it has several."""
+        return _Query(self, pattern, name, lambda ms: KindDict((m, m) for m in map(_member, ms)).keys())
 
     def query_value(self, pattern, default=None, name="query-value") -> Field:
-        f = self.field(default, name)
-
-        def add(*caps):
-            f.value = caps[0] if len(caps) == 1 else caps
-
-        def rem(*_caps):
-            f.value = default
-
-        self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
-        self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
-        return f
+        """The most recently asserted match that still stands, read as
+        in ``query_set``, or ``default`` while none stands."""
+        return _Query(self, pattern, name, lambda ms: _member(ms[-1]) if ms else default)
 
     def query_count(self, pattern, name="query-count") -> Field:
-        f = self.field(0, name)
-        members: set = set()  # token tuples, so atom kinds stay apart
-
-        def add(*caps):
-            key = tuple(serialize(caps))
-            if key not in members:
-                members.add(key)
-                f.value = len(members)
-
-        def rem(*caps):
-            members.discard(tuple(serialize(caps)))
-            f.value = len(members)
-
-        self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
-        self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
-        return f
+        """The number of the pattern's standing matches."""
+        return _Query(self, pattern, name, len)
 
     def query_hash(self, pattern, name="query-hash") -> Field:
-        f = self.field(KindDict({}), name)
-        entries: dict = {}  # key's token tuple -> (key, value)
+        """A ``KindDict`` from each standing match's first capture to the
+        rest, read as in ``query_set``.  A key reads its most recently
+        asserted match that still stands."""
+        return _Query(self, pattern, name, lambda ms: KindDict((m[0], _member(m[1:])) for m in ms))
 
-        def add(key, *rest):
-            entries[tuple(serialize(key))] = (key, rest[0] if len(rest) == 1 else rest)
-            f.value = KindDict(dict(entries))
 
-        def rem(key, *_rest):
-            entries.pop(tuple(serialize(key)), None)
-            f.value = KindDict(dict(entries))
+class _Query(Field):
+    """A query's field: its value is ``view`` of its table's captures."""
 
-        self.on_asserted(pattern, add, PRIORITY_QUERY_ADD)
-        self.on_retracted(pattern, rem, PRIORITY_QUERY_RETRACT)
-        return f
+    __slots__ = ("_matches", "_view")
+
+    def __init__(self, facet: Facet, pattern, name: str, view: Callable[[list], object]):
+        super().__init__(facet.runtime, name, _STALE)
+        self._matches: dict = {}
+        self._view = view
+        facet.on_asserted(pattern, self._add, PRIORITY_QUERY_ADD)
+        facet.on_retracted(pattern, self._rem, PRIORITY_QUERY_RETRACT)
+
+    @property
+    def value(self):
+        if self._value is _STALE:
+            self._value = self._view(list(self._matches.values()))
+        return super().value
+
+    def _add(self, *caps):
+        self._matches[tuple(serialize(caps))] = caps
+        self._value = _STALE
+        self._runtime.graph.record_damage(self)
+
+    def _rem(self, *caps):
+        if self._matches.pop(tuple(serialize(caps)), None) is not None:
+            self._value = _STALE
+            self._runtime.graph.record_damage(self)
+
+
+def _member(caps: tuple):
+    """How a query reads one match: its capture, or the tuple of its captures."""
+    return caps[0] if len(caps) == 1 else caps
 
 
 class ActorRuntime(Actor):

@@ -652,6 +652,8 @@ def project(items: list, t: Trie) -> Trie:
     matches.  ``_project`` follows the items, one frame per token, and
     counts the whole values a wildcard or capture mark has left to
     consume; it is passed ``items`` and ``end``, so it closes over nothing.
+    A wildcard stops at its first branch that gives ``UNIT``, which only
+    a capture-free rest of the items can give.
     """
     return _project(items, len(items), 0, t, 0)
 
@@ -681,6 +683,10 @@ def _project(items: list, end: int, i: int, t: Trie, n: int) -> Trie:
         return branch(_project(items, end, i, t.default, n), edges)
     acc = _project(items, end, i, t.default, n)
     for tok, child in t.edges.items():
+        # Only a capture-free rest of the items gives UNIT, and a
+        # capture-free walk that has matched cannot grow any more.
+        if acc is UNIT:
+            break
         acc = union(acc, _project(items, end, i, child, n + tok.arity))
     return acc
 

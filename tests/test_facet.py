@@ -855,16 +855,18 @@ def test_queries_keep_atom_kinds_apart():
     def reader(f):
         members = f.query_set(rec("p", CAPTURE))
         table = f.query_hash(rec("p", CAPTURE))
+        count = f.query_count(rec("p", CAPTURE))
+        value = f.query_value(rec("p", CAPTURE))
 
         def snap():
-            got.append((members.value, table.value))
+            got.append((members.value, table.value, count.value, value.value))
 
         # The queries update first: their handlers have a lower priority.
         f.on_asserted(rec("p", True), lambda: (snap(), f.send(S("drop"))))
         f.on_retracted(rec("p", True), snap)
 
     ground_run([spawn_actor("src", source), spawn_actor("rd", reader)])
-    (members, table), (members_after, table_after) = got
+    (members, table, count, value), (members_after, table_after, count_after, value_after) = got
     assert len(members) == 3 and len(table) == 3
     assert sorted(_hashable(x) for x in members) == [("bool", True), ("float", 1.0), ("int", 1)]
     assert 1 in members and True in members and 1.0 in members
@@ -874,6 +876,10 @@ def test_queries_keep_atom_kinds_apart():
     assert sorted(_hashable(x) for x in members_after) == [("float", 1.0), ("int", 1)]
     assert True not in members_after and True not in table_after and len(table_after) == 2
     assert members_after != members
+    assert (count, count_after) == (3, 2)
+    # A match's captures activate in trie order: the last one is the newest.
+    assert _hashable(value) == _hashable(list(members)[-1])
+    assert _hashable(value_after) == _hashable(list(members_after)[-1])
 
 
 def test_query_hash_sees_a_value_change_kind():
@@ -881,18 +887,33 @@ def test_query_hash_sees_a_value_change_kind():
 
     def source(f):
         flipped = f.field(False, "flipped")
-        f.assert_(rec("kv", S("a"), 1))
         f.assert_(lambda: rec("kv", S("a"), True) if flipped.value else None)
+
+        def hold(g):
+            g.assert_(rec("kv", S("a"), 1))
+            g.stop_when_message(S("drop"))
 
         def flip():
             flipped.value = True
 
+        f.react(hold)
         f.on_message(S("flip"), flip)
 
     def reader(f):
         table = f.query_hash(rec("kv", CAPTURE, CAPTURE))
+        value = f.query_value(rec("kv", S("a"), CAPTURE), "default")
+
+        def snap():
+            got.append((table.value.get(S("a")), value.value))
+
         f.on_asserted(rec("kv", S("a"), 1), lambda: f.send(S("flip")))
-        f.on_asserted(rec("kv", S("a"), True), lambda: got.append(table.value[S("a")]))
+        f.on_asserted(rec("kv", S("a"), True), lambda: (snap(), f.send(S("drop"))))
+        # With both matches for the key standing, dropping the older one
+        # leaves the newer: a key, or a query_value, reads its most
+        # recently asserted match that still stands.
+        f.on_retracted(rec("kv", S("a"), 1), snap)
 
     ground_run([spawn_actor("src", source), spawn_actor("rd", reader)])
-    assert [_hashable(v) for v in got] == [("bool", True)]
+    assert [(type(k).__name__, k, type(v).__name__, v) for k, v in got] == [
+        ("bool", True, "bool", True)
+    ] * 2

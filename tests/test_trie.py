@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -257,6 +258,30 @@ def test_projection_selects_captures():
     assert frozenset(got) == frozenset({(S("a"), "hello")})
     got = key_set(project(spec_items(Record(pres, (CAPTURE,))), store))
     assert frozenset(got) == frozenset({(S("a"),), (S("b"),)})
+
+
+def test_capture_free_projection_stops_at_its_first_match():
+    # Dispatch's known-before probe is such a walk: over a trie of many
+    # wide wildcard patterns, re-walking every branch after a match
+    # took thousands of calls.
+    rng = random.Random(2)
+    t = assertion_set(
+        [tuple(rng.choice((WILDCARD, 0, 1, 2, 3, 4)) for _ in range(8)) for _ in range(40)]
+    )
+    codes = {trie._project.__code__, trie._combine.__code__}
+    calls = []
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(count)
+    try:
+        got = project(spec_items((WILDCARD,) * 8), t)
+    finally:
+        sys.setprofile(None)
+    assert got is trie.UNIT
+    assert len(calls) <= 40, len(calls)
 
 
 def test_key_set_keeps_atom_kinds_apart_in_trie_order():
