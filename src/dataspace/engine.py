@@ -27,6 +27,12 @@ A patch's events are delivered as the mux returns them, in the loop
 that interprets it, and an untraced actor's actions join the queue
 without a trace record each.
 
+Setting up pays only for what the newcomer asserts.  The mux of a layer
+holding its relay's interests alone is built once per process, and each
+layer starts from a copy of it (``Mux.copy``); a spawned actor's stream
+is added with nothing in it, which makes no walk.  An untraced layer's
+spawns and exits, like its deliveries, make no trace call.
+
 Messages and spawn requests, like patches, are immutable slotted
 objects (``values.Frozen``).
 """
@@ -104,10 +110,14 @@ META = 0  # stream id of the relay to the containing layer
 class Dataspace(Actor):
     #: The relay subscribes on behalf of the container: it must see
     #: outbound assertions and interest in inbound ones.  Every layer
-    #: shares this one trie.
+    #: shares this one trie, and the mux state built from it.
     relay_interests = trie.assertion_set(
         [observe(outbound(WILDCARD)), observe(observe(inbound(WILDCARD)))]
     )
+    #: The mux of a layer holding its relay's interests and nothing
+    #: else, built once and never changed: every layer starts from a copy.
+    _relay_only = Mux(relay=META)
+    _relay_only.add_stream(Patch.disjoint(relay_interests, trie.EMPTY))
 
     def __init__(
         self,
@@ -119,13 +129,11 @@ class Dataspace(Actor):
         self.name = name
         self.tracer = tracer
         self.path = path + (name,)
-        self.mux = Mux(relay=META)
+        self.mux = self._relay_only.copy()
         self.actors: dict = {}
         self.names: dict = {META: "<relay>"}
         self.crashes: dict = {}
         self.pending: deque = deque()
-        sid, _, _ = self.mux.add_stream(Patch.disjoint(self.relay_interests, trie.EMPTY))
-        assert sid == META
         for a in boot_actions:
             self._enqueue(META, a, -1)
 
@@ -220,7 +228,7 @@ class Dataspace(Actor):
     def _interpret_spawn(self, action: Spawn, cause) -> None:
         sid, _, _ = self.mux.add_stream(EMPTY_PATCH)
         self.names[sid] = f"{action.name}#{sid}"
-        seq = self._trace("actor-spawned", sid, action.name, cause)
+        seq = -1 if self.tracer is None else self._trace("actor-spawned", sid, action.name, cause)
         try:
             handler, startup = action.boot(self.path + (self.names[sid],))
         except Exception as e:  # crash during boot kills only the new actor
@@ -228,7 +236,10 @@ class Dataspace(Actor):
             self._kill(sid, seq)
             return
         self.actors[sid] = handler
-        front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
+        if self.tracer is None:
+            front = [(sid, a, -1) for a in startup]
+        else:
+            front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
         self.pending.extendleft(reversed(front))
 
     def _deliver(self, target: StreamId, event: Event, cause, outward) -> None:
@@ -259,9 +270,11 @@ class Dataspace(Actor):
 
     def _kill(self, sid: StreamId, cause) -> None:
         self.actors.pop(sid, None)
-        self._trace("actor-exited", sid, "", cause)
+        seq = -1
+        if self.tracer is not None:
+            self._trace("actor-exited", sid, "", cause)
+            seq = self._trace("action-produced", sid, _RETIRE, cause)
         # The retraction of a dead actor's assertions survives its death.
-        seq = self._trace("action-produced", sid, _RETIRE, cause)
         self.pending.append((sid, _RETIRE, seq))
 
     def _report_crash(self, sid: StreamId, e: Exception) -> None:

@@ -73,7 +73,10 @@ class Mux:
     currently asserting it, so candidate audiences for a change are
     found by one walk along the change instead of a scan over all
     streams.  ``relay``, if given, is the stream that hears the visible
-    change unrestricted; ``Mux()`` has none.
+    change unrestricted; ``Mux()`` has none.  Adding a stream whose
+    initial patch adds nothing makes no walk: a fresh stream holds
+    nothing a removal could take.  ``copy`` gives a mux in the same state
+    that changes apart from this one, sharing its immutable tries.
     """
 
     __slots__ = ("next_id", "streams", "routes", "relay")
@@ -84,10 +87,23 @@ class Mux:
         self.routes: Trie = EMPTY
         self.relay = relay
 
+    def copy(self) -> "Mux":
+        """A mux in this one's state that changes apart from it.  The
+        tries are immutable, so they are shared; only ``streams`` is
+        copied."""
+        twin = Mux(self.relay)
+        twin.next_id = self.next_id
+        twin.streams = dict(self.streams)
+        twin.routes = self.routes
+        return twin
+
     def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Trie, List[Tuple[StreamId, Patch]]]:
         sid = self.next_id
         self.next_id += 1
         self.streams[sid] = EMPTY
+        if initial.added is EMPTY:
+            # A fresh stream holds nothing to remove: no walk.
+            return sid, EMPTY, []
         own, events = self.update_stream(sid, initial)
         return sid, own, events
 

@@ -42,7 +42,10 @@ change that becomes visible, added and removed; it also collects the
 audience, the leaf sets of a second routing trie (the standing
 subscriptions) at the values that become visible or invisible.
 ``leaves_meeting`` reads which leaf sets a probe meets without
-building an intersection.
+building an intersection.  Where the routing trie is empty the walk
+takes the additions whole: it tags them in one shape-keeping walk, and
+reads their audience off a chain of subscription defaults without a
+``leaves_meeting`` walk.
 
 ``project`` reads the captures of a pattern off a trie in one direct
 walk over the pattern's compiled pre-order items (``spec_items``), one
@@ -70,7 +73,6 @@ hashes and compares in C.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Iterable
 
 from .values import (
@@ -363,10 +365,6 @@ def _leaf_none(_a: Ok, _b: Ok) -> Trie:
     return EMPTY
 
 
-def _tag(ids: frozenset, _leaf) -> frozenset:
-    return ids
-
-
 # union, intersect and subtract answer at once when an operand is EMPTY
 # or both are the same trie.
 
@@ -490,8 +488,11 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     ``_redundant``, as in ``combine``.  An update thus costs O(|patch| +
     |own set under its removal wildcards| + |edges of routes and
     interests under its addition wildcards|).  Where ``routes`` is
-    empty, so is the own set: the additions are taken whole, and their
-    audience read with ``leaves_meeting``.  The walk recurses through
+    empty, so is the own set: the additions are taken whole, tagged with
+    ``ids`` in one walk that keeps their shape (``_tagged``, not
+    ``relabel``), and their audience is the leaf of ``interests`` if it
+    is a chain of defaults there (every addition meets it), or else read
+    with ``leaves_meeting`` from the same node.  The walk recurses through
     ``_update_routes``, which takes ``ids`` and ``audience`` as
     arguments, so a call leaves no reference cycle behind (see the
     module docstring).
@@ -507,11 +508,18 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
     if a is EMPTY and d is EMPTY:
         return r, o, EMPTY, EMPTY
     if r is EMPTY:
-        if type(c) is Ok:
-            audience.update(c.value)
+        # Nobody holds anything here, so the stream holds nothing and
+        # ``a`` is all new.  Subscriptions that are a chain of defaults
+        # down to a leaf meet every addition; others are read off ``c``
+        # itself, at ``a``'s depth.
+        k = c
+        while type(k) is Branch and not k.edges:
+            k = k.default
+        if type(k) is Ok:
+            audience.update(k.value)
         elif c is not EMPTY:
             audience.update(leaves_meeting(c, a))
-        return Ok(ids) if type(a) is Ok else relabel(partial(_tag, ids), a), a, a, EMPTY
+        return Ok(ids) if type(a) is Ok else _tagged(a, Ok(ids)), a, a, EMPTY
     if type(r) is Ok:
         if d is not EMPTY:
             left = r.value - ids
@@ -576,6 +584,19 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
         Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )
+
+
+def _tagged(t: Trie, leaf: Ok) -> Trie:
+    """The unit trie ``t`` rebuilt with ``leaf`` at every leaf.  One leaf
+    value for all keeps the shape, so no edge turns redundant; an edge to
+    EMPTY under a default stays EMPTY.  One frame per level, no more."""
+    if type(t) is not Branch:
+        return leaf if type(t) is Ok else EMPTY
+    edges = {}
+    for tok, child in t.edges.items():
+        edges[tok] = _tagged(child, leaf)
+    default = t.default
+    return Branch(default if default is EMPTY else _tagged(default, leaf), edges)
 
 
 def leaves_meeting(t: Trie, *probes: Trie) -> set:

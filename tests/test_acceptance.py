@@ -641,12 +641,20 @@ def test_setup_work_is_bounded():
     # A subscription compiles its trie from its items, and every layer
     # shares one relay-interests trie, so the box's own assertion is the
     # one pattern a box set-up compiles; a pattern holding no Field is
-    # used as it stands, not copied.
+    # used as it stands, not copied.  A layer starts from a copy of one
+    # shared relay state, a spawn adds its stream with no walk, an
+    # untraced set-up does no trace bookkeeping, and a fresh subtree is
+    # tagged in one walk with its audience read off the subscriptions'
+    # chain of defaults.
     workloads = _bench_workloads()
     box, relay = _setup_calls(workloads.Box), _setup_calls(workloads.Relay)
     assert box[("trie.py", "compile_pattern")] <= 1, box
-    assert sum(box.values()) <= 340, sum(box.values())
-    assert sum(relay.values()) <= 500, sum(relay.values())
+    assert sum(box.values()) <= 280, sum(box.values())
+    assert sum(relay.values()) <= 380, sum(relay.values())
+    for calls in (box, relay):
+        for name in (("engine.py", "_trace"), ("trie.py", "leaves_meeting"), ("trie.py", "relabel")):
+            assert calls[name] == 0, (name, calls)
+    assert not any(path == "trie.py" for path, _ in _setup_calls(lambda _seed: Dataspace([])))
 
 
 # ---------------------------------------------------------------------------

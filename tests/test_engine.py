@@ -3,6 +3,7 @@ import random
 
 from dataspace import trie
 from dataspace.engine import (
+    META,
     Dataspace,
     Message,
     QUIT,
@@ -13,6 +14,7 @@ from dataspace.engine import (
     spawn_full_state,
 )
 from dataspace.facet import spawn_actor
+from dataspace.mux import Mux
 from dataspace.patch import Patch, assert_patch, drop_outbound, from_sets, observation_bodies, retract_patch
 from dataspace.trace import Tracer
 from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
@@ -223,6 +225,50 @@ def test_full_state_adapter_emits_minimal_patches():
         assert_patch(lvl(0)),
         from_sets(added=[lvl(5)], removed=[lvl(0)]),
     ]
+
+
+def test_layers_start_from_one_relay_state_apart():
+    # Every layer starts from a copy of one mux holding the relay's
+    # interests, which one layer's changes leave to the others.
+    built = Mux(relay=META)
+    built.add_stream(Patch.disjoint(Dataspace.relay_interests, trie.EMPTY))
+    first, second = Dataspace([]), Dataspace([])
+    for ds in (first, second):
+        assert (ds.mux.routes, ds.mux.streams, ds.mux.next_id) == (built.routes, built.streams, built.next_id)
+    first.mux.add_stream(assert_patch(S("x")))
+    for ds in (second, Dataspace([])):
+        assert (ds.mux.routes, ds.mux.streams, ds.mux.next_id) == (built.routes, built.streams, built.next_id)
+
+
+def test_untraced_run_does_no_trace_bookkeeping(monkeypatch):
+    # Spawns, crashes and exits of an untraced layer record nothing.
+    traced = []
+    monkeypatch.setattr(Dataspace, "_trace", lambda *args: traced.append(args) or -1)
+
+    class Bomb(Probe):
+        def handle(self, event):
+            raise RuntimeError("boom")
+
+    class OneShot(Probe):
+        def handle(self, event):
+            return [QUIT]
+
+    def broken_boot(_identity):
+        raise RuntimeError("no boot")
+
+    watcher = Probe()
+    ds = ground_run(
+        [
+            spawn_probe(watcher, [assert_patch(observe(S("x")))]),
+            spawn_probe(Bomb(), [assert_patch(S("x")), assert_patch(observe(S("x")))]),
+            spawn_probe(OneShot(), [assert_patch(S("y")), assert_patch(observe(S("y")))]),
+            Spawn(broken_boot, "broken"),
+            spawn_dataspace([spawn_probe(OneShot(), [QUIT])], name="inner"),
+        ]
+    )
+    assert watcher.events == [assert_patch(S("x")), retract_patch(S("x"))]
+    assert len(ds.crashes) == 2 and len(ds.actors) == 2
+    assert traced == []
 
 
 def test_layer_assertions_hide_relay_bookkeeping():

@@ -71,6 +71,38 @@ def test_package_leaves_dataclasses_and_inspect_unimported():
     assert run.stdout.split() == ["[]"]
 
 
+def test_relay_round_trip_runs_optimized():
+    # Under ``python -O`` no assert runs, so no state may be set up inside
+    # one: a relay round trip still works, and a fresh layer holds its
+    # relay stream.
+    code = (
+        "from dataspace.engine import META, Dataspace, Message, spawn_dataspace\n"
+        "from dataspace.facet import spawn_actor\n"
+        "from dataspace.values import CAPTURE, Record, Symbol, inbound, outbound\n"
+        "rec = lambda label: lambda *fields: Record(Symbol(label), fields)\n"
+        "bump, set_box, box_state = rec('bump'), rec('set-box'), rec('box-state')\n"
+        "learned = []\n"
+        "def box(f):\n"
+        "    current = f.field(0, 'current-value')\n"
+        "    f.assert_(lambda: outbound(box_state(current.value)))\n"
+        "    def set_value(n):\n"
+        "        current.value = n\n"
+        "    f.on_message(inbound(set_box(CAPTURE)), set_value)\n"
+        "def client(f):\n"
+        "    f.on_message(inbound(bump(CAPTURE)), lambda n: f.send(set_box(n)))\n"
+        "    f.on_asserted(box_state(CAPTURE), learned.append)\n"
+        "ds = Dataspace([spawn_dataspace([spawn_actor('box', box)], name='inner'), spawn_actor('client', client)])\n"
+        "ds.run()\n"
+        "ds.handle(Message(bump(1)))\n"
+        "fresh = Dataspace([])\n"
+        "print(__debug__, learned, fresh.mux.streams == {META: Dataspace.relay_interests}, fresh.mux.next_id)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dataspace.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "[0,", "1]", "True", "1"]
+
+
 def test_scan_finds_an_unused_import():
     source = "from typing import List, Optional\nimport os.path\n\nx: List[int] = []\n"
     assert unused_imports(source) == [(1, "Optional"), (2, "os")]

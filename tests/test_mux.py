@@ -7,7 +7,7 @@ from dataspace import trie
 from dataspace.engine import Dataspace, Message, spawn_dataspace
 from dataspace.facet import spawn_actor
 from dataspace.mux import Mux
-from dataspace.patch import RETRACT_ALL, assert_patch, from_sets, observation_bodies, retract_patch
+from dataspace.patch import EMPTY_PATCH, RETRACT_ALL, assert_patch, from_sets, observation_bodies, retract_patch
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
 S = Symbol
@@ -62,6 +62,47 @@ def test_no_op_patch_produces_no_events():
     # the same object, not an equal copy.
     assert own is before and m.streams[s] is before and m.routes is routes
     assert events == []
+
+
+def test_adding_a_stream_with_nothing_to_add_makes_no_walk(monkeypatch):
+    m = Mux()
+    m.add_stream(assert_patch(observe(pres(WILDCARD))))
+    routes = m.routes
+    walks = []
+    monkeypatch.setattr(trie, "update_routes", lambda *args: walks.append(args))
+    assert m.add_stream() == (1, trie.EMPTY, [])
+    assert m.add_stream(EMPTY_PATCH) == (2, trie.EMPTY, [])
+    assert m.routes is routes and walks == []
+    assert m.streams[1] is m.streams[2] is trie.EMPTY
+
+
+def test_fresh_subtree_audience_is_exact():
+    # Nobody holds anything under p/2, so each addition is a fresh
+    # subtree there, and its audience is read off the subscriptions at
+    # the same depth: observe(p(_, 1)) hears p(2, 1) only.
+    p = lambda *xs: Record(S("p"), xs)
+    for value, heard in ((p(2, 1), True), (p(1, 3), False), (p(2, 3), False)):
+        m = Mux()
+        watcher, _, _ = m.add_stream(assert_patch(observe(p(WILDCARD, 1))))
+        _, _, events = m.add_stream(assert_patch(value))
+        assert events == ([(watcher, assert_patch(value))] if heard else []), value
+
+
+def test_fresh_subtree_under_a_chain_of_defaults_needs_no_meeting(monkeypatch):
+    # The relay's interests are a chain of defaults down to a leaf below
+    # their label: every addition there meets them, with no walk.
+    m = Mux()
+    watcher, _, _ = m.add_stream(assert_patch(observe(outbound(WILDCARD))))
+    meetings, original = [], trie.leaves_meeting
+
+    def counting(*args):
+        meetings.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trie, "leaves_meeting", counting)
+    _, _, events = m.add_stream(assert_patch(outbound(pres(1))))
+    assert events == [(watcher, assert_patch(outbound(pres(1))))]
+    assert meetings == []
 
 
 def test_events_ascending_stream_order():
