@@ -19,7 +19,7 @@ apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
 Both are read over the subscription's compiled items (``Endpoint.items``,
-from ``trie.spec_items``), made once each time the endpoint's pattern
+from ``values.spec_items``), made once each time the endpoint's pattern
 is resolved; a pattern holding no ``Field`` is never resolved, and is
 its own resolved pattern.  The captures come straight off the patch
 side, in one walk (``trie.captures``), each as the flat tuple of its
@@ -82,13 +82,13 @@ from .values import (
     Value,
     WILDCARD,
     atom_kind,
-    check_value,
     decompose,
     format_value,
     is_compound,
     observe,
     parse_exact,
     serialize,
+    spec_items,
     values_equal,
 )
 
@@ -143,11 +143,9 @@ def _same(a, b) -> bool:
     if not is_compound(a):
         return True
     try:
-        check_value(a)
-        check_value(b)
+        return values_equal(a, b)
     except NotAValue:
         return True
-    return values_equal(a, b)
 
 
 class KindDict(Mapping):
@@ -197,7 +195,7 @@ class Endpoint:
         "priority",
         "current",  # trie contributed to the actor's published set
         "current_pattern",  # sub: pattern with Field refs resolved
-        "items",  # sub: trie.spec_items(current_pattern)
+        "items",  # sub: spec_items(current_pattern)
     )
 
     def __init__(self, eid, facet, kind):
@@ -495,7 +493,7 @@ class ActorRuntime(Actor):
             if ep.holds_field:  # resolved, with its reads recorded
                 pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
             ep.current_pattern = pat
-            ep.items = trie.spec_items(pat)
+            ep.items = spec_items(pat)
             new = trie.compile_items([_OBSERVE] + ep.items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
@@ -510,10 +508,9 @@ class ActorRuntime(Actor):
         try:
             found = trie.captures(items, side)
         except InfiniteSet:
-            raise InfiniteMatchSet(
-                f"subscription {format_value(_wildify(ep.current_pattern))} matched "
-                "infinitely many values"
-            )
+            # The subscription as asserted: capture marks read as wildcards.
+            sub = parse_exact([WILDCARD if i is CAPTURE else i for i in items])[0]
+            raise InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
         for toks in found:
             # A capture-free projection is EMPTY exactly when no member matches.
             inst = _spliced(items, toks)
@@ -696,11 +693,6 @@ def _holds_field(pattern) -> bool:
 def _resolve(pattern):
     """Replace embedded Field references with their current values."""
     return _rebuild(pattern, lambda p: p.value if isinstance(p, Field) else p)
-
-
-def _wildify(pattern):
-    """Capture marks become plain wildcards for subscription purposes."""
-    return _rebuild(pattern, lambda p: WILDCARD if p is CAPTURE else p)
 
 
 def _instantiate(pattern, caps):

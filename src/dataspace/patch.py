@@ -165,11 +165,7 @@ def lift_message(body: Value) -> Value:
 
 def render(p: Patch) -> str:
     def side(t: Trie) -> str:
-        try:
-            keys = trie.pattern_set(t)
-        except trie.InfiniteSet:
-            return "<infinite>"
-        items = sorted(format_value(k[0]) for k in keys)
+        items = sorted(format_value(k[0]) for k in trie.pattern_set(t))
         return "{" + ", ".join(items) + "}"
 
     return f"+{side(p.added)}/-{side(p.removed)}"

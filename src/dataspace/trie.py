@@ -17,7 +17,8 @@ the routing walk ``update_routes``, and the read-only walks
 ``captures`` (a projection's members, without building it).
 
 A pattern compiles to a chain, one node per pre-order item
-(``spec_items``): a token is an edge and a wildcard a default.
+(``values.spec_items``, the one walk from a value or pattern to its
+tokens): a token is an edge and a wildcard a default.
 ``compile_items`` builds it as a right fold over the items, reading a
 capture mark as a wildcard, and neither it nor ``spec_items``
 recurses, so a pattern of any depth compiles.  ``compile_pattern`` is
@@ -80,16 +81,15 @@ from .values import (
     INBOUND,
     OBSERVE,
     OUTBOUND,
-    AtomTok,
     PushTok,
     Record,
     Value,
     WILDCARD,
     CAPTURE,
-    atom_kind,
     atom_token,
-    check_value,
     parse_exact,
+    serialize,
+    spec_items,
     token_sort_key,
 )
 
@@ -259,10 +259,10 @@ def search_value(v: Value, t: Trie):
     object is made on the way but for an atom outside
     ``ATOM_KIND_OF_TYPE``.
 
-    Every part of ``v`` is checked, also below a default and past the
-    point where the trie runs out, so a non-value (a wildcard among
-    them) raises NotAValue whatever ``t`` holds.  The walk keeps its
-    own stack, so a deep value does not recurse.
+    Every part of ``v`` is checked (``serialize``), also below a
+    default and past the point where the trie runs out, so a non-value
+    (a wildcard among them) raises NotAValue whatever ``t`` holds.  The
+    walk keeps its own stack, so a deep value does not recurse.
     """
     todo = [v]
     while todo:
@@ -270,7 +270,7 @@ def search_value(v: Value, t: Trie):
         if type(t) is not Branch:
             # Out of trie, or a leaf before the value ends: no match.
             t = EMPTY
-            check_value(v)
+            serialize(v)
             continue
         if isinstance(v, tuple):
             label, fields = None, v
@@ -286,7 +286,7 @@ def search_value(v: Value, t: Trie):
             continue
         child = t.edges.get((label, len(fields)))
         if child is None:
-            check_value(v)  # the default consumes the whole value
+            serialize(v)  # the default consumes the whole value
             t = t.default
         else:
             t = child
@@ -632,36 +632,6 @@ def leaves_meeting(t: Trie, *probes: Trie) -> set:
 
 # ---------------------------------------------------------------------------
 # Projection
-
-
-def spec_items(spec) -> list:
-    """A projection spec's pre-order items: tokens, ``WILDCARD`` and
-    ``CAPTURE``.  A subscription's items are made once, when its pattern
-    is resolved; every projection of it walks them, and they compile to
-    its trie (``compile_items``).  The walk keeps its own stack, and
-    works out each atom's kind once."""
-    items: list = []
-    todo = [spec]
-    while todo:
-        p = todo.pop()
-        kind = ATOM_KIND_OF_TYPE.get(type(p))
-        if kind is not None:
-            items.append(AtomTok((kind, p)))
-        elif p is WILDCARD or p is CAPTURE:
-            items.append(p)
-        elif isinstance(p, Record):
-            fields = p.fields
-            items.append(PushTok((p.label, len(fields))))
-            todo += fields[::-1]
-        elif isinstance(p, tuple):
-            items.append(PushTok((None, len(p))))
-            todo += p[::-1]
-        else:
-            kind = atom_kind(p)
-            if kind is None:
-                raise ValueError(f"not a pattern: {p!r}")
-            items.append(AtomTok((kind, p)))
-    return items
 
 
 def project(items: list, t: Trie) -> Trie:

@@ -5,9 +5,16 @@ floats, booleans) and compounds (plain tuples or labeled records).
 Patterns extend values with a wildcard; projection specs additionally
 allow capture marks.  Every value reads as a flat token sequence in
 which each compound contributes an arity-tagged push token followed by
-its fields; that sequence is the key format used by the trie index.
-``serialize`` writes a value's tokens, and ``parse_exact`` reads the
-values back off a trie path when a trie is enumerated.
+its fields; that sequence is the key format used by the trie index,
+and a value's identity: atom tokens carry their kind, so 1, 1.0 and
+True stay apart.
+
+There is one walk each way.  ``spec_items`` reads a value or pattern
+into its pre-order items (tokens, wildcards and capture marks) with an
+explicit stack; ``serialize`` is that walk refusing a wildcard or
+capture mark, and ``values_equal`` compares two token sequences, so
+neither recurses on a deep value.  ``parse_exact`` reads values back
+off a token sequence, such as a trie path, with a stack of its own.
 
 A record is an immutable slotted object (``Frozen``) that compares and
 hashes by its label and fields.  The engine's messages and spawn
@@ -176,10 +183,6 @@ def atom_kind(a) -> Optional[str]:
     return None
 
 
-def is_atom(v) -> bool:
-    return atom_kind(v) is not None
-
-
 def is_compound(v) -> bool:
     return isinstance(v, (tuple, Record))
 
@@ -267,42 +270,50 @@ def atom_token(a) -> AtomTok:
     return AtomTok((kind, a))
 
 
-def push_token(v) -> PushTok:
-    label, fields = decompose(v)
-    return PushTok((label, len(fields)))
+def spec_items(spec) -> list:
+    """A value's or pattern's pre-order items: tokens, ``WILDCARD`` and
+    ``CAPTURE``.  This is the one walk from a value to its tokens:
+    ``serialize`` is it for a value, and a pattern's items compile to its
+    trie (``trie.compile_items``).  A subscription's items are made once,
+    when its pattern is resolved, and every projection of it walks them.
+    The walk keeps its own stack, and works out each atom's kind once.
+    Raises ValueError, naming the part, for a part that is neither."""
+    items: list = []
+    todo = [spec]
+    while todo:
+        p = todo.pop()
+        kind = ATOM_KIND_OF_TYPE.get(type(p))
+        if kind is not None:
+            items.append(AtomTok((kind, p)))
+        elif p is WILDCARD or p is CAPTURE:
+            items.append(p)
+        elif isinstance(p, Record):
+            fields = p.fields
+            items.append(PushTok((p.label, len(fields))))
+            todo += fields[::-1]
+        elif isinstance(p, tuple):
+            items.append(PushTok((None, len(p))))
+            todo += p[::-1]
+        else:
+            kind = atom_kind(p)
+            if kind is None:
+                raise ValueError(f"neither a value nor a pattern: {p!r}")
+            items.append(AtomTok((kind, p)))
+    return items
 
 
 def serialize(v: Value) -> list:
-    """Read a value as its pre-order token sequence."""
-    out: list = []
-    _serialize_into(v, out)
-    return out
-
-
-def _serialize_into(v, out: list) -> None:
-    if is_atom(v):
-        out.append(atom_token(v))
-    elif is_compound(v):
-        _, fields = decompose(v)
-        out.append(push_token(v))
-        for f in fields:
-            _serialize_into(f, out)
-    else:
-        raise NotAValue(f"not serializable as an assertion value: {v!r}")
-
-
-def check_value(v) -> None:
-    """Raise NotAValue unless ``v`` is a value; parts are checked in
-    pre-order, without recursion."""
-    todo = [v]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, tuple):
-            todo.extend(reversed(v))
-        elif isinstance(v, Record):
-            todo.extend(reversed(v.fields))
-        elif atom_kind(v) is None:
-            raise NotAValue(f"not serializable as an assertion value: {v!r}")
+    """A value's pre-order token sequence: its ``spec_items``, which may
+    hold no wildcard or capture mark.  Raises NotAValue, naming the
+    offending part."""
+    try:
+        items = spec_items(v)
+    except ValueError as e:  # NotAValue too, for NaN
+        raise NotAValue(*e.args) from None
+    for mark in (WILDCARD, CAPTURE):
+        if mark in items:
+            raise NotAValue(f"not a value: {mark!r}")
+    return items
 
 
 def parse_exact(tokens: Sequence[Token]) -> tuple:
@@ -333,17 +344,9 @@ def parse_exact(tokens: Sequence[Token]) -> tuple:
 
 
 def values_equal(a, b) -> bool:
-    """Structural equality that keeps atom kinds apart (1 != 1.0 != True)."""
-    ka, kb = atom_kind(a) if is_atom(a) else None, atom_kind(b) if is_atom(b) else None
-    if ka or kb:
-        return ka == kb and a == b
-    if is_compound(a) and is_compound(b):
-        la, fa = decompose(a)
-        lb, fb = decompose(b)
-        return la is lb and len(fa) == len(fb) and all(
-            values_equal(x, y) for x, y in zip(fa, fb)
-        )
-    return False
+    """Structural equality that keeps atom kinds apart (1 != 1.0 != True):
+    equal token sequences, as tokens carry their atom's kind."""
+    return serialize(a) == serialize(b)
 
 
 # ---------------------------------------------------------------------------

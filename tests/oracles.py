@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here works with plain Python sets and structural recursion,
-deliberately sharing no code with the trie or mux implementations.
+deliberately sharing no code with the trie or mux implementations, nor
+with the token walk (``values.spec_items``) that serializes a value and
+decides its equality: atoms are told apart by ``atom_type`` here.
 """
 from __future__ import annotations
 
@@ -13,15 +15,33 @@ from dataspace.values import (
     Symbol,
     WILDCARD,
     decompose,
-    is_atom,
     is_compound,
     observe,
-    values_equal,
 )
 
 A = Symbol("a")
 B = Symbol("b")
 ATOMS = (A, B, 0, 1, True, False, 1.0)
+#: The atom types, each its own kind; bool before int, its base class.
+ATOM_TYPES = (bool, int, float, str, Symbol)
+
+
+def atom_type(v):
+    """The atom type ``v`` is of, or None for a non-atom."""
+    return next((t for t in ATOM_TYPES if isinstance(v, t)), None)
+
+
+def kind_equal(a, b) -> bool:
+    """Structural equality that keeps atom kinds apart (1 != 1.0 != True),
+    by recursion: the reference for ``values.values_equal``."""
+    ta, tb = atom_type(a), atom_type(b)
+    if ta or tb:
+        return ta is tb and a == b
+    if is_compound(a) and is_compound(b):
+        la, fa = decompose(a)
+        lb, fb = decompose(b)
+        return la is lb and len(fa) == len(fb) and all(kind_equal(x, y) for x, y in zip(fa, fb))
+    return False
 
 
 def build_universe() -> List[object]:
@@ -49,7 +69,7 @@ def build_universe() -> List[object]:
 
 def _hashable(v):
     # Distinguish atom kinds the way assertion equality does (0 != False).
-    if is_atom(v):
+    if atom_type(v):
         return (type(v).__name__, v)
     label, fields = decompose(v)
     return (label.name if label else None, tuple(_hashable(f) for f in fields))
@@ -59,8 +79,8 @@ def match(pattern, value) -> bool:
     """Does the concrete value belong to the pattern's meaning?"""
     if pattern is WILDCARD:
         return True
-    if is_atom(pattern):
-        return is_atom(value) and values_equal(pattern, value)
+    if atom_type(pattern):
+        return kind_equal(pattern, value)
     if is_compound(pattern):
         if not is_compound(value):
             return False
@@ -84,8 +104,8 @@ def _match(pattern, value):
             return True
         if p is WILDCARD:
             return True
-        if is_atom(p):
-            return is_atom(v) and values_equal(p, v)
+        if atom_type(p):
+            return kind_equal(p, v)
         if is_compound(p):
             if not is_compound(v):
                 return False

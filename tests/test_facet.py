@@ -6,6 +6,7 @@ from dataspace.engine import Message, ground_run, spawn_dataspace
 from dataspace.facet import (
     ActorRuntime,
     InfiniteMatchSet,
+    KindDict,
     PRIORITY_QUERY_ADD,
     _captures,
     _instantiate,
@@ -141,6 +142,42 @@ def test_deep_patterns_resolve_and_instantiate():
     assert log == [("up", 1), ("up", 2), ("down", 1)]
 
 
+def _nested_tuple(atom, depth=900):
+    for _ in range(depth):
+        atom = (atom,)
+    return atom
+
+
+def test_deep_field_value_reassigned_equal_keeps_the_actor_running():
+    # A field set to a value equal to its own compares the two as token
+    # sequences, so a value nested 900 deep, which the actor can assert,
+    # can also be set again.
+    log = []
+
+    def holder(f):
+        deep = f.field(_nested_tuple(1), "deep")
+        f.assert_(lambda: rec("held", deep.value))
+
+        def reset():
+            deep.value = _nested_tuple(1)
+            log.append("reset")
+
+        f.on_message(inbound(S("reset")), reset)
+
+    ds = ground_run([spawn_actor("h", holder)])
+    ds.handle(Message(S("reset")))
+    assert ds.crashes == {}
+    assert log == ["reset"]
+    assert "h#1" in ds.living_names()
+
+
+def test_kind_dict_equality_holds_for_deep_values():
+    deep = KindDict([(1, _nested_tuple(1))])
+    assert deep == KindDict([(1, _nested_tuple(1))])
+    assert deep != KindDict([(1, _nested_tuple(True))])
+    assert deep != KindDict([(1, _nested_tuple(1, 899))])
+
+
 def test_stop_when_runs_continuation_after_stop_handlers():
     log = []
 
@@ -234,6 +271,10 @@ def test_infinite_match_kills_only_observer():
         [spawn_actor("narrow", narrow), spawn_actor("wild", wild_asserter)]
     )
     assert any(isinstance(e, InfiniteMatchSet) for e in ds.crashes.values())
+    # The message names the subscription as asserted, capture marks as wildcards.
+    assert [str(e) for e in ds.crashes.values()] == [
+        "subscription ?#item(_) matched infinitely many values"
+    ]
     assert "wild#2" in ds.living_names()
     assert "narrow#1" not in ds.living_names()
 

@@ -42,7 +42,6 @@ from dataspace.values import (
     decompose,
     observe,
     parse_exact,
-    push_token,
 )
 
 from oracles import build_universe, match, random_pattern, _hashable, _match
@@ -573,8 +572,8 @@ def test_tokens_keep_atom_kinds_apart():
     keys = {atom_token(a): i for i, a in enumerate(atoms)}
     assert len(keys) == len(atoms)
     assert [keys[atom_token(a)] for a in atoms] == list(range(len(atoms)))
-    pushes = {push_token(()): 0, push_token((1,)): 1, push_token(Record(S("a"), (1,))): 2}
-    assert len(pushes) == 3 and pushes[push_token((2,))] == 1
+    pushes = {PushTok((None, 0)): 0, PushTok((None, 1)): 1, PushTok((S("a"), 1)): 2}
+    assert len(pushes) == 3 and pushes[spec_items((2,))[0]] == 1
 
 
 def test_wide_tuple_assertion_publishes():

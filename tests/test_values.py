@@ -8,6 +8,8 @@ from dataspace.patch import Patch
 from dataspace.trace import TraceRecord
 from dataspace.trie import EMPTY, compile_pattern
 from dataspace.values import (
+    CAPTURE,
+    WILDCARD,
     AtomTok,
     MalformedTokens,
     NotAValue,
@@ -21,10 +23,13 @@ from dataspace.values import (
     parse_exact,
     parse_text,
     serialize,
+    spec_items,
     token_sort_key,
     unwrap,
     values_equal,
 )
+
+from oracles import kind_equal
 
 S = Symbol
 
@@ -44,6 +49,17 @@ values = st.recursive(
         .map(lambda t: Record(t[0], tuple(t[1]))),
     ),
     max_leaves=12,
+)
+
+#: Values over atoms of all five kinds that plain equality confuses
+#: (0 == 0.0 == False, 1 == 1.0 == True), so that pairs often collide.
+close_values = st.recursive(
+    st.sampled_from([0, 1, 0.0, 1.0, False, True, "1", S("1")]),
+    lambda children: st.one_of(
+        st.lists(children, max_size=2).map(tuple),
+        st.lists(children, max_size=2).map(lambda fs: Record(S("rec"), tuple(fs))),
+    ),
+    max_leaves=6,
 )
 
 
@@ -96,6 +112,49 @@ def test_atom_kinds_kept_apart():
     assert not values_equal(0, False)
     assert serialize(1) != serialize(True)
     assert values_equal((1, S("a")), (1, S("a")))
+
+
+@given(st.one_of(values, close_values), close_values)
+def test_values_equal_agrees_with_the_reference(v, w):
+    assert values_equal(v, w) == kind_equal(v, w)
+    assert values_equal(v, v) and kind_equal(v, v)
+
+
+@given(values)
+def test_serialize_is_the_token_walk_of_a_value(v):
+    assert serialize(v) == spec_items(v)
+
+
+@given(
+    st.lists(values, max_size=3),
+    st.integers(0, 3),
+    st.sampled_from([WILDCARD, CAPTURE, [1]]),
+    st.integers(0, 40),
+)
+def test_serialize_refuses_a_non_value_part_naming_it(fields, at, bad, depth):
+    fields.insert(at, bad)
+    v = tuple(fields)
+    for i in range(depth):
+        v = Record(S("rec"), (i, v))
+    with pytest.raises(NotAValue) as refused:
+        serialize(v)
+    assert str(refused.value).endswith(repr(bad))
+    with pytest.raises(NotAValue):
+        values_equal(v, v)
+
+
+def test_deep_values_serialize_and_compare_without_recursion():
+    def nest(atom, depth=5000):
+        for i in range(depth):
+            atom = (atom,) if i % 2 else Record(S("n"), (atom,))
+        return atom
+
+    deep = nest(1)
+    toks = serialize(deep)
+    assert len(toks) == 5001 and toks[-1] == atom_token(1)
+    assert serialize(parse_exact(toks)[0]) == toks
+    assert values_equal(deep, nest(1))
+    assert not values_equal(deep, nest(True)) and not values_equal(deep, nest(1, 4999))
 
 
 def test_token_order_atoms_before_pushes():
