@@ -4,7 +4,8 @@ While a subject (any hashable token standing for a computation) is
 active, reads of observable objects are recorded as edges.  Damaging an
 object schedules every depending subject for re-evaluation; repair
 rounds run until no damage remains, re-recording the dependencies each
-subject exhibits on its fresh run.
+subject exhibits on its fresh run.  A round re-runs its subjects in a
+fixed order (``order_key``, else their text), a lone one directly.
 """
 from __future__ import annotations
 
@@ -71,11 +72,14 @@ class Graph:
                 )
                 subjects -= again
             repaired |= subjects
-            for subject in sorted(subjects, key=_subject_order):
+            for subject in subjects if len(subjects) < 2 else sorted(subjects, key=_subject_order):
                 self.forget_subject(subject)
-                self.with_subject(subject, lambda s=subject: evaluate(s))
+                outer, self.active_subject = self.active_subject, subject
+                try:
+                    evaluate(subject)
+                finally:
+                    self.active_subject = outer
 
 
 def _subject_order(subject):
-    # Deterministic repair order; subjects expose an id when they have one.
     return getattr(subject, "order_key", None) or (1, str(subject))

@@ -135,17 +135,17 @@ class Field:
 
 
 def _same(a, b) -> bool:
-    """Whether assigning ``a`` over ``b`` changes nothing.  Compound
-    values compare kind-faithfully, so ``(1,)`` is not ``(True,)``;
-    anything else compares by its own equality, within one type."""
-    if not (type(a) is type(b) and a == b):
+    """Whether assigning ``a`` over ``b`` changes nothing: both of one type,
+    and equal, a compound as token sequences (kind-faithfully, so ``(1,)``
+    is not ``(True,)``, and without recursion), anything else by ``==``."""
+    if type(a) is not type(b):
         return False
-    if not is_compound(a):
-        return True
+    if not isinstance(a, (tuple, Record)):  # is_compound, without a call
+        return a == b
     try:
         return values_equal(a, b)
     except NotAValue:
-        return True
+        return a == b
 
 
 class KindDict(Mapping):
@@ -516,21 +516,19 @@ class ActorRuntime(Actor):
             inst = _spliced(items, toks)
             if trie.project(inst, before) is EMPTY:
                 if ep.on == "asserted":  # known after: it comes from delta.added
-                    self._activate(ep, parse_exact(toks))
+                    self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
             elif ep.on == "retracted" and trie.project(inst, after) is EMPTY:
-                self._activate(ep, parse_exact(toks))
+                self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
         caps = _captures(ep.items, body)
         if caps is not None:
-            self._activate(ep, tuple(caps))
-
-    def _activate(self, ep: Endpoint, caps: tuple) -> None:
-        # The turn loop drops the script if ep's facet has stopped by then.
-        self._schedule(ep.priority, ep.facet, ep.handler, caps)
+            self._schedule(ep.priority, ep.facet, ep.handler, tuple(caps))
 
     def _schedule(self, priority: int, facet: Optional[Facet], fn: Callable, args: tuple = ()) -> None:
-        # An entry holds the script's function and arguments, not a closure.
+        # An entry holds the script's function and arguments, not a closure
+        # (for an activation, the handler and captures; the turn loop drops
+        # it if the facet has stopped by then).
         if facet is not None:
             facet.pending_scripts += 1
         heapq.heappush(self._queue, (priority, self._seq, facet, fn, args))

@@ -10,19 +10,18 @@ added or removed.
 An update makes one walk over the routing index
 (``trie.update_routes``), down the stream's own set and the two halves
 of its patch together.  The walk moves the stream's id into or out of
-the index's leaf sets where the patch changes the stream's own set,
+the index's leaf sets where the patch changes the stream's own set, and
 reads what became visible or invisible off those leaf sets (an assertion
-shows when its leaf set fills from empty, and goes when it empties), and
-rebuilds the stream's own set, all at once.  If it hands back the old
-own set itself, the patch changed nothing and the update ends there.
-The subscriptions the stream adds and drops are the differences of its
-subscriptions (``observation_bodies``) after and before, worked out only
-when those are not the same object.  Retracting a wildcard can remove
-only what the stream holds, so under a removal wildcard the walk follows
-the stream's own set, not the index, where the other streams' edges are:
-an update costs O(|patch| + |own set under the patch's removal
-wildcards|), plus the index's edges under its addition wildcards.
-``remove_stream`` retracts the universe, so it costs O(|own set|).
+shows when its leaf set fills from empty, and goes when it empties).  A
+half of the patch that shows whole comes back as it came, not rebuilt.
+If the walk hands back the old own set itself, the patch changed
+nothing and the update ends there.  The subscriptions the stream adds
+and drops are the differences of its subscriptions
+(``observation_bodies``) after and before, worked out only when those
+are not the same object.  Retracting a wildcard can remove only what the
+stream holds, so under a removal wildcard the walk follows the stream's
+own set, not the index (``trie.update_routes`` gives the cost), and
+``remove_stream``, which retracts the universe, costs O(|own set|).
 
 The audience of a change, the streams whose subscriptions meet the
 visible change, is read by the same walk: it carries a fifth cursor
@@ -158,14 +157,17 @@ class Mux:
         events: List[Tuple[StreamId, Patch]] = []
         for peer in sorted(audience):
             if peer == sid:
-                # Subscriptions the stream keeps hear what became
-                # visible; those it adds catch up on what stands after,
-                # those it drops let go of what stood before.
-                kept = trie.subtract(subs_old, gone)
-                delta = Patch.disjoint(
-                    trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
-                    trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
-                )
+                # Subscriptions the stream keeps hear what became visible;
+                # those it adds catch up on what stands after, those it drops
+                # let go of what stood before; one that held nothing only catches up.
+                if old is EMPTY:
+                    delta = Patch.disjoint(trie.intersect(came, routes_new), EMPTY)
+                else:
+                    kept = trie.subtract(subs_old, gone)
+                    delta = Patch.disjoint(
+                        trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
+                        trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
+                    )
             elif peer == self.relay:
                 # The relay's translation selects its interests itself.
                 delta = Patch.disjoint(appeared, vanished)

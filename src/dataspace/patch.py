@@ -27,8 +27,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, Value, format_value, inbound, unwrap
-from .trie import EMPTY, Trie
+from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, PushTok, Value, format_value, inbound, unwrap
+from .trie import EMPTY, Branch, Trie
+
+_OBSERVE = PushTok((OBSERVE, 1))
 
 
 class Patch(Frozen):
@@ -116,8 +118,8 @@ def label_patch(p: Patch, label) -> Patch:
 
 
 def observation_bodies(t: Trie) -> Trie:
-    """The set {c | observe(c) in t}."""
-    return trie.unwrap_trie(OBSERVE, t)
+    """The set {c | observe(c) in t}, read off the edge in one frame: the mux reads it per peer."""
+    return t.edges.get(_OBSERVE) or (EMPTY if t.default is EMPTY else Branch(t.default, {}))
 
 
 def lift_inbound(p: Patch) -> Patch:
@@ -138,20 +140,16 @@ def drop_outbound(p: Patch) -> Patch:
     parts of its disjoint halves, themselves disjoint, and skips the
     normalization.
     """
-    added, added_interests = _drop_parts(p.added)
-    removed, removed_interests = _drop_parts(p.removed)
+    strip = trie.unwrap_trie
+    added, removed = strip(OUTBOUND, p.added), strip(OUTBOUND, p.removed)
+    added_interests = strip(INBOUND, strip(OBSERVE, p.added))
+    removed_interests = strip(INBOUND, strip(OBSERVE, p.removed))
     if added_interests is EMPTY and removed_interests is EMPTY:
         return Patch.disjoint(added, removed)
     return Patch(
         trie.union(added, trie.wrap_trie(OBSERVE, added_interests)),
         trie.union(removed, trie.wrap_trie(OBSERVE, removed_interests)),
     )
-
-
-def _drop_parts(t: Trie) -> tuple:
-    """A patch side's ``outbound(c)`` parts as c and its
-    ``observe(inbound(c))`` parts as c."""
-    return trie.unwrap_trie(OUTBOUND, t), trie.unwrap_trie(INBOUND, trie.unwrap_trie(OBSERVE, t))
 
 
 def drop_message(body: Value):

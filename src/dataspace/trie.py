@@ -39,9 +39,10 @@ A routing trie has frozensets of stream ids as leaves.
 ``update_routes`` applies one stream's patch to it in a single walk
 with four results: the new routing trie, the stream's new own set (the
 old one itself if the patch changes nothing), and the part of the
-change that becomes visible, added and removed; it also collects the
-audience, the leaf sets of a second routing trie (the standing
-subscriptions) at the values that become visible or invisible.
+change that becomes visible, added and removed (the patch's own half
+itself where all of it shows, told by identity, not rebuilt); it also
+collects the audience, the leaf sets of a second routing trie (the
+standing subscriptions) at the values that become visible or invisible.
 ``leaves_meeting`` reads which leaf sets a probe meets without
 building an intersection.  Where the routing trie is empty the walk
 takes the additions whole: it tags them in one shape-keeping walk, and
@@ -472,9 +473,13 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     A subtree the walk leaves unchanged is returned as it came, so
     ``own_new`` is ``own`` itself exactly when ``limit`` of the request
     against ``own`` is empty; where ``own`` is empty, the new own set
-    is the addition itself, not a copy.  The audience is the union of
-    ``interests``' leaf sets at the visible values,
-    ``leaves_meeting(interests, visible_added, visible_removed)``.
+    is the addition itself, not a copy.  So is a visible half: where its
+    default and each of its edges came back as the request's own (told
+    by identity, which walks no subtree), it is the request's node, so
+    ``visible_added`` is ``added`` exactly when every addition shows, and
+    ``visible_removed`` is ``removed`` when every removal vanishes.  The
+    audience is the union of ``interests``' leaf sets at the visible
+    values, ``leaves_meeting(interests, visible_added, visible_removed)``.
 
     The walk goes down the edges of ``added`` and ``removed``.  Under a
     removal wildcard it also goes down ``own``'s edges, since only what
@@ -492,10 +497,7 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     ``ids`` in one walk that keeps their shape (``_tagged``, not
     ``relabel``), and their audience is the leaf of ``interests`` if it
     is a chain of defaults there (every addition meets it), or else read
-    with ``leaves_meeting`` from the same node.  The walk recurses through
-    ``_update_routes``, which takes ``ids`` and ``audience`` as
-    arguments, so a call leaves no reference cycle behind (see the
-    module docstring).
+    with ``leaves_meeting`` from the same node.
     """
     ids = frozenset((sid,))
     audience: set = set()
@@ -547,7 +549,9 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             visit.update(r_edges)
             visit.update(c_edges)
     same = wo is ow
-    er, eo, eva, evd = dict(r_edges), dict(o_edges), {}, {}
+    # ha, hd: visible edges that came back as the request's own child (ka,
+    # kd); if that is all of them and all of its edges, the half is its node.
+    er, eo, eva, evd, ha, hd = r_edges.copy(), o_edges.copy(), {}, {}, 0, 0
     for tok in visit:
         n = tok.arity
         # A missing edge reads as its default's tail (a trie is never falsy).
@@ -555,8 +559,8 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         kr, kn, kva, kvd = _update_routes(
             r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
             ko,
-            a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
-            d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
+            (ka := a_edges.get(tok)) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
+            (kd := d_edges.get(tok)) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
             c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
             ids, audience,
         )
@@ -573,16 +577,20 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             eo[tok] = kn
         if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
             eva[tok] = kva
+            ha += kva is ka
         if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
             evd[tok] = kvd
+            hd += kvd is kd
     if same:
         return r, o, EMPTY, EMPTY
     return (
         Branch(wr, er) if er or wr is not EMPTY else EMPTY,
         # Holding nothing here, the stream comes to hold exactly ``a``.
         a if o is EMPTY else Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
-        Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
-        Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
+        EMPTY if not eva and wva is EMPTY
+        else a if wva is aw and ha == len(a_edges) == len(eva) else Branch(wva, eva),
+        EMPTY if not evd and wvd is EMPTY
+        else d if wvd is dw and hd == len(d_edges) == len(evd) else Branch(wvd, evd),
     )
 
 

@@ -4,10 +4,15 @@ Everything here works with plain Python sets and structural recursion,
 deliberately sharing no code with the trie or mux implementations, nor
 with the token walk (``values.spec_items``) that serializes a value and
 decides its equality: atoms are told apart by ``atom_type`` here.
+
+``count_calls`` is the one call counter behind every gate on counted
+work.
 """
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
 from typing import Dict, FrozenSet, List, Set
 
 from dataspace.values import (
@@ -177,3 +182,32 @@ class ShadowModel:
 
     def syllabi(self) -> Dict[int, FrozenSet]:
         return {actor: self.syllabus(actor) for actor in self.stores}
+
+
+def count_calls(thunk):
+    """Run ``thunk``; return its result and the calls it made into Python
+    functions, by code object, its own frame aside (built-ins run no
+    Python code and are not counted).  The counts are exact for a seed,
+    so a gate on them needs no retries; ``sys.setprofile`` slows what it
+    runs several-fold, so a gate sizes its runs to match."""
+    calls: Counter = Counter()
+    own = getattr(thunk, "__code__", None)
+
+    def count(frame, event, _arg):
+        if event == "call" and frame.f_code is not own:
+            calls[frame.f_code] += 1
+
+    sys.setprofile(count)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def calls_by_file(calls: Counter) -> Counter:
+    """``count_calls``'s counts summed per source file."""
+    out: Counter = Counter()
+    for code, n in calls.items():
+        out[code.co_filename] += n
+    return out

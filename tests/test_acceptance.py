@@ -9,13 +9,12 @@ cross-layer assertion sets, benchmark cost shapes, and dataflow repair.
 import importlib.util
 import pathlib
 import random
-import sys
 import time
 from collections import Counter
 
 import pytest
 
-from dataspace import facet, trie
+from dataspace import cli, facet, trie
 from dataspace.cli import (
     bench_broadcast,
     bench_conn_scale,
@@ -73,6 +72,8 @@ from oracles import (
     _hashable,
     _match,
     build_universe,
+    calls_by_file,
+    count_calls,
     match,
     meaning,
     random_pattern,
@@ -565,6 +566,31 @@ def test_benchmark_shapes():
     assert time.monotonic() - started <= 600
 
 
+def test_scn_presence_work_per_notification_is_flat(monkeypatch):
+    # The counted twin of the timed scn-presence shape above, on the same
+    # joins: package calls per notification may not grow with k.  Time
+    # on a shared machine can read a cheaper notification as a worse
+    # shape; counted work tells a shape from load.
+    notified = Counter()
+
+    class TallyingMux(Mux):
+        def add_stream(self, initial=EMPTY_PATCH):
+            sid, own, events = super().add_stream(initial)
+            notified["events"] += len(events)
+            return sid, own, events
+
+    monkeypatch.setattr(cli, "Mux", TallyingMux)
+    package = pathlib.Path(trie.__file__).parent
+    points = []
+    for k in (10, 100, 300):
+        notified.clear()
+        by_file = calls_by_file(count_calls(lambda: bench_scn_presence(k, repeat=1))[1])
+        calls = sum(n for path, n in by_file.items() if pathlib.Path(path).parent == package)
+        assert notified["events"] == k * (k + 1) // 2  # each join tells the joiner and every peer
+        points.append((k, calls / notified["events"]))
+    assert flatness(points) <= 2.0, points
+
+
 def _bench_workloads():
     """``bench/workloads.py``, the benchmark's actor programs, loaded as a module."""
     path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
@@ -577,21 +603,14 @@ def _bench_workloads():
 def _calls_per_op(w, modules, ops: int) -> dict:
     """Run ``ops`` requests of workload ``w``; return the calls made per
     op into each of ``modules``, by module name."""
-    files = {m.__file__: m.__name__ for m in modules}
-    calls = Counter()
 
-    def count(frame, event, _arg):
-        if event == "call" and frame.f_code.co_filename in files:
-            calls[files[frame.f_code.co_filename]] += 1
-
-    sys.setprofile(count)
-    try:
+    def run():
         for _ in range(ops):
             w.ds.handle(w.request())
-    finally:
-        sys.setprofile(None)
+
+    by_file = calls_by_file(count_calls(run)[1])
     assert w.check()
-    return {name: calls[name] / ops for name in files.values()}
+    return {m.__name__: by_file[m.__file__] / ops for m in modules}
 
 
 def test_presence_work_per_member_is_flat():
@@ -618,20 +637,12 @@ def _setup_calls(cls) -> Counter:
     """Calls made into each function of the ``dataspace`` package while
     one fresh copy of workload ``cls`` is set up, by (file, name)."""
     package = pathlib.Path(trie.__file__).parent
-    calls = Counter()
-
-    def count(frame, event, _arg):
-        if event == "call":
-            path = pathlib.Path(frame.f_code.co_filename)
-            if path.parent == package:
-                calls[(path.name, frame.f_code.co_name)] += 1
-
     cls(1)  # the first copy settles what is built once per process
-    sys.setprofile(count)
-    try:
-        cls(1)
-    finally:
-        sys.setprofile(None)
+    calls = Counter()
+    for code, n in count_calls(lambda: cls(1))[1].items():
+        path = pathlib.Path(code.co_filename)
+        if path.parent == package:
+            calls[(path.name, code.co_name)] += n
     return calls
 
 

@@ -171,6 +171,31 @@ def test_deep_field_value_reassigned_equal_keeps_the_actor_running():
     assert "h#1" in ds.living_names()
 
 
+def test_deep_field_value_set_again_compares_without_recursion():
+    # Python's own tuple equality recurses in C against the recursion
+    # limit, so a field compares compounds as token sequences only: a
+    # value 1000 or 1500 deep can be set again, equal or of another atom
+    # kind.
+    for depth in (1000, 1500):
+        log = []
+
+        def holder(f):
+            deep = f.field(_nested_tuple(1, depth), "deep")
+
+            def reset():
+                deep.value = _nested_tuple(1, depth)
+                log.append(deep in f.runtime.graph.damaged)
+                deep.value = _nested_tuple(True, depth)
+                log.append(deep in f.runtime.graph.damaged)
+
+            f.on_message(inbound(S("reset")), reset)
+
+        ds = ground_run([spawn_actor("h", holder)])
+        ds.handle(Message(S("reset")))
+        assert ds.crashes == {}, depth
+        assert log == [False, True], depth
+
+
 def test_kind_dict_equality_holds_for_deep_values():
     deep = KindDict([(1, _nested_tuple(1))])
     assert deep == KindDict([(1, _nested_tuple(1))])
@@ -786,7 +811,7 @@ def test_dispatch_matches_two_probe_oracle():
     rt.startup()
     subs = [ep for ep in rt.endpoints.values() if ep.kind == "sub"]
     got = []
-    rt._activate = lambda ep, caps: got.append(caps)
+    rt._schedule = lambda _priority, _facet, _handler, caps: got.append(caps)
 
     def dispatched(ep, delta, before, after):
         got.clear()

@@ -32,6 +32,7 @@ KERNEL = ("values", "trie", "patch", "mux", "dataflow")
 BENCH_ONLY = {
     "trie.key_set": "a span target in bench/spans.py; the smoke test pins its calls per op at 0",
     "patch.aggregate_visibility": "a span target in bench/spans.py",
+    "patch.limit": "a span target in bench/spans.py",
 }
 
 
@@ -151,14 +152,18 @@ def definitions(module: str, source: str) -> list:
     return out
 
 
-def names_used(tree: ast.AST) -> Counter:
-    """How often a syntax tree names each name: as a name, an attribute,
-    an import or an identifier-shaped string (the benchmark's spans reach
-    the functions they wrap through strings)."""
+def names_used(tree: ast.AST, bare: bool = False) -> Counter:
+    """How often a syntax tree names each name: as an attribute, an
+    import, an identifier-shaped string (the benchmark's spans reach the
+    functions they wrap through strings) or a bare name.  A bare name
+    counts only if the tree imports it, or if ``bare`` is set, as it is
+    for the defining module: elsewhere it is a local, such as a
+    parameter, that only shares a definition's name."""
+    imported = {alias.asname or alias.name for alias in ast.walk(tree) if isinstance(alias, ast.alias)}
     used = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used[node.id] += 1
+            used[node.id] += bare or node.id in imported
         elif isinstance(node, ast.Attribute):
             used[node.attr] += 1
         elif isinstance(node, ast.alias):
@@ -172,8 +177,9 @@ def dead_definitions(
     modules: dict, corpus: list, runtime: list = (), kernel=(), bench: list = (), bench_only=()
 ) -> list:
     """The definitions of ``modules`` (name -> source) that no source of
-    ``corpus`` names.  One of a ``kernel`` module counts as used only if
-    a source of ``runtime``, which holds the module's own, names it
+    ``corpus`` names; a bare name counts in its own module and where it
+    is imported (see ``names_used``).  One of a ``kernel`` module counts
+    as used only if its own module or a source of ``runtime`` names it
     outside its own body, or if ``bench_only`` lists it and a source of
     ``bench`` names it."""
     used = sum((names_used(ast.parse(source)) for source in corpus), Counter())
@@ -181,13 +187,16 @@ def dead_definitions(
     benched = sum((names_used(ast.parse(source)) for source in bench), Counter())
     dead = []
     for module, source in modules.items():
+        tree = ast.parse(source)
+        # The bare names the module uses without importing them.
+        own = names_used(tree, bare=True) - names_used(tree)
         for qualified, name, node in definitions(module, source):
             if module in kernel:
-                alive = served[name] > names_used(node)[name] or (
+                alive = served[name] + own[name] > names_used(node, bare=True)[name] or (
                     qualified in bench_only and benched[name] > 0
                 )
             else:
-                alive = used[name] > 0
+                alive = used[name] + own[name] > 0
             if not alive:
                 dead.append(qualified)
     return sorted(dead)
@@ -213,26 +222,29 @@ def test_scan_finds_a_dead_definition():
         "    def uncalled(self):\n        pass\n\n"
         "    def _private(self):\n        pass\n"
     )
-    client = "from m import used\n\nC().called()\n"
+    client = "from m import C, used\n\nC().called()\n"
     assert dead_definitions({"m": source}, [source, client]) == ["C.uncalled", "m.dead"]
     # In a kernel module, a test's call or a call from the definition's
     # own body is not use; a benchmark naming it in a string is, only
-    # for a definition listed as kept for the benchmark alone.
+    # for a definition listed as kept for the benchmark alone.  A bare
+    # name is use only where it is defined or imported: a parameter that
+    # shares a definition's name is not.
     kernel = (
         "def tested():\n    pass\n\n"
+        "def shadowed():\n    pass\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "def spanned():\n    pass\n\n"
         "def called():\n    pass\n"
     )
     test = "from k import recursive, tested\n\ntested()\nrecursive(3)\n"
     bench = 'import k\n\nTARGETS = [getattr(k, name) for name in ("spanned", "called")]\n'
-    program = "import k\n\nk.called()\n"
+    program = "import k\n\nk.called()\n\ndef make(shadowed):\n    return shadowed\n"
     corpus = [kernel, test, bench, program]
     runtime = [kernel, program]
-    assert dead_definitions({"k": kernel}, corpus) == []
+    assert dead_definitions({"k": kernel}, corpus) == ["k.shadowed"]
     listed = {"k.spanned": "a span target"}
     got = dead_definitions({"k": kernel}, corpus, runtime, {"k"}, [bench], listed)
-    assert got == ["k.recursive", "k.tested"]
+    assert got == ["k.recursive", "k.shadowed", "k.tested"]
     # A new survivor the benchmark alone names is dead until listed.
     got = dead_definitions({"k": kernel}, corpus, runtime, {"k"}, [bench])
-    assert got == ["k.recursive", "k.spanned", "k.tested"]
+    assert got == ["k.recursive", "k.shadowed", "k.spanned", "k.tested"]

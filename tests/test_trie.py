@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +43,7 @@ from dataspace.values import (
     parse_exact,
 )
 
-from oracles import build_universe, match, random_pattern, _hashable, _match
+from oracles import build_universe, count_calls, match, random_pattern, _hashable, _match
 
 S = Symbol
 U = build_universe()
@@ -267,20 +266,10 @@ def test_capture_free_projection_stops_at_its_first_match():
     t = assertion_set(
         [tuple(rng.choice((WILDCARD, 0, 1, 2, 3, 4)) for _ in range(8)) for _ in range(40)]
     )
-    codes = {trie._project.__code__, trie._combine.__code__}
-    calls = []
-
-    def count(frame, event, _arg):
-        if event == "call" and frame.f_code in codes:
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(count)
-    try:
-        got = project(spec_items((WILDCARD,) * 8), t)
-    finally:
-        sys.setprofile(None)
+    got, calls = count_calls(lambda: project(spec_items((WILDCARD,) * 8), t))
     assert got is trie.UNIT
-    assert len(calls) <= 40, len(calls)
+    walked = calls[trie._project.__code__] + calls[trie._combine.__code__]
+    assert walked <= 40, walked
 
 
 def test_key_set_keeps_atom_kinds_apart_in_trie_order():
@@ -550,6 +539,9 @@ def test_route_chains_stay_canonical(steps):
         assert (own_new is own[sid]) == applied.is_empty()
         visible = aggregate_visibility(applied, routes, routes_new)
         assert (appeared, vanished) == (visible.added, visible.removed)
+        # A requested half comes back itself exactly when all of it shows.
+        assert (appeared is requested.added) == (appeared == requested.added)
+        assert (vanished is requested.removed) == (vanished == requested.removed)
         assert leaves_meeting(routes, appeared, vanished) == (
             _leaves(intersect(routes, appeared)) | _leaves(intersect(routes, vanished))
         )
@@ -565,6 +557,42 @@ def test_route_chains_stay_canonical(steps):
             assert (search_value(v, routes) or set()) == ids, v
         for s, held in own.items():
             assert held == trie.relabel(lambda ids: () if s in ids else None, routes)
+
+
+def test_update_routes_hands_back_the_halves_that_show_whole():
+    # Where every requested addition becomes visible, the visible-added
+    # half is ``added`` itself, not a rebuilt copy, and so for removals
+    # that all vanish.  Where part of a half was already held, by the
+    # stream or by another, the walk rebuilds the part that shows.
+    p = lambda x: Record(S("p"), (x,))
+    own = {0: EMPTY, 1: EMPTY}
+    routes = EMPTY
+
+    def update(sid, adds, removes):
+        nonlocal routes
+        requested = Patch(assertion_set(adds), assertion_set(removes))
+        interests = observation_bodies(routes)
+        out = update_routes(routes, own[sid], sid, requested.added, requested.removed, interests)
+        routes_new, own_new, appeared, vanished, _ = out
+        visible = aggregate_visibility(limit(requested, own[sid]), routes, routes_new)
+        assert (appeared, vanished) == (visible.added, visible.removed)
+        routes, own[sid] = routes_new, own_new
+        return requested, appeared, vanished
+
+    update(1, [p(9), S("q")], [])
+    requested, appeared, _ = update(0, [p(1), p(2)], [])
+    assert appeared is requested.added
+    requested, appeared, _ = update(0, [p(2), p(3)], [])  # p(2) already held
+    assert appeared is not requested.added and appeared == assertion_set([p(3)])
+    requested, appeared, _ = update(0, [p(9), p(4)], [])  # p(9) held by stream 1
+    assert appeared is not requested.added and appeared == assertion_set([p(4)])
+    requested, appeared, _ = update(0, [p(WILDCARD)], [])  # beside p(9) and held ones
+    assert appeared is not requested.added
+    requested, _, vanished = update(0, [], [p(WILDCARD), p(1)])
+    assert vanished is not requested.removed  # stream 1 still holds p(9)
+    requested, _, vanished = update(0, [p(5), p(6)], [])
+    requested, _, vanished = update(0, [], [p(5), p(6)])
+    assert vanished is requested.removed
 
 
 def test_tokens_keep_atom_kinds_apart():

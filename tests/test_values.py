@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,7 +27,7 @@ from dataspace.values import (
     values_equal,
 )
 
-from oracles import kind_equal
+from oracles import count_calls, kind_equal
 
 S = Symbol
 
@@ -197,18 +195,8 @@ def test_token_lookup_and_symbol_hash_run_no_python_code():
     atom, push = atom_token(7), PushTok((S("x"), 2))
     assert all(atom is not k and push is not k for k in edges)
     sym = S("x")
-    calls = []
-
-    def record(frame, event, _arg):
-        if event == "call":
-            calls.append(frame.f_code.co_name)
-
-    sys.setprofile(record)
-    try:
-        got = (edges.get(atom), edges.get(push), hash(sym))
-    finally:
-        sys.setprofile(None)
-    assert calls == []
+    got, calls = count_calls(lambda: (edges.get(atom), edges.get(push), hash(sym)))
+    assert not calls, calls
     assert got[:2] == (0, 1)
 
 
