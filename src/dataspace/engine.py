@@ -151,16 +151,11 @@ class Dataspace(Actor):
     # -- internals ----------------------------------------------------------
 
     def _trace(self, kind: str, who, payload, cause: int = -1) -> int:
-        """Record a trace event; ``payload`` (an action, an event or a
-        text) is rendered only when a tracer is set, and hot paths call
-        it only then."""
-        if self.tracer is None:
-            return -1
+        """Record a trace event, rendering ``payload`` (an action, an
+        event or a text).  Callers must check that a tracer is set."""
         path = self.path + ((self.names.get(who, str(who)),) if who is not None else ())
         try:
             text = _describe(payload)
-        except RecursionError:  # an assertion too deep for the renderer
-            text = "<too deep to render>"
         except NotAValue:  # a message body that is not a value
             text = "<not a value>"
         return self.tracer.record(kind, path, text, cause)

@@ -20,8 +20,10 @@ and drops are the differences of its subscriptions
 (``observation_bodies``) after and before, worked out only when those
 are not the same object.  Retracting a wildcard can remove only what the
 stream holds, so under a removal wildcard the walk follows the stream's
-own set, not the index (``trie.update_routes`` gives the cost), and
-``remove_stream``, which retracts the universe, costs O(|own set|).
+own set, not the index.  ``trie.update_routes`` gives the cost, which
+counts the fan-out of each index node the walk rebuilds, as a rebuilt
+node copies its edges.  ``remove_stream``, which retracts the universe,
+costs O(|own set|).
 
 The audience of a change, the streams whose subscriptions meet the
 visible change, is read by the same walk: it carries a fifth cursor

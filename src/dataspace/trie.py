@@ -490,11 +490,13 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     Where neither half has a default, those of ``routes`` and ``own``
     carry over.  Other edges carry over unchanged, under an unchanged
     default, so they stay canonical; rebuilt edges are checked with
-    ``_redundant``, as in ``combine``.  An update thus costs O(|patch| +
+    ``_redundant``, as in ``combine``.  An update thus visits O(|patch| +
     |own set under its removal wildcards| + |edges of routes and
-    interests under its addition wildcards|).  Where ``routes`` is
-    empty, so is the own set: the additions are taken whole, tagged with
-    ``ids`` in one walk that keeps their shape (``_tagged``, not
+    interests under its addition wildcards|) nodes, plus the fan-out of
+    each node it rebuilds, whose ``routes`` and ``own`` edges it copies:
+    one value asserted beside k siblings costs O(k).  Where ``routes``
+    is empty, so is the own set: the additions are taken whole, tagged
+    with ``ids`` in one walk that keeps their shape (``_tagged``, not
     ``relabel``), and their audience is the leaf of ``interests`` if it
     is a chain of defaults there (every addition meets it), or else read
     with ``leaves_meeting`` from the same node.

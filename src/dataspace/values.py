@@ -16,6 +16,11 @@ capture mark, and ``values_equal`` compares two token sequences, so
 neither recurses on a deep value.  ``parse_exact`` reads values back
 off a token sequence, such as a trie path, with a stack of its own.
 
+Text is the third form of a value, written from and read into the same
+items: ``format_value`` writes ``spec_items`` out, and ``parse_text``
+reads text into items for ``parse_exact``.  A symbol whose bare name
+reads as something else is written between bars (``|1|``, ``|a b|``).
+
 A record is an immutable slotted object (``Frozen``) that compares and
 hashes by its label and fields.  The engine's messages and spawn
 requests, patches and trace records are ``Frozen`` too, so no part of
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from operator import itemgetter
 from typing import Optional, Sequence, Union
 
@@ -237,7 +243,12 @@ class AtomTok(tuple):
         return (0, _ATOM_KIND_RANK[self.kind], self.payload)
 
     def __repr__(self) -> str:
-        return format_value(self.payload)
+        kind, payload = self
+        if kind == "symbol":
+            return _symbol_text(payload)
+        if kind == "str":
+            return json.dumps(payload)
+        return ("false", "true")[payload] if kind == "bool" else repr(payload)
 
 
 class PushTok(tuple):
@@ -320,9 +331,9 @@ def parse_exact(tokens: Sequence[Token]) -> tuple:
     """Rebuild the values a token sequence spells, in order.
 
     Raises MalformedTokens when the sequence ends inside a value.  A
-    WILDCARD token reads back as WILDCARD, one whole value.  The open
-    compounds are kept on an explicit stack, so a deep value takes no
-    Python frame per level.
+    WILDCARD or CAPTURE item reads back as itself, one whole value.  The
+    open compounds are kept on an explicit stack, so a deep value takes
+    no Python frame per level.
     """
     values: list = []
     fields = values  # where the next value read goes
@@ -332,7 +343,7 @@ def parse_exact(tokens: Sequence[Token]) -> tuple:
             stack.append((tok, fields))
             fields = []
         else:
-            fields.append(WILDCARD if tok is WILDCARD else tok.payload)
+            fields.append(tok if tok is WILDCARD or tok is CAPTURE else tok.payload)
         # Close every compound whose fields are all read.
         while stack and len(fields) == stack[-1][0].arity:
             push, outer = stack.pop()
@@ -352,139 +363,123 @@ def values_equal(a, b) -> bool:
 # ---------------------------------------------------------------------------
 # Canonical text encoding
 
+# One lexeme, after any whitespace: a delimiter or a prefix (``_`` and
+# ``$`` stand alone), a record's ``#label(``, or an atom: a JSON string,
+# a symbol quoted between bars, or a bare word.
+_WORD = r'[^\s()"#?↓↑$|][^\s()"#?↓↑$]*'
+_QUOTED = r"\|(?:[^|\\]|\\.)*\|"
+_LEXEME = re.compile(
+    rf'\s*(?:(?P<char>[()?↓↑_$])|#(?P<label>{_QUOTED}|{_WORD})\('
+    rf'|(?P<atom>"(?:[^"\\]|\\.)*"|{_QUOTED}|(?P<word>{_WORD})))',
+    re.S,
+)
+_WRAPPERS = {"?": OBSERVE, "↓": OUTBOUND, "↑": INBOUND}
+_PREFIXES = {label: prefix for prefix, label in _WRAPPERS.items()}
+
+
+def _interpret_word(word: str):
+    """The atom a word spells: a JSON string, a symbol between bars, or a
+    bare word: a boolean, a number if it starts as one can (a sign, a
+    digit, a point, or ``inf``'s or ``nan``'s first letter), or a symbol."""
+    head = word[0]
+    if head == '"':
+        return json.loads(word)
+    if head == "|":
+        return Symbol(json.loads('"' + word[1:-1].replace("\\|", "|") + '"'))
+    if word == "true" or word == "false":
+        return word == "true"
+    if head in "+-.iInN" or head.isdecimal():
+        for number in (int, float):
+            try:
+                return number(word)
+            except ValueError:
+                pass
+    return Symbol(word)
+
+
+def _symbol_text(sym: Symbol) -> str:
+    """A symbol's bare name when that word reads back as it, else its name
+    between bars, escaped as in a JSON string and with ``\\|`` for a bar."""
+    name = sym.name
+    m = _LEXEME.match(name)
+    if m is not None and m["word"] == name and _interpret_word(name) is sym:
+        return name
+    return "|" + json.dumps(name)[1:-1].replace("|", "\\|") + "|"
+
 
 def format_value(v) -> str:
-    if v is WILDCARD:
-        return "_"
-    if v is CAPTURE:
-        return "$"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, float)):
-        return repr(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    if isinstance(v, Symbol):
-        return v.name
-    if is_compound(v):
-        label, fields = decompose(v)
-        if label is OBSERVE and len(fields) == 1:
-            return "?" + format_value(fields[0])
-        if label is OUTBOUND and len(fields) == 1:
-            return "↓" + format_value(fields[0])
-        if label is INBOUND and len(fields) == 1:
-            return "↑" + format_value(fields[0])
-        inner = " ".join(format_value(f) for f in fields)
-        if label is None:
-            return f"({inner})"
-        return f"#{label.name}({inner})"
-    raise NotAValue(f"cannot format {v!r}")
-
-
-class _TextParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> ValueError:
-        return ValueError(f"{msg} at offset {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_value(self):
-        self.skip_ws()
-        ch = self.peek()
-        if not ch:
-            raise self.error("unexpected end of input")
-        if ch == "?":
-            self.pos += 1
-            return observe(self.parse_value())
-        if ch == "↓":
-            self.pos += 1
-            return outbound(self.parse_value())
-        if ch == "↑":
-            self.pos += 1
-            return inbound(self.parse_value())
-        if ch == "(":
-            return tuple(self.parse_fields())
-        if ch == "#":
-            self.pos += 1
-            name = self.parse_bare_word()
-            if self.peek() != "(":
-                raise self.error("expected '(' after record label")
-            return Record(Symbol(name), tuple(self.parse_fields()))
-        if ch == '"':
-            return self.parse_string()
-        if ch == "_":
-            self.pos += 1
-            return WILDCARD
-        if ch == "$":
-            self.pos += 1
-            return CAPTURE
-        word = self.parse_bare_word()
-        return self.interpret_word(word)
-
-    def parse_fields(self) -> list:
-        assert self.peek() == "("
-        self.pos += 1
-        fields = []
-        while True:
-            self.skip_ws()
-            if self.peek() == ")":
-                self.pos += 1
-                return fields
-            if not self.peek():
-                raise self.error("unterminated compound")
-            fields.append(self.parse_value())
-
-    def parse_string(self) -> str:
-        start = self.pos
-        self.pos += 1
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "\\":
-                self.pos += 2
+    """A value's or pattern's canonical text: its ``spec_items`` written
+    out in one loop, every item but a push token as its ``repr``, and a
+    unary ``observe``, ``outbound`` or ``inbound`` as a ``?``, ``↓`` or
+    ``↑`` prefix.  Raises NotAValue for a part that is no value, NaN too."""
+    try:
+        items = spec_items(v)
+    except ValueError as e:
+        raise NotAValue(*e.args) from None
+    out: list = []
+    stack: list = []  # per open compound: [fields left, its closer]
+    for item in items:
+        if item.__class__ is PushTok:
+            label, arity = item
+            prefix = _PREFIXES.get(label) if arity == 1 else None
+            out.append(prefix or ("(" if label is None else f"#{_symbol_text(label)}("))
+            if arity:
+                stack.append([arity, "" if prefix else ")"])
                 continue
-            if ch == '"':
-                self.pos += 1
-                return json.loads(self.text[start : self.pos])
-            self.pos += 1
-        raise self.error("unterminated string")
-
-    def parse_bare_word(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in ' \t\r\n()"#?↓↑$' :
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected a value")
-        return self.text[start : self.pos]
-
-    def interpret_word(self, word: str):
-        if word == "true":
-            return True
-        if word == "false":
-            return False
-        try:
-            return int(word)
-        except ValueError:
-            pass
-        try:
-            return float(word)
-        except ValueError:
-            pass
-        return Symbol(word)
+            out.append(")")
+        else:
+            out.append(repr(item))
+        # A whole value is written: close the compounds it completes.
+        while stack:
+            top = stack[-1]
+            top[0] -= 1
+            if top[0]:
+                out.append(" ")
+                break
+            out.append(stack.pop()[1])
+    return "".join(out)
 
 
 def parse_text(text: str):
-    """Parse the canonical text encoding back into a value or pattern."""
-    p = _TextParser(text)
-    v = p.parse_value()
-    p.skip_ws()
-    if p.pos != len(p.text):
-        raise p.error("trailing input")
-    return v
+    """Parse canonical text back into a value or pattern: one loop reads
+    it into items, writing a compound's push token once its ``)`` gives
+    the arity, and ``parse_exact`` builds the value.  Raises ValueError
+    on malformed text, and NotAValue on ``nan``, which is no value."""
+    items: list = []
+    # Per open compound: [label, index of its push token, fields read]; a
+    # prefix, which takes one value, is None; the bottom one counts values.
+    stack: list = [[None, -1, 0]]
+    pos = 0
+    while (m := _LEXEME.match(text, pos)) is not None:
+        kind = m.lastgroup
+        lexeme = m[kind]
+        if len(stack) == 1 and stack[0][2]:
+            raise ValueError(f"trailing input at offset {m.start(kind)} in {text!r}")
+        pos = m.end()
+        if kind == "label" or lexeme == "(":
+            label = None if lexeme == "(" else _interpret_word(lexeme) if lexeme[0] == "|" else Symbol(lexeme)
+            stack.append([label, len(items), 0])
+            items.append(None)
+            continue
+        if lexeme in _WRAPPERS:
+            items.append(PushTok((_WRAPPERS[lexeme], 1)))
+            stack.append(None)
+            continue
+        if lexeme == ")":
+            if stack[-1] is None or len(stack) == 1:
+                raise ValueError(f"unexpected ')' at offset {m.start(kind)} in {text!r}")
+            label, at, n = stack.pop()
+            items[at] = PushTok((label, n))
+        elif kind == "char":
+            items.append(WILDCARD if lexeme == "_" else CAPTURE)
+        else:
+            items.append(atom_token(_interpret_word(lexeme)))
+        # A whole value is read: it completes the prefixes waiting for it.
+        while stack[-1] is None:
+            stack.pop()
+        stack[-1][2] += 1
+    if text[pos:].strip():
+        raise ValueError(f"expected a value at offset {len(text) - len(text[pos:].lstrip())} in {text!r}")
+    if len(stack) > 1 or not stack[0][2]:
+        raise ValueError(f"unexpected end of input in {text!r}")
+    return parse_exact(items)[0]

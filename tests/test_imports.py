@@ -35,6 +35,19 @@ BENCH_ONLY = {
     "patch.limit": "a span target in bench/spans.py",
 }
 
+#: The functions and methods of the package that call themselves, each
+#: with the reason it may.  A value too deep for Python's recursion limit
+#: can fail in these and nowhere else: every other walker keeps a stack
+#: of its own.
+RECURSIVE = {
+    "trie._combine": "union, intersect and subtract: one frame per token (ROADMAP item 6)",
+    "trie._project": "projection: one frame per token under a wildcard or capture mark (ROADMAP item 6)",
+    "trie._tagged": "a fresh subtree's routing tags: one frame per token (ROADMAP item 6)",
+    "trie._update_routes": "a stream's routing update: one frame per token (ROADMAP item 6)",
+    "trie.relabel": "Mux.all_assertions' leaf map: one frame per token (ROADMAP item 6)",
+    "programs.arm": "the ticker re-arms from a later turn, not from inside its own call",
+}
+
 
 def unused_imports(source: str) -> list:
     tree = ast.parse(source)
@@ -248,3 +261,45 @@ def test_scan_finds_a_dead_definition():
     # A new survivor the benchmark alone names is dead until listed.
     got = dead_definitions({"k": kernel}, corpus, runtime, {"k"}, [bench])
     assert got == ["k.recursive", "k.shadowed", "k.spanned", "k.tested"]
+
+
+def self_calling(module: str, source: str) -> list:
+    """The functions and methods of a module that call themselves by
+    name, as ``f(...)`` or ``self.f(...)``: a function, nested or not,
+    as ``module.name``, and a method as ``Class.name``."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    todo = [(ast.parse(source), module)]
+    while todo:
+        node, owner = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, funcs):
+                name = child.name
+                for call in ast.walk(child):
+                    f = call.func if isinstance(call, ast.Call) else None
+                    if (isinstance(f, ast.Name) and f.id == name) or (
+                        isinstance(f, ast.Attribute) and f.attr == name
+                        and isinstance(f.value, ast.Name) and f.value.id == "self"
+                    ):
+                        found.append(f"{owner}.{name}")
+                        break
+            inner = child.name if isinstance(child, ast.ClassDef) else module if isinstance(child, funcs) else owner
+            todo.append((child, inner))
+    return sorted(found)
+
+
+def test_only_the_listed_walkers_call_themselves():
+    found = [name for path in MODULES for name in self_calling(path.stem, path.read_text())]
+    assert sorted(found) == sorted(RECURSIVE)
+
+
+def test_scan_finds_a_self_calling_helper():
+    source = (
+        "def walk(t):\n    return [walk(c) for c in t]\n\n"
+        "def loop(t):\n    todo = [t]\n    while todo:\n        todo += todo.pop()\n\n"
+        "def outer(n):\n    def inner(n):\n        return inner(n - 1) if n else outer\n    return inner(n)\n\n"
+        "class C:\n"
+        "    def visit(self, t):\n        return [self.visit(c) for c in t]\n\n"
+        "    def show(self, t):\n        return t.show() + str(show)\n"
+    )
+    assert self_calling("m", source) == ["C.visit", "m.inner", "m.walk"]

@@ -32,6 +32,34 @@ def test_file_roundtrip(tmp_path):
     assert load(path) == tracer.records
 
 
+def _nested(depth):
+    v = 1
+    for _ in range(depth):
+        v = (v,)
+    return v
+
+
+def test_deep_values_trace_in_full(tmp_path):
+    # Every renderer keeps its own stack, so a 1500-deep assertion (which
+    # the mux refuses, crashing its author) and a 5000-deep message body
+    # are written out in full, and the file reads back.
+    path = str(tmp_path / "deep.trace")
+    tracer = Tracer(path)
+    ground_run(
+        [
+            spawn_actor("holder", lambda f: f.assert_(_nested(1500))),
+            spawn_actor("sender", lambda f: f.on_start(lambda: f.send(_nested(5000)))),
+        ],
+        tracer=tracer,
+    )
+    tracer.close()
+    payloads = [r.payload for r in tracer.records]
+    assert "<too deep to render>" not in payloads
+    assert "+{" + "(" * 1500 + "1" + ")" * 1500 + "}/-{}" in payloads
+    assert "<" + "(" * 5000 + "1" + ")" * 5000 + ">" in payloads
+    assert load(path) == tracer.records
+
+
 def test_header_required(tmp_path):
     p = tmp_path / "bogus"
     p.write_text("not a trace\n")

@@ -7,6 +7,7 @@ from dataspace.trace import TraceRecord
 from dataspace.trie import EMPTY, compile_pattern
 from dataspace.values import (
     CAPTURE,
+    OBSERVE,
     WILDCARD,
     AtomTok,
     MalformedTokens,
@@ -90,9 +91,49 @@ def test_parse_truncated_rejected():
         parse_exact(toks[:-1])
 
 
-@given(values)
+#: Symbols of every name, as atoms and as labels: text must quote those
+#: whose bare word reads as something else ("1", "true", "", "_a", "a b",
+#: "x)"), and a unary observe, outbound or inbound record takes a prefix.
+any_symbol = st.text().map(S)
+text_values = st.recursive(
+    st.one_of(atoms, any_symbol),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3).map(tuple),
+        st.tuples(
+            st.one_of(st.sampled_from([S("observe"), S("outbound"), S("inbound")]), any_symbol),
+            st.lists(children, max_size=2),
+        ).map(lambda t: Record(t[0], tuple(t[1]))),
+    ),
+    max_leaves=12,
+)
+
+
+@given(st.one_of(values, text_values, close_values))
 def test_text_roundtrip(v):
     assert values_equal(parse_text(format_value(v)), v)
+
+
+def test_symbols_that_read_as_other_words_are_quoted():
+    for name in ("1", "true", "1.5", "inf", "-0", "1_000", "nan", "", "_a", "$", "a b", "x)", "|a|", 'a"b'):
+        text = format_value(S(name))
+        assert text.startswith("|") and parse_text(text) is S(name), text
+        assert parse_text(format_value(Record(S(name), (S(name),)))) == Record(S(name), (S(name),))
+    assert format_value((S("a|b"), S("é"), S("x_y"))) == "(a|b é x_y)"
+    assert format_value(S("a b")) == "|a b|" and format_value(S("|")) == "|\\||"
+    assert parse_text("(1 |1|)") == (1, S("1"))
+
+
+def test_nan_has_no_text():
+    # atom_kind refuses NaN, so no assertion holds one: text neither
+    # writes nor reads it.
+    with pytest.raises(NotAValue):
+        format_value(float("nan"))
+    with pytest.raises(NotAValue):
+        format_value((1, Record(S("r"), (float("nan"),))))
+    with pytest.raises(ValueError):
+        parse_text("nan")
+    with pytest.raises(ValueError):
+        parse_text("(1 nan)")
 
 
 def test_text_forms():
@@ -153,6 +194,20 @@ def test_deep_values_serialize_and_compare_without_recursion():
     assert serialize(parse_exact(toks)[0]) == toks
     assert values_equal(deep, nest(1))
     assert not values_equal(deep, nest(True)) and not values_equal(deep, nest(1, 4999))
+
+
+def test_deep_values_round_trip_through_text():
+    # format_value writes the token walk out and parse_text feeds
+    # parse_exact, so neither takes a frame per level.
+    deep = 1
+    for i in range(5000):
+        deep = (deep,) if i % 2 else Record(S("n") if i % 3 else OBSERVE, (deep,))
+    text = format_value(deep)
+    assert text.count("(") == 5000 - 5000 // 6 - 1 and text.count("?") == 5000 // 6 + 1
+    assert values_equal(parse_text(text), deep)
+    assert not values_equal(parse_text(text.replace("1", "true")), deep)
+    pattern = Record(S("n"), (deep, WILDCARD, CAPTURE))
+    assert spec_items(parse_text(format_value(pattern))) == spec_items(pattern)
 
 
 def test_token_order_atoms_before_pushes():
