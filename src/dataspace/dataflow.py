@@ -10,6 +10,7 @@ fixed order (``order_key``, else their text), a lone one directly.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from typing import Callable, Dict, Optional, Set
 
 
@@ -17,8 +18,9 @@ class Graph:
     __slots__ = ("edges_forward", "edges_reverse", "damaged", "active_subject")
 
     def __init__(self):
-        self.edges_forward: Dict[object, Set[object]] = {}
-        self.edges_reverse: Dict[object, Set[object]] = {}
+        # A first edge makes its set; a later one adds to it.
+        self.edges_forward: Dict[object, Set[object]] = defaultdict(set)
+        self.edges_reverse: Dict[object, Set[object]] = defaultdict(set)
         self.damaged: Set[object] = set()
         self.active_subject: Optional[object] = None
 
@@ -35,8 +37,8 @@ class Graph:
         subject = self.active_subject
         if subject is None:
             return
-        self.edges_forward.setdefault(obj, set()).add(subject)
-        self.edges_reverse.setdefault(subject, set()).add(obj)
+        self.edges_forward[obj].add(subject)
+        self.edges_reverse[subject].add(obj)
 
     def record_damage(self, obj) -> None:
         self.damaged.add(obj)

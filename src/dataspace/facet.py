@@ -485,13 +485,16 @@ class ActorRuntime(Actor):
         return self._add_sub(facet, pattern, on, fire)
 
     def _refresh_endpoint(self, ep: Endpoint) -> None:
+        # A repair runs this with ep as the graph's subject already.
+        graph = self.graph
         if ep.kind == "assert":
-            v = self.graph.with_subject(ep, ep.compute)
+            v = ep.compute() if graph.active_subject is ep else graph.with_subject(ep, ep.compute)
             new = EMPTY if v is None else trie.compile_pattern(v)
         else:
             pat = ep.pattern
             if ep.holds_field:  # resolved, with its reads recorded
-                pat = self.graph.with_subject(ep, lambda: _resolve(ep.pattern))
+                pat = (_resolve(pat) if graph.active_subject is ep
+                       else graph.with_subject(ep, lambda: _resolve(ep.pattern)))
             ep.current_pattern = pat
             ep.items = spec_items(pat)
             new = trie.compile_items([_OBSERVE] + ep.items)

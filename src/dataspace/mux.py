@@ -35,7 +35,11 @@ own set has a default), so a removal wildcard still costs only what the
 stream holds.  The updating stream is served in the same pass as its
 peers, in stream order, and only when it is in that audience or its
 subscriptions change; otherwise its feedback is empty, so none is
-worked out.  Every delta is built as a trusted disjoint patch (see
+worked out.  A peer hears the visible change intersected with its
+subscriptions; where they cover a visible half, that half comes back
+from ``trie.intersect`` as itself, so a peer hears the publisher's own
+trie, and a later patch that removes it removes the very object the
+peer holds.  Every delta is built as a trusted disjoint patch (see
 ``patch``).
 
 A mux built with ``relay=sid`` serves stream ``sid`` as its layer's
@@ -105,7 +109,7 @@ class Mux:
         if initial.added is EMPTY:
             # A fresh stream holds nothing to remove: no walk.
             return sid, EMPTY, []
-        own, events = self.update_stream(sid, initial)
+        own, events = self._update(sid, initial, feedback=True)
         return sid, own, events
 
     def remove_stream(self, sid: StreamId) -> List[Tuple[StreamId, Patch]]:
@@ -143,9 +147,13 @@ class Mux:
         came = gone = EMPTY
         if feedback:
             # A part of the own set the walk left alone is the same object.
-            subs_old, subs_new = observation_bodies(old), observation_bodies(own_new)
-            if subs_new is not subs_old:
-                came, gone = trie.subtract(subs_new, subs_old), trie.subtract(subs_old, subs_new)
+            subs_new = observation_bodies(own_new)
+            if old is EMPTY:
+                came = subs_new  # held nothing: every subscription is new
+            else:
+                subs_old = observation_bodies(old)
+                if subs_new is not subs_old:
+                    came, gone = trie.subtract(subs_new, subs_old), trie.subtract(subs_old, subs_new)
             # The author hears feedback only if it is in the audience or
             # its subscriptions change.  Its kept subscriptions, those of
             # ``old`` less ``gone``, meet the visible change only if some

@@ -138,12 +138,18 @@ def drop_outbound(p: Patch) -> Patch:
     an ``outbound(observe(_))`` part on the other, so a patch with no
     such part on either side translates to the unwrapped ``outbound``
     parts of its disjoint halves, themselves disjoint, and skips the
-    normalization.
+    normalization.  Such a part lies under an ``observe`` edge or a
+    default, so a patch whose halves have neither is known to have none
+    before anything else is unwrapped.
     """
     strip = trie.unwrap_trie
-    added, removed = strip(OUTBOUND, p.added), strip(OUTBOUND, p.removed)
-    added_interests = strip(INBOUND, strip(OBSERVE, p.added))
-    removed_interests = strip(INBOUND, strip(OBSERVE, p.removed))
+    a, r = p.added, p.removed
+    added, removed = strip(OUTBOUND, a), strip(OUTBOUND, r)
+    added_interests = removed_interests = EMPTY
+    if (a.default is not EMPTY or r.default is not EMPTY
+            or _OBSERVE in a.edges or _OBSERVE in r.edges):
+        added_interests = strip(INBOUND, strip(OBSERVE, a))
+        removed_interests = strip(INBOUND, strip(OBSERVE, r))
     if added_interests is EMPTY and removed_interests is EMPTY:
         return Patch.disjoint(added, removed)
     return Patch(

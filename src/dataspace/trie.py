@@ -35,6 +35,14 @@ An edge is redundant when its child is ``make_tail(arity, default)``;
 ``_redundant`` finds that by walking the child, without building the
 tail.
 
+A set operation hands back the left operand it keeps whole: where the
+node it would build has that operand's own default and the same child
+object on every edge, ``combine`` returns the operand, not a copy.
+Told by identity, with no equality walk, this holds at every depth, so
+``union(a, b)``, ``intersect(a, b)`` and ``subtract(a, b)`` are ``a``
+itself whenever they equal ``a``, and a caller handed the result can
+tell it unchanged with ``is``.
+
 A routing trie has frozensets of stream ids as leaves.
 ``update_routes`` applies one stream's patch to it in a single walk
 with four results: the new routing trie, the stream's new own set (the
@@ -306,7 +314,10 @@ def combine(t1: Trie, t2: Trie, f: Callable, keep_left: bool = True, keep_right:
     is kept unchanged or dropped.  The walk recurses through
     ``_combine``, which takes ``f`` and the one-sided flags as
     arguments, so a call leaves no reference cycle behind (see the
-    module docstring).
+    module docstring).  A result equal to ``t1`` is ``t1`` itself: a
+    node whose default and every edge came back as ``t1``'s own objects
+    is returned as it was, not rebuilt.  (A leaf is taken from ``t1``,
+    so a result equal to ``t2`` is not always ``t2``.)
     """
     return _combine(t1, t2, f, keep_left, keep_right)
 
@@ -318,9 +329,14 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
         return a if keep_left else EMPTY
     if type(a) is Ok or type(b) is Ok:
         return f(a, b)
-    w = a.default
-    if w is not EMPTY or b.default is not EMPTY:
-        w = _combine(w, b.default, f, keep_left, keep_right)
+    w, bw = a.default, b.default
+    # A default with EMPTY on the other side is kept or dropped whole.
+    if bw is EMPTY:
+        w = w if keep_left else EMPTY
+    elif w is EMPTY:
+        w = bw if keep_right else EMPTY
+    else:
+        w = _combine(w, bw, f, keep_left, keep_right)
     # Iterate the smaller edge map; ties go to the left operand.
     left_small = len(a.edges) <= len(b.edges)
     small, large = (a, b) if left_small else (b, a)
@@ -347,12 +363,25 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
         other = large_edges.get(tok) or (
             make_tail(n, large.default) if n and large.default is not EMPTY else large.default
         )
-        child = (_combine(child, other, f, keep_left, keep_right) if left_small
-                 else _combine(other, child, f, keep_left, keep_right))
+        # Where the large side holds nothing, the child is kept or dropped whole.
+        if other is EMPTY:
+            child = child if (keep_left if left_small else keep_right) else EMPTY
+        else:
+            child = (_combine(child, other, f, keep_left, keep_right) if left_small
+                     else _combine(other, child, f, keep_left, keep_right))
         if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
             edges[tok] = child
         elif tok in edges:
             del edges[tok]
+    if w is a.default and len(edges) == len(a.edges):
+        # As many edges as a, under a's default: a itself if each is a's
+        # own child (a missing one reads as None).
+        a_edges = a.edges
+        for tok, child in edges.items():
+            if a_edges.get(tok) is not child:
+                break
+        else:
+            return a
     if not edges and w is EMPTY:
         return EMPTY
     return Branch(w, edges)
@@ -494,12 +523,16 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     |own set under its removal wildcards| + |edges of routes and
     interests under its addition wildcards|) nodes, plus the fan-out of
     each node it rebuilds, whose ``routes`` and ``own`` edges it copies:
-    one value asserted beside k siblings costs O(k).  Where ``routes``
-    is empty, so is the own set: the additions are taken whole, tagged
-    with ``ids`` in one walk that keeps their shape (``_tagged``, not
-    ``relabel``), and their audience is the leaf of ``interests`` if it
-    is a chain of defaults there (every addition meets it), or else read
-    with ``leaves_meeting`` from the same node.
+    one value asserted beside k siblings costs O(k).  Where ``own`` is
+    empty (a join, or a part of ``added`` new to the stream), nothing
+    can be removed and the stream comes to hold exactly the addition, so
+    the walk takes a leaner branch there that carries only ``routes``,
+    ``added`` and ``interests``.  Where ``routes`` is empty, so is the
+    own set: the additions are taken whole, tagged with ``ids`` in one
+    walk that keeps their shape (``_tagged``, not ``relabel``), and their
+    audience is the leaf of ``interests`` if it is a chain of defaults
+    there (every addition meets it), or else read with ``leaves_meeting``
+    from the same node.
     """
     ids = frozenset((sid,))
     audience: set = set()
@@ -508,33 +541,73 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
 
 def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, audience: set) -> tuple:
     if o is EMPTY:
-        d = EMPTY  # nothing to remove
+        # Holding nothing here, the stream removes nothing and comes to
+        # hold exactly ``a``: only the routing trie and the visible
+        # addition are worked out, below ``a``'s edges and, under its
+        # default, those of ``r`` and ``c``.
+        if a is EMPTY:
+            return r, o, EMPTY, EMPTY
+        if r is EMPTY:
+            # Nobody holds anything here, so ``a`` is all new.
+            # Subscriptions that are a chain of defaults down to a leaf
+            # meet every addition; others are read off ``c`` itself, at
+            # ``a``'s depth.
+            k = c
+            while type(k) is Branch and not k.edges:
+                k = k.default
+            if type(k) is Ok:
+                audience.update(k.value)
+            elif c is not EMPTY:
+                audience.update(leaves_meeting(c, a))
+            return Ok(ids) if type(a) is Ok else _tagged(a, Ok(ids)), a, a, EMPTY
+        if type(r) is Ok:
+            return Ok(r.value | ids), a, EMPTY, EMPTY
+        r_edges, rw = r.edges, r.default
+        a_edges, aw = a.edges, a.default
+        c_edges, cw = c.edges, c.default
+        if aw is EMPTY:
+            wr, wva, visit = rw, EMPTY, a_edges
+        else:
+            wr, _, wva, _ = _update_routes(rw, EMPTY, aw, EMPTY, cw, ids, audience)
+            visit = {**a_edges, **r_edges, **c_edges}
+        er, eva, ha = r_edges.copy(), {}, 0
+        for tok in visit:
+            n = tok.arity
+            # A missing edge reads as its default's tail; ``a`` has one
+            # for every visited token.
+            kr, _, kva, _ = _update_routes(
+                r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
+                EMPTY,
+                (ka := a_edges.get(tok)) or (make_tail(n, aw) if n else aw),
+                EMPTY,
+                c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
+                ids, audience,
+            )
+            if kr is EMPTY if wr is EMPTY else _redundant(kr, n, wr):
+                er.pop(tok, None)
+            else:
+                er[tok] = kr
+            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
+                eva[tok] = kva
+                ha += kva is ka
+        return (
+            Branch(wr, er),
+            a,
+            EMPTY if not eva and wva is EMPTY
+            else a if wva is aw and ha == len(a_edges) == len(eva) else Branch(wva, eva),
+            EMPTY,
+        )
     if a is EMPTY and d is EMPTY:
         return r, o, EMPTY, EMPTY
-    if r is EMPTY:
-        # Nobody holds anything here, so the stream holds nothing and
-        # ``a`` is all new.  Subscriptions that are a chain of defaults
-        # down to a leaf meet every addition; others are read off ``c``
-        # itself, at ``a``'s depth.
-        k = c
-        while type(k) is Branch and not k.edges:
-            k = k.default
-        if type(k) is Ok:
-            audience.update(k.value)
-        elif c is not EMPTY:
-            audience.update(leaves_meeting(c, a))
-        return Ok(ids) if type(a) is Ok else _tagged(a, Ok(ids)), a, a, EMPTY
     if type(r) is Ok:
-        if d is not EMPTY:
-            left = r.value - ids
-            if left:
-                return Ok(left), EMPTY, EMPTY, EMPTY
-            if c is not EMPTY:
-                audience.update(c.value)
-            return EMPTY, EMPTY, EMPTY, d
-        if o is EMPTY:
-            return Ok(r.value | ids), a, EMPTY, EMPTY
-        return r, o, EMPTY, EMPTY
+        if d is EMPTY:
+            return r, o, EMPTY, EMPTY  # held already
+        left = r.value - ids
+        if left:
+            return Ok(left), EMPTY, EMPTY, EMPTY
+        if c is not EMPTY:
+            audience.update(c.value)
+        return EMPTY, EMPTY, EMPTY, d
     r_edges, rw = r.edges, r.default
     o_edges, ow = o.edges, o.default
     a_edges, aw = a.edges, a.default
@@ -587,8 +660,7 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         return r, o, EMPTY, EMPTY
     return (
         Branch(wr, er) if er or wr is not EMPTY else EMPTY,
-        # Holding nothing here, the stream comes to hold exactly ``a``.
-        a if o is EMPTY else Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
+        Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
         EMPTY if not eva and wva is EMPTY
         else a if wva is aw and ha == len(a_edges) == len(eva) else Branch(wva, eva),
         EMPTY if not evd and wvd is EMPTY

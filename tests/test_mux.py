@@ -4,9 +4,9 @@ from collections import Counter
 
 from dataspace import trie
 from dataspace.engine import Dataspace, Message, spawn_dataspace
-from dataspace.facet import spawn_actor
+from dataspace.facet import ActorRuntime, spawn_actor
 from dataspace.mux import Mux
-from dataspace.patch import EMPTY_PATCH, RETRACT_ALL, assert_patch, from_sets, observation_bodies, retract_patch
+from dataspace.patch import EMPTY_PATCH, RETRACT_ALL, Patch, assert_patch, from_sets, observation_bodies, retract_patch
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
 from oracles import calls_by_file, count_calls
@@ -320,13 +320,14 @@ def test_box_round_trip_trie_work():
     # slack of 5: trie work on this path may not creep back, neither as
     # set operations nor inside the mux's routing walk.
     calls, total, kernel = _round_trip_trie_work(spawn_actor("box", _box(box_state, set_box)))
-    assert calls["combine"] <= 3 and calls["update_routes"] == 1, calls
+    assert calls["combine"] <= 2 and calls["update_routes"] == 1, calls
     # The routing walk reads the audience as it goes, and hands back a
-    # requested half that shows whole instead of rebuilding it.
-    assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 11, calls
-    assert total <= 55, total
+    # requested half that shows whole instead of rebuilding it; so does
+    # the client's intersection with its interests.
+    assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 7, calls
+    assert total <= 44, total
     # Nor may the fixed cost of a turn, a flush or a delivery creep back.
-    assert kernel <= 120, kernel
+    assert kernel <= 108, kernel
 
 
 def test_relay_round_trip_trie_work():
@@ -337,10 +338,42 @@ def test_relay_round_trip_trie_work():
     # the relay watches anyway.
     box = _box(lambda n: outbound(box_state(n)), lambda n: inbound(set_box(n)))
     calls, total, kernel = _round_trip_trie_work(spawn_dataspace([spawn_actor("box", box)], name="inner"))
-    assert calls["combine"] <= 3 and calls["update_routes"] == 2, calls
-    assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 20, calls
-    assert total <= 78, total
-    assert kernel <= 170, kernel
+    assert calls["combine"] <= 2 and calls["update_routes"] == 2, calls
+    assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 16, calls
+    assert total <= 63, total
+    assert kernel <= 154, kernel
+
+
+def test_published_trie_reaches_the_subscriber_whole():
+    # A peer whose interests cover a visible half hears that half itself,
+    # so the client comes to know the box's own compiled trie; the next
+    # change removes that same object, and the client's knowledge update
+    # makes no set operation walk.
+    bump = lambda n: Record(S("bump"), (n,))
+
+    def client(f):
+        f.on_message(inbound(bump(CAPTURE)), lambda n: f.send(set_box(n)))
+        f.on_asserted(box_state(CAPTURE), lambda n: None)
+
+    ds = Dataspace([spawn_actor("box", _box(box_state, set_box)), spawn_actor("client", client)])
+    ds.run()
+    box_rt, client_rt = ds.find_actors(ActorRuntime)
+    (state,) = [ep for ep in box_rt.endpoints.values() if ep.kind == "assert"]
+    combines = []
+    handle = client_rt.handle
+
+    def counted(event):
+        actions, calls = count_calls(lambda: handle(event))
+        if isinstance(event, Patch):
+            combines.append(calls[trie.combine.__code__])
+        return actions
+
+    client_rt.handle = counted
+    for n in (1, 2):
+        ds.handle(Message(bump(n)))
+        assert client_rt.knowledge is state.current
+    # The first update still subtracts the catch-up trie set-up rebuilt.
+    assert combines[1:] == [0], combines
 
 
 def test_wildcard_interest_intersected_with_concrete_change():

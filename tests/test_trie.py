@@ -449,6 +449,23 @@ def test_set_op_chains_stay_canonical(first, steps):
     assert sum(1 << i for i, v in enumerate(WITNESSES) if search_value(v, t) is not None) == inside
 
 
+# Members of a unit trie: patterns and universe values.
+unit_members = st.one_of(patterns, st.sampled_from(U))
+
+
+@given(st.lists(unit_members, min_size=1, max_size=6), st.lists(unit_members, max_size=6),
+       st.lists(st.booleans(), max_size=6))
+def test_set_ops_hand_back_the_left_operand_they_keep_whole(xs, ys, shared):
+    # b holds some of a's members, so that an operation often keeps a
+    # whole; then it returns a itself, not an equal copy.  (b is not
+    # pinned: a leaf of the result is a's, never b's.)
+    a = assertion_set(xs)
+    b = assertion_set([x for x, keep in zip(xs, shared) if keep] + ys)
+    for op in (union, intersect, subtract):
+        t = op(a, b)
+        assert t is a or t != a, op.__name__
+
+
 #: One atom of each kind, all equal as Python numbers or spelled alike.
 KINDS = (1, True, 1.0, "1", S("1"))
 P = S("p")
