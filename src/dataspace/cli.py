@@ -98,7 +98,7 @@ def bench_scn_presence(k: int, repeat: int = 3) -> float:
     return best
 
 
-def bench_conn_scale(k: int, repeat: int = 3) -> float:
+def bench_conn_scale(k: int, repeat: int = 3, cycles: int = 50) -> float:
     """Seconds per connect/disconnect cycle with k standing subscriptions."""
     m = Mux()
     for i in range(k):
@@ -106,10 +106,10 @@ def bench_conn_scale(k: int, repeat: int = 3) -> float:
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        for n in range(50):
+        for n in range(cycles):
             sid, _, _ = m.add_stream(assert_patch(_ping(n % k, n)))
             m.remove_stream(sid)
-        best = min(best, (time.perf_counter() - t0) / 50)
+        best = min(best, (time.perf_counter() - t0) / cycles)
     return best
 
 

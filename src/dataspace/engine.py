@@ -23,15 +23,18 @@ only when a side holds an ``observe(inbound(_))`` part, the one part
 that can cancel against the other side; a patch of ``outbound`` parts
 alone translates with no set operation past the unwrapping.
 
-A patch's events are delivered as the mux returns them, in the loop
-that interprets it, and an untraced actor's actions join the queue
-without a trace record each.
-
 Setting up pays only for what the newcomer asserts.  The mux of a layer
 holding its relay's interests alone is built once per process, and each
 layer starts from a copy of it (``Mux.copy``); a spawned actor's stream
-is added with nothing in it, which makes no walk.  An untraced layer's
-spawns and exits, like its deliveries, make no trace call.
+is added with nothing in it, which makes no walk.  An untraced layer
+makes no trace call: not per action, delivery, spawn, crash or exit.
+
+An actor fails one way, through ``_crash``: a handler or boot that
+raises, a turn or startup that is not an iterable of actions, a
+non-action, or a patch or message body the mux refuses.  The fault is
+kept in ``crashes``, printed (and traced), and the actor ends at once:
+it hears nothing more, and its peers hear its assertions retracted.  A
+``QUIT`` from an ended actor changes nothing; the container's faults raise.
 
 Messages and spawn requests, like patches, are immutable slotted
 objects (``values.Frozen``).
@@ -181,41 +184,30 @@ class Dataspace(Actor):
             elif action is QUIT:
                 self._kill(author, seq)
             else:
-                raise TypeError(f"not an action: {action!r}")
+                self._crash(author, TypeError(f"not an action: {action!r}"), seq)
         return outward
 
     def _interpret_patch(self, author, action: Patch, cause, outward) -> None:
-        if author not in self.mux.streams:
-            return
         try:
             _, events = self.mux.update_stream(author, action)
         except Exception as e:
             # A patch the mux cannot take (one too deep for its trie
             # walkers, say) changed nothing.
-            self._refuse(author, e, cause)
+            self._crash(author, e, cause)
             return
         for target, delta in events:
             self._deliver(target, delta, cause, outward)
 
-    def _refuse(self, author, e: Exception, cause) -> None:
-        """The mux refused an action: its author crashes, and the layer
-        goes on, unless the author is the container."""
-        if author == META:
-            raise e
-        self._report_crash(author, e)
-        self._kill(author, cause)
-
     def _interpret_retire(self, author, cause, outward) -> None:
-        if author in self.mux.streams:
-            for target, delta in self.mux.remove_stream(author):
-                self._deliver(target, delta, cause, outward)
-        self.names.pop(author, None)
+        for target, delta in self.mux.remove_stream(author):
+            self._deliver(target, delta, cause, outward)
+        del self.names[author]
 
     def _interpret_message(self, author, action: Message, cause, outward) -> None:
         try:
             targets = self.mux.route_message(action.body)
         except Exception as e:  # a body that is neither a value nor a pattern
-            self._refuse(author, e, cause)
+            self._crash(author, e, cause)
             return
         for target in targets:
             self._deliver(target, action, cause, outward)
@@ -224,17 +216,16 @@ class Dataspace(Actor):
         sid, _, _ = self.mux.add_stream(EMPTY_PATCH)
         self.names[sid] = f"{action.name}#{sid}"
         seq = -1 if self.tracer is None else self._trace("actor-spawned", sid, action.name, cause)
+        self.actors[sid] = None  # booting: alive, but hears nothing yet
         try:
-            handler, startup = action.boot(self.path + (self.names[sid],))
-        except Exception as e:  # crash during boot kills only the new actor
-            self._report_crash(sid, e)
-            self._kill(sid, seq)
+            self.actors[sid], startup = action.boot(self.path + (self.names[sid],))
+            if self.tracer is None:
+                front = [(sid, a, -1) for a in startup]
+            else:
+                front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
+        except Exception as e:
+            self._crash(sid, e, seq)
             return
-        self.actors[sid] = handler
-        if self.tracer is None:
-            front = [(sid, a, -1) for a in startup]
-        else:
-            front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
         self.pending.extendleft(reversed(front))
 
     def _deliver(self, target: StreamId, event: Event, cause, outward) -> None:
@@ -251,31 +242,39 @@ class Dataspace(Actor):
         seq = -1 if self.tracer is None else self._trace("event-delivered", target, event, cause)
         try:
             actions = handler.handle(event)
+            if self.tracer is None:
+                # Inline appends: cheaper than one extend over a comprehension
+                # for the zero to two actions a turn usually returns.
+                for a in actions:
+                    self.pending.append((target, a, -1))
+            else:
+                for a in actions:
+                    self._enqueue(target, a, seq)
         except Exception as e:
-            self._report_crash(target, e)
-            actions = [QUIT]
-        if self.tracer is None:
-            # Inline appends: cheaper than one extend over a comprehension
-            # for the zero to two actions a turn usually returns.
-            for a in actions:
-                self.pending.append((target, a, -1))
-        else:
-            for a in actions:
-                self._enqueue(target, a, seq)
+            self._crash(target, e, seq)
+
+    def _crash(self, sid: StreamId, e: Exception, cause) -> None:
+        """An actor's fault ends it at once; the container's is raised.
+        A fault in what an ended actor left queued is still reported."""
+        if sid == META:
+            raise e
+        self.crashes[sid] = e
+        print(f"actor {self.names[sid]} crashed: {e!r}", file=sys.stderr)
+        if self.tracer is not None:
+            cause = self._trace("actor-crashed", sid, repr(e), cause)
+        self._kill(sid, cause)
 
     def _kill(self, sid: StreamId, cause) -> None:
-        self.actors.pop(sid, None)
+        if sid not in self.actors:
+            return  # already ended: a later QUIT or fault ends nothing twice
+        del self.actors[sid]
         seq = -1
         if self.tracer is not None:
             self._trace("actor-exited", sid, "", cause)
             seq = self._trace("action-produced", sid, _RETIRE, cause)
-        # The retraction of a dead actor's assertions survives its death.
+        # The retraction of a dead actor's assertions survives its death,
+        # after every action it queued: it is its stream's last action.
         self.pending.append((sid, _RETIRE, seq))
-
-    def _report_crash(self, sid: StreamId, e: Exception) -> None:
-        who = self.names.get(sid, str(sid))
-        self.crashes[sid] = e
-        print(f"actor {who} crashed: {e!r}", file=sys.stderr)
 
     # -- inspection ---------------------------------------------------------
 

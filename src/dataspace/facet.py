@@ -73,10 +73,9 @@ from .patch import Patch, apply_patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
-    OBSERVE,
+    OBSERVE_TOK,
     AtomTok,
     NotAValue,
-    PushTok,
     Record,
     Symbol,
     Value,
@@ -99,9 +98,6 @@ PRIORITY_DEFAULT = 2
 _INSTANCE = Symbol("instance")
 #: A query field's value while its view waits to be built.
 _STALE = object()
-#: The item of an ``observe(…)`` record's push token: a subscription
-#: asserts its items under it.
-_OBSERVE = PushTok((OBSERVE, 1))
 
 
 class InfiniteMatchSet(Exception):
@@ -497,7 +493,7 @@ class ActorRuntime(Actor):
                        else graph.with_subject(ep, lambda: _resolve(ep.pattern)))
             ep.current_pattern = pat
             ep.items = spec_items(pat)
-            new = trie.compile_items([_OBSERVE] + ep.items)
+            new = trie.compile_items([OBSERVE_TOK] + ep.items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
 

@@ -27,10 +27,8 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OUTBOUND, Frozen, PushTok, Value, format_value, inbound, unwrap
+from .values import INBOUND, OBSERVE, OBSERVE_TOK, OUTBOUND, Frozen, Value, format_value, inbound, unwrap
 from .trie import EMPTY, Branch, Trie
-
-_OBSERVE = PushTok((OBSERVE, 1))
 
 
 class Patch(Frozen):
@@ -119,7 +117,7 @@ def label_patch(p: Patch, label) -> Patch:
 
 def observation_bodies(t: Trie) -> Trie:
     """The set {c | observe(c) in t}, read off the edge in one frame: the mux reads it per peer."""
-    return t.edges.get(_OBSERVE) or (EMPTY if t.default is EMPTY else Branch(t.default, {}))
+    return t.edges.get(OBSERVE_TOK) or (EMPTY if t.default is EMPTY else Branch(t.default, {}))
 
 
 def lift_inbound(p: Patch) -> Patch:
@@ -147,7 +145,7 @@ def drop_outbound(p: Patch) -> Patch:
     added, removed = strip(OUTBOUND, a), strip(OUTBOUND, r)
     added_interests = removed_interests = EMPTY
     if (a.default is not EMPTY or r.default is not EMPTY
-            or _OBSERVE in a.edges or _OBSERVE in r.edges):
+            or OBSERVE_TOK in a.edges or OBSERVE_TOK in r.edges):
         added_interests = strip(INBOUND, strip(OBSERVE, a))
         removed_interests = strip(INBOUND, strip(OBSERVE, r))
     if added_interests is EMPTY and removed_interests is EMPTY:

@@ -19,6 +19,7 @@ KINDS = (
     "action-interpreted",
     "event-delivered",
     "actor-spawned",
+    "actor-crashed",
     "actor-exited",
     "facet-started",
     "facet-stopped",
@@ -137,6 +138,7 @@ def render_sequence_diagram(records: Sequence[TraceRecord], width: int = 28) -> 
         col = index[actor]
         label = {
             "actor-spawned": "+ spawned",
+            "actor-crashed": "x crashed " + rec.payload,
             "actor-exited": "x exited",
             "facet-started": "( facet",
             "facet-stopped": ") facet",

@@ -87,11 +87,9 @@ from typing import Callable, Iterable
 
 from .values import (
     ATOM_KIND_OF_TYPE,
-    INBOUND,
-    OBSERVE,
-    OUTBOUND,
     PushTok,
     Record,
+    UNARY_TOKS,
     Value,
     WILDCARD,
     CAPTURE,
@@ -881,22 +879,18 @@ def render(t: Trie) -> str:
     return "".join(out)
 
 
-#: The unary push tokens of the labels that cross layers, made once.
-_UNARY = {label: PushTok((label, 1)) for label in (OBSERVE, INBOUND, OUTBOUND)}
-
-
 def wrap_trie(label, t: Trie) -> Trie:
     """Wrap every member of a 1-value trie in a unary labeled record."""
     if t is EMPTY:
         return EMPTY
-    return Branch(EMPTY, {_UNARY.get(label) or PushTok((label, 1)): t})
+    return Branch(EMPTY, {UNARY_TOKS.get(label) or PushTok((label, 1)): t})
 
 
 def unwrap_trie(label, t: Trie) -> Trie:
     """The set {c | label(c) ∈ t}; one edge hop thanks to implicit pops."""
     if type(t) is not Branch:
         return EMPTY
-    child = t.edges.get(_UNARY.get(label) or PushTok((label, 1)))
+    child = t.edges.get(UNARY_TOKS.get(label) or PushTok((label, 1)))
     if child is not None:
         return child
     return EMPTY if t.default is EMPTY else Branch(t.default, {})

@@ -149,11 +149,6 @@ CAPTURE = _Capture()
 
 Value = Union[bool, int, float, str, Symbol, tuple, Record]
 
-# Reserved unary wrappers.
-OBSERVE = Symbol("observe")
-OUTBOUND = Symbol("outbound")
-INBOUND = Symbol("inbound")
-
 _ATOM_KIND_RANK = {"bool": 0, "int": 1, "float": 2, "str": 3, "symbol": 4}
 
 
@@ -268,6 +263,13 @@ class PushTok(tuple):
 
 
 Token = Union[AtomTok, PushTok]
+
+# Reserved unary wrappers, and their push tokens, made once.
+OBSERVE = Symbol("observe")
+OUTBOUND = Symbol("outbound")
+INBOUND = Symbol("inbound")
+UNARY_TOKS = {label: PushTok((label, 1)) for label in (OBSERVE, OUTBOUND, INBOUND)}
+OBSERVE_TOK = UNARY_TOKS[OBSERVE]
 
 
 def token_sort_key(tok: Token):
@@ -462,7 +464,7 @@ def parse_text(text: str):
             items.append(None)
             continue
         if lexeme in _WRAPPERS:
-            items.append(PushTok((_WRAPPERS[lexeme], 1)))
+            items.append(UNARY_TOKS[_WRAPPERS[lexeme]])
             stack.append(None)
             continue
         if lexeme == ")":

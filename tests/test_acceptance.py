@@ -580,14 +580,44 @@ def test_scn_presence_work_per_notification_is_flat(monkeypatch):
             return sid, own, events
 
     monkeypatch.setattr(cli, "Mux", TallyingMux)
-    package = pathlib.Path(trie.__file__).parent
     points = []
     for k in (10, 100, 300):
         notified.clear()
-        by_file = calls_by_file(count_calls(lambda: bench_scn_presence(k, repeat=1))[1])
-        calls = sum(n for path, n in by_file.items() if pathlib.Path(path).parent == package)
+        calls = _package_calls(lambda: bench_scn_presence(k, repeat=1))
         assert notified["events"] == k * (k + 1) // 2  # each join tells the joiner and every peer
         points.append((k, calls / notified["events"]))
+    assert flatness(points) <= 2.0, points
+
+
+def _package_calls(thunk) -> int:
+    """The calls ``thunk`` makes into the ``dataspace`` package."""
+    package = pathlib.Path(trie.__file__).parent
+    by_file = calls_by_file(count_calls(thunk)[1])
+    return sum(n for path, n in by_file.items() if pathlib.Path(path).parent == package)
+
+
+#: The counted twins of the other timed shapes: per shape, its builder run
+#: with a timed loop of n units, the sizes the timed check sweeps, and the
+#: units one pass of the loop makes at size k.  A broadcast is counted per
+#: message, not per delivery: per delivery its cost falls as 1/k by design.
+LOOP_TWINS = {
+    "unicast": (lambda k, n: bench_unicast(k, repeat=1, msgs=n), (10, 100, 1000), lambda k: 1),
+    "broadcast": (lambda k, n: bench_broadcast(k, repeat=1, msgs=n), (10, 100, 1000), lambda k: 1),
+    # A round asserts and retracts the item, and each tells the k subscribers.
+    "scn-flat": (lambda k, n: bench_scn_flat(k, repeat=1, rounds=n), (10, 100, 300), lambda k: 2 * k),
+    "conn-scale": (lambda k, n: bench_conn_scale(k, repeat=1, cycles=n), (10, 100, 1000), lambda k: 1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_TWINS))
+def test_timed_shape_work_per_unit_is_flat(shape):
+    # Package calls per unit of the timed loop alone: the difference
+    # between a loop of 20 passes and one of 10, so set-up cancels out.
+    run, ks, units = LOOP_TWINS[shape]
+    points = []
+    for k in ks:
+        calls = _package_calls(lambda: run(k, 20)) - _package_calls(lambda: run(k, 10))
+        points.append((k, calls / (10 * units(k))))
     assert flatness(points) <= 2.0, points
 
 

@@ -1,6 +1,8 @@
 import gc
 import random
 
+import pytest
+
 from dataspace import trie
 from dataspace.engine import (
     META,
@@ -16,7 +18,7 @@ from dataspace.engine import (
 from dataspace.facet import spawn_actor
 from dataspace.mux import Mux
 from dataspace.patch import Patch, assert_patch, drop_outbound, from_sets, observation_bodies, retract_patch
-from dataspace.trace import Tracer
+from dataspace.trace import Tracer, render_sequence_diagram
 from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
 from dataspace.values import (
     CAPTURE,
@@ -120,6 +122,160 @@ def test_quit_retires_assertions():
         ]
     )
     assert watcher.events == [assert_patch(S("x")), retract_patch(S("x"))]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_crashed_actor_hears_nothing_after_its_crash(traced):
+    # Both messages are queued before either is delivered: the actor ends
+    # on the first, so the second, which would have made it assert oops,
+    # never reaches it.
+    m = lambda n: Record(S("m"), (n,))
+    oops = S("oops")
+
+    class Fragile(Probe):
+        def handle(self, event):
+            self.events.append(event)
+            if event == Message(m(1)):
+                raise RuntimeError("boom")
+            return [assert_patch(oops)]
+
+    fragile, observer = Fragile(), Probe()
+    ds = ground_run(
+        [
+            spawn_probe(observer, [assert_patch(observe(oops))], name="observer"),
+            spawn_probe(fragile, [assert_patch(observe(m(WILDCARD)))], name="fragile"),
+            spawn_probe(Probe(), [Message(m(1)), Message(m(2))], name="sender"),
+        ],
+        tracer=Tracer() if traced else None,
+    )
+    assert fragile.events == [Message(m(1))]
+    assert observer.events == []
+    assert list(ds.crashes) == [2] and ds.living_names() == {"observer#1", "sender#3"}
+
+
+PING, HELLO = S("ping"), S("hello")
+
+
+class Mute(Probe):
+    def handle(self, event):
+        self.events.append(event)
+        return None
+
+
+#: Actors whose startup or turn is not a list of actions.
+NOT_ACTIONS = {
+    "startup holds a non-action": lambda: spawn_probe(Probe(), [assert_patch(S("x")), 42], name="bad"),
+    "turn returns None": lambda: spawn_probe(Mute(), [assert_patch(observe(PING))], name="bad"),
+    "boot returns a None startup": lambda: Spawn(lambda _identity: (Probe(), None), "bad"),
+}
+
+
+def _beside_a_bad_actor(case, wrap):
+    """The bad actor, then a sibling that asserts ``wrap(hello)`` when it
+    hears the ping a third actor sends after both have started."""
+    sibling = Probe(replies=[[assert_patch(wrap(HELLO))]])
+    return [
+        NOT_ACTIONS[case](),
+        spawn_probe(sibling, [assert_patch(observe(PING))], name="sibling"),
+        spawn_probe(Probe(), [Message(PING)], name="pinger"),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ACTIONS))
+def test_a_result_that_is_not_actions_crashes_only_its_actor(case):
+    watcher = Probe()
+    ds = ground_run(
+        [spawn_probe(watcher, [assert_patch(observe(HELLO))], name="watcher")]
+        + _beside_a_bad_actor(case, lambda v: v)
+    )
+    assert list(ds.crashes) == [2]
+    assert ds.living_names() == {"watcher#1", "sibling#3", "pinger#4"}
+    assert watcher.events == [assert_patch(HELLO)]
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ACTIONS))
+def test_a_result_that_is_not_actions_in_a_nested_layer_ends_only_its_actor(case):
+    watcher = Probe()
+    ds = ground_run(
+        [
+            spawn_probe(watcher, [assert_patch(observe(HELLO))], name="watcher"),
+            spawn_dataspace(_beside_a_bad_actor(case, outbound), name="inner"),
+        ]
+    )
+    [inner] = ds.find_actors(Dataspace)
+    assert ds.crashes == {} and list(inner.crashes) == [1]
+    assert inner.living_names() == {"sibling#2", "pinger#3"}
+    assert watcher.events == [assert_patch(HELLO)]
+
+
+@pytest.mark.parametrize("then_crash", ["on a later event", "on a later action"])
+def test_actor_that_quits_then_crashes_ends_once(then_crash):
+    m = lambda n: Record(S("m"), (n,))
+
+    class Quitter(Probe):
+        def handle(self, event):
+            if event == Message(m(1)):
+                return [QUIT] if then_crash == "on a later event" else [QUIT, 42]
+            raise RuntimeError("boom")
+
+    tracer = Tracer()
+    ds = ground_run(
+        [
+            spawn_probe(Quitter(), [assert_patch(observe(m(WILDCARD)))], name="quitter"),
+            spawn_probe(Probe(), [Message(m(1)), Message(m(2))], name="sender"),
+        ],
+        tracer=tracer,
+    )
+    ends = [
+        (r.kind, r.payload)
+        for r in tracer.records
+        if r.path[-1] == "quitter#1" and (r.kind == "actor-exited" or r.payload == "retire")
+    ]
+    assert ends == [
+        ("actor-exited", ""),
+        ("action-produced", "retire"),
+        ("action-interpreted", "retire"),
+    ]
+    assert ds.living_names() == {"sender#2"}
+
+
+def _crash_in_delivery():
+    class Bomb(Probe):
+        def handle(self, event):
+            raise RuntimeError("boom")
+
+    return [spawn_probe(Bomb(), [assert_patch(observe(PING))], name="bad"), spawn_probe(Probe(), [Message(PING)])]
+
+
+def _crash_in_boot():
+    def boot(_identity):
+        raise RuntimeError("boom")
+
+    return [Spawn(boot, "bad")]
+
+
+#: Where an actor can fault, and the kind of the record its crash names as cause.
+FAULTS = {
+    "delivery": (_crash_in_delivery, "event-delivered"),
+    "boot": (_crash_in_boot, "actor-spawned"),
+    "action": (lambda: [spawn_probe(Probe(), [Message([1, 2])], name="bad")], "action-interpreted"),
+}
+
+
+@pytest.mark.parametrize("where", sorted(FAULTS))
+def test_crash_is_traced_before_the_exit_it_causes(where, capsys):
+    build, cause_kind = FAULTS[where]
+    tracer = Tracer()
+    ds = ground_run(build(), tracer=tracer)
+    [e] = ds.crashes.values()
+    records = [r for r in tracer.records if r.path[-1] == "bad#1"]
+    kinds = [r.kind for r in records]
+    crashed = records[kinds.index("actor-crashed")]
+    exited = records[kinds.index("actor-exited")]
+    assert crashed.payload == repr(e) and tracer.records[crashed.cause].kind == cause_kind
+    assert exited.cause == crashed.seq and kinds.count("actor-exited") == 1
+    assert "x crashed " in render_sequence_diagram(tracer.records)
+    assert capsys.readouterr().err == f"actor bad#1 crashed: {e!r}\n"
 
 
 def test_nested_layer_outbound_and_inbound():
