@@ -4,7 +4,11 @@ While a subject (any hashable token standing for a computation) is
 active, reads of observable objects are recorded as edges.  Damaging an
 object schedules every depending subject for re-evaluation; repair
 rounds run until no damage remains, re-recording the dependencies each
-subject exhibits on its fresh run.  A round re-runs its subjects in a
+subject exhibits on its fresh run.  A subject is re-run without being
+forgotten first: its reads are set aside, and only the edges of those
+the fresh run does not repeat are dropped afterwards, so an object read
+again keeps its set of subjects, and a run that raises keeps the reads
+it made and no stale one.  A round re-runs its subjects in a
 fixed order (``order_key``, else their text), a lone one directly.
 """
 from __future__ import annotations
@@ -45,11 +49,14 @@ class Graph:
 
     def forget_subject(self, subject) -> None:
         for obj in self.edges_reverse.pop(subject, ()):
-            subjects = self.edges_forward.get(obj)
-            if subjects is not None:
-                subjects.discard(subject)
-                if not subjects:
-                    del self.edges_forward[obj]
+            self._drop_edge(obj, subject)
+
+    def _drop_edge(self, obj, subject) -> None:
+        subjects = self.edges_forward.get(obj)
+        if subjects is not None:
+            subjects.discard(subject)
+            if not subjects:
+                del self.edges_forward[obj]
 
     def repair_damage(self, evaluate: Callable[[object], None]) -> None:
         """Re-run depending subjects until no new damage appears.
@@ -75,12 +82,17 @@ class Graph:
                 subjects -= again
             repaired |= subjects
             for subject in subjects if len(subjects) < 2 else sorted(subjects, key=_subject_order):
-                self.forget_subject(subject)
+                reads = self.edges_reverse.pop(subject, None)
                 outer, self.active_subject = self.active_subject, subject
                 try:
                     evaluate(subject)
                 finally:
                     self.active_subject = outer
+                    if reads:
+                        fresh = self.edges_reverse.get(subject, ())
+                        for obj in reads:
+                            if obj not in fresh:
+                                self._drop_edge(obj, subject)
 
 
 def _subject_order(subject):

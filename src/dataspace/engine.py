@@ -34,7 +34,9 @@ raises, a turn or startup that is not an iterable of actions, a
 non-action, or a patch or message body the mux refuses.  The fault is
 kept in ``crashes``, printed (and traced), and the actor ends at once:
 it hears nothing more, and its peers hear its assertions retracted.  A
-``QUIT`` from an ended actor changes nothing; the container's faults raise.
+turn's actions are drained before any is queued, so a turn that fails
+part way queues none.  A ``QUIT`` from an ended actor changes nothing;
+the container's faults raise.
 
 Messages and spawn requests, like patches, are immutable slotted
 objects (``values.Frozen``).
@@ -219,6 +221,8 @@ class Dataspace(Actor):
         self.actors[sid] = None  # booting: alive, but hears nothing yet
         try:
             self.actors[sid], startup = action.boot(self.path + (self.names[sid],))
+            if type(startup) is not list:
+                startup = list(startup)  # drained first: a faulty one queues nothing
             if self.tracer is None:
                 front = [(sid, a, -1) for a in startup]
             else:
@@ -242,6 +246,8 @@ class Dataspace(Actor):
         seq = -1 if self.tracer is None else self._trace("event-delivered", target, event, cause)
         try:
             actions = handler.handle(event)
+            if type(actions) is not list:
+                actions = list(actions)  # drained first: a failed turn queues nothing
             if self.tracer is None:
                 # Inline appends: cheaper than one extend over a comprehension
                 # for the zero to two actions a turn usually returns.

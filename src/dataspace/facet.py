@@ -27,10 +27,14 @@ tokens, which ``values.parse_exact`` reads into values only for an
 activation.  An instance's items are the endpoint's with those tokens
 spliced in at the capture marks; they hold no captures, so their
 projection (``trie.project``) onto what is known is ``UNIT`` exactly
-when the instance is known.  The trie the endpoint asserts is compiled
-from the same items under an ``observe`` push token
-(``trie.compile_items`` reads the capture marks as wildcards), with no
-wildcarded copy of the pattern built.  A message is matched against
+when the instance is known.  Items with no ``WILDCARD``
+(``Endpoint.exact``) make each instance one member of the patch side,
+so fewer probes are needed: an addition whose side ``trie.may_meet``
+finds disjoint from what was known before fires every capture, and a
+removal, its patch's halves being disjoint, is not known after.  The
+trie the endpoint asserts is compiled from the same items under an
+``observe`` push token (``trie.compile_items`` reads the capture marks
+as wildcards), with no wildcarded copy of the pattern built.  A message is matched against
 the same items, in one pass over the body: atoms by kind and payload,
 compounds by label and arity.
 
@@ -44,9 +48,12 @@ set inequality).  It probes each pair with ``trie.may_meet`` before it
 compares them, as disjoint tries are unequal, and probes no EMPTY trie.
 Added is the union of their new tries less all that stood before (the
 notes and the unchanged contributions); removed, the union of their
-notes less all that stands now.  Removal is therefore exact under
-overlap: retracting ``p(3)`` while ``p(*)`` stands, or while another
-contributor also asserts ``p(3)``, publishes nothing.  A flush where
+notes less all that stands now.  A lone changed contributor's tries are
+taken as they are, with no union; then one loop over the unchanged
+contributions, ``adhoc`` first, takes each off both halves, and stops
+once both are EMPTY.  Removal is therefore exact under overlap:
+retracting ``p(3)`` while ``p(*)`` stands, or while another contributor
+also asserts ``p(3)``, publishes nothing.  A flush where
 nothing changed, such as an assertion recomputed to an equal trie, only
 compares: it publishes no patch and runs no set operation.  With no
 note and no damage there is nothing to flush, and none is run, neither
@@ -64,6 +71,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Mapping
+from itertools import chain
 from typing import Callable, Dict, List, Optional
 
 from . import trie
@@ -192,6 +200,7 @@ class Endpoint:
         "current",  # trie contributed to the actor's published set
         "current_pattern",  # sub: pattern with Field refs resolved
         "items",  # sub: spec_items(current_pattern)
+        "exact",  # sub: no WILDCARD among items
     )
 
     def __init__(self, eid, facet, kind):
@@ -207,6 +216,7 @@ class Endpoint:
         self.current = EMPTY
         self.current_pattern = None
         self.items = None
+        self.exact = False
 
     @property
     def order_key(self):
@@ -493,6 +503,7 @@ class ActorRuntime(Actor):
                        else graph.with_subject(ep, lambda: _resolve(ep.pattern)))
             ep.current_pattern = pat
             ep.items = spec_items(pat)
+            ep.exact = WILDCARD not in ep.items
             new = trie.compile_items([OBSERVE_TOK] + ep.items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
@@ -500,7 +511,8 @@ class ActorRuntime(Actor):
     # -- dispatch -----------------------------------------------------------
 
     def _dispatch_patch(self, ep: Endpoint, delta: Patch, before: Trie, after: Trie) -> None:
-        side = delta.added if ep.on == "asserted" else delta.removed
+        asserted = ep.on == "asserted"
+        side = delta.added if asserted else delta.removed
         if side is EMPTY:
             return
         items = ep.items
@@ -510,14 +522,21 @@ class ActorRuntime(Actor):
             # The subscription as asserted: capture marks read as wildcards.
             sub = parse_exact([WILDCARD if i is CAPTURE else i for i in items])[0]
             raise InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
-        for toks in found:
-            # A capture-free projection is EMPTY exactly when no member matches.
-            inst = _spliced(items, toks)
-            if trie.project(inst, before) is EMPTY:
-                if ep.on == "asserted":  # known after: it comes from delta.added
+        if not found:
+            return
+        # A capture-free projection is EMPTY exactly when no member matches;
+        # an addition is known after, and an exact removal is not.
+        if asserted:
+            probe = not ep.exact or trie.may_meet(side, before)
+            for toks in found:
+                if not probe or trie.project(_spliced(items, toks), before) is EMPTY:
                     self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
-            elif ep.on == "retracted" and trie.project(inst, after) is EMPTY:
-                self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
+        else:
+            for toks in found:
+                inst = _spliced(items, toks)
+                known = trie.project(inst, before) is not EMPTY
+                if known and (ep.exact or trie.project(inst, after) is EMPTY):
+                    self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
         caps = _captures(ep.items, body)
@@ -619,8 +638,11 @@ class ActorRuntime(Actor):
                 continue
             probe = old is not EMPTY and new is not EMPTY and trie.may_meet(old, new)
             if not probe or old != new:
+                if went:
+                    came, gone = trie.union(came, new), trie.union(gone, old)
+                else:
+                    came, gone, meets = new, old, probe
                 went.add(who)
-                came, gone, meets = trie.union(came, new), trie.union(gone, old), probe
         if not went:
             return
         # A lone changed pair was probed above, a union is probed here;
@@ -628,12 +650,22 @@ class ActorRuntime(Actor):
         if meets if len(went) == 1 else trie.may_meet(came, gone):
             came, gone = trie.subtract(came, gone), trie.subtract(gone, came)
         # Before: the notes (a stopped endpoint's among them) and the
-        # unchanged others; now: the new tries and the same others.
-        others = [self.adhoc] if None not in went else []
-        others += [ep.current for ep in self.endpoints.values() if ep not in went]
-        delta = Patch.disjoint(_uncovered(came, others), _uncovered(gone, others))
-        if not delta.is_empty():
-            self._actions.append(delta)
+        # unchanged others; now: the new tries and the same others.  So
+        # each unchanged contribution is taken off both halves.
+        for who in chain((None,), self.endpoints.values()):
+            if came is EMPTY and gone is EMPTY:
+                return
+            if who in went:
+                continue
+            k = self.adhoc if who is None else who.current
+            if k is EMPTY:
+                continue
+            if came is not EMPTY and trie.may_meet(came, k):
+                came = trie.subtract(came, k)
+            if gone is not EMPTY and trie.may_meet(gone, k):
+                gone = trie.subtract(gone, k)
+        if came is not EMPTY or gone is not EMPTY:
+            self._actions.append(Patch.disjoint(came, gone))
 
 
 def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
@@ -745,13 +777,3 @@ def _captures(items: list, body) -> Optional[list]:
                 return None
             todo.extend(reversed(v))
     return caps
-
-
-def _uncovered(t: Trie, cover) -> Trie:
-    """``t`` less whatever the tries of ``cover`` hold; an EMPTY one is not probed."""
-    for k in cover:
-        if t is EMPTY:
-            break
-        if k is not EMPTY and trie.may_meet(t, k):
-            t = trie.subtract(t, k)
-    return t

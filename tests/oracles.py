@@ -10,11 +10,13 @@ work.
 """
 from __future__ import annotations
 
+import os
 import random
 import sys
 from collections import Counter
 from typing import Dict, FrozenSet, List, Set
 
+import dataspace
 from dataspace.values import (
     CAPTURE,
     Symbol,
@@ -23,6 +25,9 @@ from dataspace.values import (
     is_compound,
     observe,
 )
+
+#: The directory of the ``dataspace`` package's modules.
+PACKAGE = os.path.dirname(dataspace.__file__)
 
 A = Symbol("a")
 B = Symbol("b")
@@ -211,3 +216,9 @@ def calls_by_file(calls: Counter) -> Counter:
     for code, n in calls.items():
         out[code.co_filename] += n
     return out
+
+
+def package_calls(calls: Counter) -> int:
+    """How many of ``count_calls``'s counts are calls into the
+    ``dataspace`` package's modules: a measure of the kernel's work."""
+    return sum(n for code, n in calls.items() if os.path.dirname(code.co_filename) == PACKAGE)

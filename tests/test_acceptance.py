@@ -76,6 +76,7 @@ from oracles import (
     count_calls,
     match,
     meaning,
+    package_calls,
     random_pattern,
 )
 
@@ -591,9 +592,7 @@ def test_scn_presence_work_per_notification_is_flat(monkeypatch):
 
 def _package_calls(thunk) -> int:
     """The calls ``thunk`` makes into the ``dataspace`` package."""
-    package = pathlib.Path(trie.__file__).parent
-    by_file = calls_by_file(count_calls(thunk)[1])
-    return sum(n for path, n in by_file.items() if pathlib.Path(path).parent == package)
+    return package_calls(count_calls(thunk)[1])
 
 
 #: The counted twins of the other timed shapes: per shape, its builder run

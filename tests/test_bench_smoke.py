@@ -3,9 +3,11 @@
 ``bench/spans.py`` counts calls by wrapping entry points by name, so a
 rename or a fusion that leaves one unwrapped would read as zero calls
 rather than fail.  These runs pin the per-op counts of the two round
-trip workloads: one projection per op (the client's known-before probe;
-dispatch reads the capture itself with ``trie.captures``, so it
-enumerates no projection with ``key_set``), one mux update per layer
+trip workloads: no projection (dispatch reads the capture itself with
+``trie.captures``, so it enumerates no projection with ``key_set``, and
+the client's subscription holds no wildcard, so a new capture the
+client hears, which its knowledge cannot meet, is known new without a
+known-before probe), one mux update per layer
 crossed, two ``combine`` calls per op on both plus one in the first op,
 and one dataflow repair per op, the box's (a flush with no damage
 repairs nothing).  A nested layer's relay hears the visible change
@@ -46,7 +48,7 @@ def test_traced_run_counts_hot_entry_points(tmp_path, workload, updates_per_op):
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     ops = metrics["ops"]
     assert result["failed"] == 0 and ops == result["attempted"] > 0
-    assert metrics["trie.project.calls"] == ops
+    assert metrics["trie.project.calls"] == 0
     assert metrics["trie.key_set.calls"] == 0
     assert metrics["trie.combine.calls"] == 2 * ops + 1
     assert metrics["mux.updates"] == updates_per_op * ops

@@ -1,3 +1,5 @@
+import pytest
+
 from dataspace.dataflow import Graph
 
 
@@ -84,10 +86,47 @@ def test_dependencies_rerecorded_after_repair():
     switch.set(False)
     g.repair_damage(run)
     assert g.edges_reverse["s"] == {switch, y}
+    assert x not in g.edges_forward  # a read not repeated leaves no edge
     # x no longer matters
     x.set(99)
     g.repair_damage(run)
     assert out._value == 2
+
+
+def test_repeated_read_keeps_its_set_of_subjects():
+    g = Graph()
+    a = Cell(g, "a", 1)
+    out = Cell(g, "out", None)
+    run = lambda _subject: out.set(a.get() + 1)
+    g.with_subject("s", lambda: run("s"))
+    subjects = g.edges_forward[a]
+    g.damaged.clear()
+    a.set(2)
+    g.repair_damage(run)
+    assert out._value == 3 and g.edges_forward[a] is subjects == {"s"}
+
+
+def test_raising_subject_keeps_the_reads_before_the_raise():
+    g = Graph()
+    switch = Cell(g, "switch", True)
+    x = Cell(g, "x", 1)
+    y = Cell(g, "y", 2)
+
+    def run(_subject):
+        if switch.get():
+            x.get()
+        else:
+            y.get()
+            raise RuntimeError("boom")
+
+    g.with_subject("s", lambda: run("s"))
+    g.damaged.clear()
+    switch.set(False)
+    with pytest.raises(RuntimeError):
+        g.repair_damage(run)
+    assert g.edges_reverse["s"] == {switch, y}
+    assert x not in g.edges_forward and g.edges_forward[y] == {"s"}
+    assert g.active_subject is None
 
 
 def test_cycle_warned_once_per_call(capsys):

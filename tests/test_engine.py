@@ -208,6 +208,40 @@ def test_a_result_that_is_not_actions_in_a_nested_layer_ends_only_its_actor(case
     assert watcher.events == [assert_patch(HELLO)]
 
 
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("where", ["turn", "startup"])
+def test_a_failed_turn_queues_none_of_its_actions(where, traced):
+    # The turn yields an assertion and then raises: the crash drops the
+    # turn whole, so the watcher never hears the assertion come and go.
+    half = S("half")
+
+    def half_then_fault():
+        yield assert_patch(half)
+        raise RuntimeError("boom")
+
+    class Faulty(Probe):
+        def handle(self, event):
+            return half_then_fault()
+
+    if where == "startup":
+        bad = Spawn(lambda _identity: (Probe(), half_then_fault()), "bad")
+    else:
+        bad = spawn_probe(Faulty(), [assert_patch(observe(PING))], name="bad")
+    watcher, tracer = Probe(), Tracer() if traced else None
+    ds = ground_run(
+        [
+            spawn_probe(watcher, [assert_patch(observe(half))], name="watcher"),
+            bad,
+            spawn_probe(Probe(), [Message(PING)], name="pinger"),
+        ],
+        tracer=tracer,
+    )
+    assert watcher.events == []
+    assert list(ds.crashes) == [2] and ds.living_names() == {"watcher#1", "pinger#3"}
+    if traced:
+        assert not [r for r in tracer.records if r.path[-1] == "bad#2" and "half" in r.payload]
+
+
 @pytest.mark.parametrize("then_crash", ["on a later event", "on a later action"])
 def test_actor_that_quits_then_crashes_ends_once(then_crash):
     m = lambda n: Record(S("m"), (n,))

@@ -767,7 +767,8 @@ def _random_removal(rng):
 def _two_probe_activations(ep, delta, before, after, seen):
     """The captures ``ep`` activates on by the two-probe formula, over the
     capture list dispatch enumerates; ``seen`` counts the captures on
-    which dropping one of the probes would change the answer."""
+    which dropping one of the probes would change the answer, and those
+    of a wildcard-free pattern, by the rule dispatch reads them with."""
     side = delta.added if ep.on == "asserted" else delta.removed
     if side is EMPTY:
         return []
@@ -775,6 +776,9 @@ def _two_probe_activations(ep, delta, before, after, seen):
         caps_list = trie.key_set(trie.project(trie.spec_items(ep.current_pattern), side))
     except trie.InfiniteSet:
         return "infinite"
+    # With no wildcard in the pattern, dispatch may skip probes: an
+    # addition's when the side cannot meet before, a removal's after.
+    exact = WILDCARD not in trie.spec_items(ep.current_pattern)
     out = []
     for caps in caps_list:
         inst = trie.compile_pattern(_instantiate(ep.current_pattern, caps))
@@ -782,11 +786,16 @@ def _two_probe_activations(ep, delta, before, after, seen):
         known_after = trie.intersect(inst, after) is not EMPTY
         if ep.on == "asserted":
             seen["asserted, known before"] += known_before
+            if exact and trie.may_meet(side, before):
+                seen["asserted wildcard-free, may meet before"] += 1
+            elif exact:
+                seen["asserted wildcard-free, disjoint from before"] += 1
             if known_after and not known_before:
                 out.append(caps)
         else:
             seen["retracted, known neither"] += not known_before and not known_after
             seen["retracted, known after"] += known_before and known_after
+            seen["retracted wildcard-free"] += exact
             if known_before and not known_after:
                 out.append(caps)
     return out
@@ -834,7 +843,7 @@ def test_dispatch_matches_two_probe_oracle():
                 before,
             )
     # Every case that tells the formula's probes apart was drawn.
-    assert len(seen) == 3 and min(seen.values()) >= 20, seen
+    assert len(seen) == 6 and min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

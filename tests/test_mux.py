@@ -1,6 +1,4 @@
-import os
 import random
-from collections import Counter
 
 from dataspace import trie
 from dataspace.engine import Dataspace, Message, spawn_dataspace
@@ -9,7 +7,7 @@ from dataspace.mux import Mux
 from dataspace.patch import EMPTY_PATCH, RETRACT_ALL, Patch, assert_patch, from_sets, observation_bodies, retract_patch
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, outbound
 
-from oracles import calls_by_file, count_calls
+from oracles import calls_by_file, count_calls, package_calls
 
 S = Symbol
 
@@ -134,23 +132,11 @@ def test_remove_stream_retracts_everything():
     assert s not in m.streams
 
 
-#: The directory of the ``dataspace`` package's modules.
-PACKAGE = os.path.dirname(trie.__file__)
-
-
-def _module_calls(thunk):
-    """Run ``thunk``; return its result and the calls it made into each
-    ``dataspace`` module, by the module's file."""
-    result, calls = count_calls(thunk)
-    by_file = calls_by_file(calls)
-    return result, Counter({path: n for path, n in by_file.items() if os.path.dirname(path) == PACKAGE})
-
-
 def _trie_calls(thunk):
     """Run ``thunk``; return its result and how many calls it made into
     the trie module, a measure of its trie work."""
-    result, calls = _module_calls(thunk)
-    return result, calls[trie.__file__]
+    result, calls = count_calls(thunk)
+    return result, calls_by_file(calls)[trie.__file__]
 
 
 def test_remove_stream_work_does_not_grow_with_what_it_watched():
@@ -309,10 +295,9 @@ def _round_trip_trie_work(box_action):
     _, calls = count_calls(lambda: ds.handle(Message(bump(2))))
     assert learned == [0, 1, 2]
     by_file = calls_by_file(calls)
-    kernel = sum(n for path, n in by_file.items() if os.path.dirname(path) == PACKAGE)
     named = {"combine": trie.combine, "update_routes": trie.update_routes,
              "leaves_meeting": trie.leaves_meeting, "Branch": trie.Branch.__init__}
-    return {name: calls[fn.__code__] for name, fn in named.items()}, by_file[trie.__file__], kernel
+    return {name: calls[fn.__code__] for name, fn in named.items()}, by_file[trie.__file__], package_calls(calls)
 
 
 def test_box_round_trip_trie_work():
@@ -325,9 +310,9 @@ def test_box_round_trip_trie_work():
     # requested half that shows whole instead of rebuilding it; so does
     # the client's intersection with its interests.
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 7, calls
-    assert total <= 44, total
+    assert total <= 40, total
     # Nor may the fixed cost of a turn, a flush or a delivery creep back.
-    assert kernel <= 108, kernel
+    assert kernel <= 98, kernel
 
 
 def test_relay_round_trip_trie_work():
@@ -340,8 +325,8 @@ def test_relay_round_trip_trie_work():
     calls, total, kernel = _round_trip_trie_work(spawn_dataspace([spawn_actor("box", box)], name="inner"))
     assert calls["combine"] <= 2 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 16, calls
-    assert total <= 63, total
-    assert kernel <= 154, kernel
+    assert total <= 59, total
+    assert kernel <= 144, kernel
 
 
 def test_published_trie_reaches_the_subscriber_whole():
