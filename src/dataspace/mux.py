@@ -13,7 +13,9 @@ of its patch together.  The walk moves the stream's id into or out of
 the index's leaf sets where the patch changes the stream's own set, and
 reads what became visible or invisible off those leaf sets (an assertion
 shows when its leaf set fills from empty, and goes when it empties).  A
-half of the patch that shows whole comes back as it came, not rebuilt.
+half of the patch that shows whole comes back as it came, not rebuilt:
+the walk copies a half's edge map only at a node where one of its edges
+first differs.
 If the walk hands back the old own set itself, the patch changed
 nothing and the update ends there.  The subscriptions the stream adds
 and drops are the differences of its subscriptions

@@ -47,10 +47,14 @@ A routing trie has frozensets of stream ids as leaves.
 ``update_routes`` applies one stream's patch to it in a single walk
 with four results: the new routing trie, the stream's new own set (the
 old one itself if the patch changes nothing), and the part of the
-change that becomes visible, added and removed (the patch's own half
-itself where all of it shows, told by identity, not rebuilt); it also
-collects the audience, the leaf sets of a second routing trie (the
-standing subscriptions) at the values that become visible or invisible.
+change that becomes visible, added and removed; it also collects the
+audience, the leaf sets of a second routing trie (the standing
+subscriptions) at the values that become visible or invisible.
+A visible half is the patch's own node, not rebuilt, until the walk
+meets an edge whose visible part is not the patch's child there (told
+by identity); from that edge on it is a copy of the patch's edge map,
+set or dropped edge by edge.  So where all of a half shows, the walk
+hands back the half itself and builds no edge map for it.
 ``leaves_meeting`` reads which leaf sets a probe meets without
 building an intersection.  Where the routing trie is empty the walk
 takes the additions whole: it tags them in one shape-keeping walk, and
@@ -500,11 +504,14 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     A subtree the walk leaves unchanged is returned as it came, so
     ``own_new`` is ``own`` itself exactly when ``limit`` of the request
     against ``own`` is empty; where ``own`` is empty, the new own set
-    is the addition itself, not a copy.  So is a visible half: where its
-    default and each of its edges came back as the request's own (told
-    by identity, which walks no subtree), it is the request's node, so
-    ``visible_added`` is ``added`` exactly when every addition shows, and
-    ``visible_removed`` is ``removed`` when every removal vanishes.  The
+    is the addition itself, not a copy.  So is a visible half: at a node
+    whose visible default is the request's own, the half stays the
+    request's node until an edge first comes back other than the
+    request's child there (told by identity, which walks no subtree);
+    only then is the request's edge map copied, and that edge and every
+    later one set or dropped.  So ``visible_added`` is ``added`` exactly
+    when every addition shows, and ``visible_removed`` is ``removed``
+    when every removal vanishes.  The
     audience is the union of ``interests``' leaf sets at the visible
     values, ``leaves_meeting(interests, visible_added, visible_removed)``.
 
@@ -521,13 +528,16 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     |own set under its removal wildcards| + |edges of routes and
     interests under its addition wildcards|) nodes, plus the fan-out of
     each node it rebuilds, whose ``routes`` and ``own`` edges it copies:
-    one value asserted beside k siblings costs O(k).  Where ``own`` is
-    empty (a join, or a part of ``added`` new to the stream), nothing
-    can be removed and the stream comes to hold exactly the addition, so
-    the walk takes a leaner branch there that carries only ``routes``,
-    ``added`` and ``interests``.  Where ``routes`` is empty, so is the
-    own set: the additions are taken whole, tagged with ``ids`` in one
-    walk that keeps their shape (``_tagged``, not ``relabel``), and their
+    one value asserted beside k siblings costs O(k).  A visible half
+    adds a copy only at a node where part of the request does not show;
+    where all of it shows, it costs one identity test per edge.  Where
+    ``own`` is empty (a join, or a part of ``added`` new to the stream),
+    nothing can be removed and the stream comes to hold exactly the
+    addition, so the walk takes a leaner branch there that carries only
+    ``routes``, ``added`` and ``interests``; it builds the visible
+    addition by the same rule.  Where ``routes`` is empty, so is the own
+    set: the additions are taken whole, tagged with ``ids`` in one walk
+    that keeps their shape (``_tagged``, not ``relabel``), and their
     audience is the leaf of ``interests`` if it is a chain of defaults
     there (every addition meets it), or else read with ``leaves_meeting``
     from the same node.
@@ -568,15 +578,17 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         else:
             wr, _, wva, _ = _update_routes(rw, EMPTY, aw, EMPTY, cw, ids, audience)
             visit = {**a_edges, **r_edges, **c_edges}
-        er, eva, ha = r_edges.copy(), {}, 0
+        # eva is None while the visible half is still ``a`` itself.
+        er, eva = r_edges.copy(), None if wva is aw else {}
         for tok in visit:
             n = tok.arity
             # A missing edge reads as its default's tail; ``a`` has one
             # for every visited token.
+            ka = a_edges.get(tok) or (make_tail(n, aw) if n else aw)
             kr, _, kva, _ = _update_routes(
                 r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
                 EMPTY,
-                (ka := a_edges.get(tok)) or (make_tail(n, aw) if n else aw),
+                ka,
                 EMPTY,
                 c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
                 ids, audience,
@@ -585,14 +597,17 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
                 er.pop(tok, None)
             else:
                 er[tok] = kr
-            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
-                eva[tok] = kva
-                ha += kva is ka
+            if kva is not ka or eva is not None:
+                if eva is None:
+                    eva = a_edges.copy()
+                if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
+                    eva[tok] = kva
+                else:
+                    eva.pop(tok, None)
         return (
             Branch(wr, er),
             a,
-            EMPTY if not eva and wva is EMPTY
-            else a if wva is aw and ha == len(a_edges) == len(eva) else Branch(wva, eva),
+            a if eva is None else Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
             EMPTY,
         )
     if a is EMPTY and d is EMPTY:
@@ -622,21 +637,38 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             visit.update(r_edges)
             visit.update(c_edges)
     same = wo is ow
-    # ha, hd: visible edges that came back as the request's own child (ka,
-    # kd); if that is all of them and all of its edges, the half is its node.
-    er, eo, eva, evd, ha, hd = r_edges.copy(), o_edges.copy(), {}, {}, 0, 0
+    # eva, evd are None while a visible half is still the request's node.
+    er, eo = r_edges.copy(), o_edges.copy()
+    eva = None if wva is aw else {}
+    evd = None if wvd is dw else {}
     for tok in visit:
         n = tok.arity
         # A missing edge reads as its default's tail (a trie is never falsy).
         ko = o_edges.get(tok) or (make_tail(n, ow) if n and ow is not EMPTY else ow)
+        ka = a_edges.get(tok) or (make_tail(n, aw) if n and aw is not EMPTY else aw)
+        kd = d_edges.get(tok) or (make_tail(n, dw) if n and dw is not EMPTY else dw)
         kr, kn, kva, kvd = _update_routes(
             r_edges.get(tok) or (make_tail(n, rw) if n and rw is not EMPTY else rw),
             ko,
-            (ka := a_edges.get(tok)) or (make_tail(n, aw) if n and aw is not EMPTY else aw),
-            (kd := d_edges.get(tok)) or (make_tail(n, dw) if n and dw is not EMPTY else dw),
+            ka,
+            kd,
             c_edges.get(tok) or (make_tail(n, cw) if n and cw is not EMPTY else cw),
             ids, audience,
         )
+        if kva is not ka or eva is not None:
+            if eva is None:
+                eva = a_edges.copy()
+            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
+                eva[tok] = kva
+            else:
+                eva.pop(tok, None)
+        if kvd is not kd or evd is not None:
+            if evd is None:
+                evd = d_edges.copy()
+            if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
+                evd[tok] = kvd
+            else:
+                evd.pop(tok, None)
         if kn is ko and wo is ow:
             continue  # unchanged here, under unchanged defaults
         same = False
@@ -648,21 +680,13 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             eo.pop(tok, None)
         else:
             eo[tok] = kn
-        if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
-            eva[tok] = kva
-            ha += kva is ka
-        if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
-            evd[tok] = kvd
-            hd += kvd is kd
     if same:
         return r, o, EMPTY, EMPTY
     return (
         Branch(wr, er) if er or wr is not EMPTY else EMPTY,
         Branch(wo, eo) if eo or wo is not EMPTY else EMPTY,
-        EMPTY if not eva and wva is EMPTY
-        else a if wva is aw and ha == len(a_edges) == len(eva) else Branch(wva, eva),
-        EMPTY if not evd and wvd is EMPTY
-        else d if wvd is dw and hd == len(d_edges) == len(evd) else Branch(wvd, evd),
+        a if eva is None else Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
+        d if evd is None else Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )
 
 

@@ -535,7 +535,8 @@ def _leaves(t):
 def test_route_chains_stay_canonical(steps):
     # update_routes against limit, aggregate_visibility, apply_patch and
     # leaves_meeting, and the routing trie against a leaf-set map over
-    # witness values.
+    # witness values.  The walk writes into none of its operands, though
+    # a visible half it rebuilds starts from a copy of the request's edges.
     routes = EMPTY
     own = {sid: EMPTY for sid in range(4)}
     want = [set() for _ in ROUTE_WITNESSES]
@@ -544,7 +545,10 @@ def test_route_chains_stay_canonical(steps):
             adds, removes = [], [WILDCARD]
         requested = Patch(assertion_set(adds), assertion_set(removes))
         interests = observation_bodies(routes)
+        operands = (routes, own[sid], requested.added, requested.removed, interests)
+        before = [render(t) for t in operands]
         out = update_routes(routes, own[sid], sid, requested.added, requested.removed, interests)
+        assert [render(t) for t in operands] == before
         for t in out[:4]:
             assert_canonical(t)
             assert check_wf(t, 1)
@@ -610,6 +614,17 @@ def test_update_routes_hands_back_the_halves_that_show_whole():
     requested, _, vanished = update(0, [p(5), p(6)], [])
     requested, _, vanished = update(0, [], [p(5), p(6)])
     assert vanished is requested.removed
+    # The first hidden edge comes, in visit order, after edges that show:
+    # the half is then a copy of the request's edges, kept up to that edge.
+    last_field = lambda half: list(next(iter(half.edges.values())).edges)[-1]
+    requested, appeared, _ = update(0, [p(7), p(8), p(9)], [])  # p(9) held by stream 1
+    assert last_field(requested.added) == atom_token(9)
+    assert appeared is not requested.added and appeared == assertion_set([p(7), p(8)])
+    update(1, [p(6)], [])
+    update(0, [p(5), p(6)], [])
+    requested, _, vanished = update(0, [], [p(6), p(5)])  # stream 1 still holds p(6)
+    assert last_field(requested.removed) == atom_token(6)
+    assert vanished is not requested.removed and vanished == assertion_set([p(5)])
 
 
 def test_tokens_keep_atom_kinds_apart():
