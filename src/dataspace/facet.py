@@ -21,13 +21,12 @@ one, if known before and not after (a removal need not have been known).
 Both are read over the subscription's compiled items (``Endpoint.items``,
 from ``values.spec_items``), made once each time the endpoint's pattern
 is resolved; a pattern holding no ``Field`` is never resolved, and is
-its own resolved pattern.  The captures come straight off the patch
-side, in one walk (``trie.captures``), each as the flat tuple of its
-tokens, which ``values.parse_exact`` reads into values only for an
-activation.  An instance's items are the endpoint's with those tokens
-spliced in at the capture marks; they hold no captures, so their
-projection (``trie.project``) onto what is known is ``UNIT`` exactly
-when the instance is known.  Items with no ``WILDCARD``
+its own resolved pattern.  Dispatch reads tries with one member walk,
+``trie.captures``: over the patch side, it gives the captures, each as
+the flat tuple of its tokens (which ``values.parse_exact`` reads into
+values only for an activation); over an instance's items (the
+endpoint's with those tokens spliced in at the capture marks, so
+capture-free), whether what is known holds it.  Items with no ``WILDCARD``
 (``Endpoint.exact``) make each instance one member of the patch side,
 so fewer probes are needed: an addition whose side ``trie.may_meet``
 finds disjoint from what was known before fires every capture, and a
@@ -524,18 +523,16 @@ class ActorRuntime(Actor):
             raise InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
         if not found:
             return
-        # A capture-free projection is EMPTY exactly when no member matches;
-        # an addition is known after, and an exact removal is not.
+        # An addition is known after, and an exact removal is not.
         if asserted:
             probe = not ep.exact or trie.may_meet(side, before)
             for toks in found:
-                if not probe or trie.project(_spliced(items, toks), before) is EMPTY:
+                if not probe or not trie.captures(_spliced(items, toks), before):
                     self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
         else:
             for toks in found:
                 inst = _spliced(items, toks)
-                known = trie.project(inst, before) is not EMPTY
-                if known and (ep.exact or trie.project(inst, after) is EMPTY):
+                if trie.captures(inst, before) and (ep.exact or not trie.captures(inst, after)):
                     self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:

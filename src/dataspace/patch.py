@@ -6,8 +6,8 @@ set so they describe only real change, apply to a set by removing then
 adding, and translate across a layer boundary.
 
 ``Patch(added, removed)`` normalizes: an assertion on both sides
-cancels out, at the cost of intersecting the two halves, unless one
-is empty or the cheap ``trie.may_meet`` finds them disjoint first.
+cancels out, at the cost of subtracting each half from the other,
+unless one is empty or ``trie.may_meet`` finds them disjoint first.
 Patches that actors build go through it, and so do two operations
 whose halves can meet: ``from_sets`` (its two lists are arbitrary)
 and ``drop_outbound`` when a side holds an ``observe(inbound(_))``
@@ -15,7 +15,7 @@ part (the nested layer's ``+outbound(observe(x))`` and
 ``-observe(inbound(x))`` are different assertions inside, but both
 translate to the outer ``observe(x)``, and only cancelling the pair
 leaves the correct empty patch).  ``Patch.disjoint`` trusts its caller
-and skips the intersection; it is for halves disjoint by construction:
+and skips those subtractions; it is for halves disjoint by construction:
 ``limit``, ``diff``, ``aggregate_visibility``, ``label_patch`` (which
 maps disjoint halves injectively), ``drop_outbound`` of a patch with no
 ``observe(inbound(_))`` part (the unwrapped ``outbound`` parts of
@@ -38,9 +38,7 @@ class Patch(Frozen):
     def __init__(self, added: Trie, removed: Trie):
         # Normalize: an assertion both added and removed cancels out.
         if added is not EMPTY and removed is not EMPTY and trie.may_meet(added, removed):
-            overlap = trie.intersect(added, removed)
-            if overlap is not EMPTY:
-                added, removed = trie.subtract(added, overlap), trie.subtract(removed, overlap)
+            added, removed = trie.subtract(added, removed), trie.subtract(removed, added)
         object.__setattr__(self, "added", added)
         object.__setattr__(self, "removed", removed)
 

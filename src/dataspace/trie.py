@@ -11,10 +11,9 @@ and an empty default, so a walk may take a node's ``edges`` and
 ``default`` without first testing it for emptiness.
 
 The kernel's operations are the set operations ``union``,
-``intersect`` and ``subtract`` (all through ``combine``), ``project``,
-the routing walk ``update_routes``, and the read-only walks
-``search_value`` (one value's leaf), ``leaves_meeting`` and
-``captures`` (a projection's members, without building it).
+``intersect`` and ``subtract`` (all through ``combine``), the routing
+walk ``update_routes``, and the read-only walks ``search_value`` (one
+value's leaf), ``leaves_meeting`` and ``captures`` (the member walk).
 
 A pattern compiles to a chain, one node per pre-order item
 (``values.spec_items``, the one walk from a value or pattern to its
@@ -61,19 +60,15 @@ takes the additions whole: it tags them in one shape-keeping walk, and
 reads their audience off a chain of subscription defaults without a
 ``leaves_meeting`` walk.
 
-``project`` reads the captures of a pattern off a trie in one direct
-walk over the pattern's compiled pre-order items (``spec_items``), one
-frame per token it goes down; with no captures, it answers whether some
-member matches.  A subscriber compiles its items once per change of its
-pattern, not once per projection.  ``captures`` walks the same way with
-its own stack, but collects the captured tokens of each match: it
-returns the members ``key_set(project(items, t))`` would spell, in the
-same order, as flat token tuples, without building the projected trie
-or re-reading its paths.  Facet dispatch reads an endpoint's captures
-with ``captures`` and asks ``project`` only the capture-free question
-(is this instance known?).  ``project`` with ``key_set`` stays the
-reference that ``test_dispatch_matches_two_probe_oracle`` checks
-dispatch against, and the benchmark's spans wrap both by name.
+One walk reads a trie's members: ``captures`` follows a spec's
+compiled pre-order items (``spec_items``) down the trie with its own
+stack, and spells each match's captures as a flat token tuple without
+building the projected trie.  Facet dispatch reads captures with it and
+asks it whether an instance is known (capture-free items, answered at
+the first match); ``key_set`` and ``pattern_set`` are it with a capture
+mark per value.  ``project`` builds the projected trie, one frame per
+token; no runtime path calls it, and it stays as the reference dispatch
+is checked against and as a span target of the benchmark.
 
 ``combine``, ``project`` and ``update_routes`` recurse through
 module-level helpers that take their context as arguments.  A nested
@@ -739,17 +734,14 @@ def leaves_meeting(t: Trie, *probes: Trie) -> set:
 
 
 def project(items: list, t: Trie) -> Trie:
-    """Select assertions matching a spec and keep only captured positions.
-
-    ``items`` are the spec's ``spec_items``.  The result is a unit trie
-    over n-value sequences, n being the number of capture marks among
-    them; with none, it is ``UNIT`` exactly when some member of ``t``
-    matches.  ``_project`` follows the items, one frame per token, and
-    counts the whole values a wildcard or capture mark has left to
-    consume; it is passed ``items`` and ``end``, so it closes over nothing.
-    A wildcard stops at its first branch that gives ``UNIT``, which only
-    a capture-free rest of the items can give.
-    """
+    """Select assertions matching a spec (its ``spec_items``) and keep
+    only captured positions: a unit trie over n-value sequences, n being
+    the number of capture marks; with none, ``UNIT`` exactly when some
+    member of ``t`` matches.  ``_project`` follows the items, one frame
+    per token, counting the whole values a wildcard or capture mark has
+    left to consume, and is passed ``items`` and ``end``, so it closes
+    over nothing.  A wildcard stops at its first branch that gives
+    ``UNIT``, which only a capture-free rest of the items can give."""
     return _project(items, len(items), 0, t, 0)
 
 
@@ -786,28 +778,42 @@ def _project(items: list, end: int, i: int, t: Trie, n: int) -> Trie:
     return acc
 
 
-def captures(items: list, t: Trie) -> list:
+def captures(items: list, t: Trie, wild=None) -> list:
     """The captures of a spec's items in ``t``, read off ``t`` in one walk.
 
     Each member of ``project(items, t)`` comes back once, as the flat
-    tuple of its captures' tokens, in trie order: the order
-    ``key_set(project(items, t))`` gives, which ``values.parse_exact``
-    turns into the same value tuples.  Raises InfiniteSet where a
-    capture meets a default that leads to a match, as ``key_set`` does.
-    The walk follows the items as ``_project`` does, keeping its own
-    stack of ``(item index, node, values left to consume, tokens
-    captured so far, whether a capture took a default)``; a wildcard
-    consumes a value's tokens without keeping them.
+    tuple of its captures' tokens, in trie order (a default first, then
+    the edges in token order), which ``values.parse_exact`` reads into
+    the value tuples ``key_set(project(items, t))`` gives.  Items with no
+    capture mark give ``[()]`` at their first match, or ``[]``.  A
+    default a capture takes on the way to a match reads back as the
+    token ``wild``, or raises InfiniteSet if ``wild`` is None.  The walk
+    follows the items as ``_project`` does, with its own stack of ``(item
+    index, node, values left to consume, captured tokens)``, the tokens a
+    chain of ``(token, rest)`` pairs made a tuple only at a match, so a
+    member costs O(its tokens); a wildcard keeps no token.
     """
     end = len(items)
     found: dict = {}  # token tuple -> None: deduplicated, in walk order
-    todo = [(0, t, 0, (), False)]
+    todo = [(0, t, 0, None)]
     while todo:
-        i, t, n, toks, wild = todo.pop()
+        i, t, n, chain = todo.pop()
         while not n:
             if i == end:
                 if type(t) is Ok:
-                    if wild:
+                    if chain is None:
+                        return [()]  # no capture mark: the first match answers
+                    tok, chain = chain
+                    if chain is None:  # one token, as an atom's capture is
+                        toks = (tok,)
+                    else:
+                        toks = [tok]
+                        while chain is not None:
+                            tok, chain = chain
+                            toks.append(tok)
+                        toks.reverse()
+                        toks = tuple(toks)
+                    if None in toks:
                         raise InfiniteSet("a capture matches infinitely many values")
                     found[toks] = None
                 break
@@ -828,53 +834,51 @@ def captures(items: list, t: Trie) -> list:
             n -= 1
             cap = items[i - 1] is CAPTURE
             if t.default is not EMPTY:
-                todo.append((i, t.default, n, toks, wild or cap))
+                todo.append((i, t.default, n, (wild, chain) if cap else chain))
             for tok, child in t.edges.items():
-                todo.append((i, child, n + tok.arity, toks + (tok,) if cap else toks, wild))
+                todo.append((i, child, n + tok.arity, (tok, chain) if cap else chain))
     if len(found) < 2:
         return list(found)
     return sorted(found, key=_tokens_key)
 
 
 def _tokens_key(toks: tuple) -> list:
-    return [tok.sort_key() for tok in toks]
+    # A default, read back as WILDCARD, sorts before every token.
+    return [(-1,) if tok is WILDCARD else tok.sort_key() for tok in toks]
 
 
 # ---------------------------------------------------------------------------
-# Enumeration
+# Enumeration: ``captures`` with a capture mark per value of a member
 
 
 def key_set(t: Trie) -> tuple:
     """Enumerate a structurally finite trie: its members as value tuples,
-    in trie (``token_sort_key``) order.  Raises InfiniteSet at a default."""
-    return _members(t, None)
+    in trie order.  Raises InfiniteSet at a default."""
+    return tuple(map(parse_exact, captures([CAPTURE] * _width(t), t)))
 
 
 def pattern_set(t: Trie) -> tuple:
     """Enumerate a trie built from finitely many patterns, as key_set does,
     except that a default reads back as a wildcard: this tolerates
     cofinite sets, as long as the branch structure is finite."""
-    return _members(t, WILDCARD)
+    return tuple(map(parse_exact, captures([CAPTURE] * _width(t), t, WILDCARD)))
 
 
-def _members(t: Trie, wild) -> tuple:
-    # Pre-order with an explicit stack: the default first, then the edges
-    # in token order.
-    out: list = []
-    todo = [(t, ())]
-    while todo:
-        t, prefix = todo.pop()
-        if type(t) is Ok:
-            out.append(parse_exact(prefix))
-        elif t is not EMPTY:
-            edges = t.edges
-            for tok in sorted(edges, key=token_sort_key, reverse=True):
-                todo.append((edges[tok], prefix + (tok,)))
-            if t.default is not EMPTY:
-                if wild is None:
-                    raise InfiniteSet("trie is not structurally finite")
-                todo.append((t.default, prefix + (wild,)))
-    return tuple(out)
+def _width(t: Trie) -> int:
+    """How many values each member of ``t`` spans, read along one path."""
+    n = left = 0  # values begun, and whole values the current one still owes
+    while type(t) is Branch:
+        if not left:
+            n += 1
+            left = 1
+        if t.default is EMPTY:
+            tok = next(iter(t.edges))
+            left += tok.arity
+            t = t.edges[tok]
+        else:
+            t = t.default
+        left -= 1
+    return n
 
 
 # ---------------------------------------------------------------------------

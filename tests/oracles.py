@@ -4,6 +4,8 @@ Everything here works with plain Python sets and structural recursion,
 deliberately sharing no code with the trie or mux implementations, nor
 with the token walk (``values.spec_items``) that serializes a value and
 decides its equality: atoms are told apart by ``atom_type`` here.
+``trie_members`` reads a trie's nodes and tokens as data, with an order
+and a decoding of its own.
 
 ``count_calls`` is the one call counter behind every gate on counted
 work.
@@ -17,8 +19,11 @@ from collections import Counter
 from typing import Dict, FrozenSet, List, Set
 
 import dataspace
+from dataspace.trie import EMPTY, Ok
 from dataspace.values import (
     CAPTURE,
+    AtomTok,
+    Record,
     Symbol,
     WILDCARD,
     decompose,
@@ -141,6 +146,60 @@ def random_pattern(rng: random.Random, depth: int = 2, wild_p: float = 0.25):
 def meaning(pattern, universe) -> frozenset:
     """The indices of the members of ``universe`` that match ``pattern``."""
     return frozenset(i for i, v in enumerate(universe) if match(pattern, v))
+
+
+def trie_members(t, wild=None):
+    """The members of a trie of value sequences, as tuples of values, in
+    trie order: at each node the default first, read back as ``wild``,
+    then the edges, atoms before compounds, atoms by type (in
+    ``ATOM_TYPES`` order) and payload, compounds by label (none first,
+    then by name) and arity.  With ``wild`` None, a default makes the
+    set infinite, and the answer is ``"infinite"``.  Plain recursion,
+    one frame per token, carrying each member's whole token path."""
+    out: list = []
+
+    def walk(t, path) -> bool:
+        if type(t) is Ok:
+            out.append(_decode(path))
+            return True
+        if t is EMPTY:
+            return True
+        if t.default is not EMPTY:
+            if wild is None:
+                return False
+            walk(t.default, path + [wild])
+        return all(walk(t.edges[tok], path + [tok]) for tok in sorted(t.edges, key=_token_order))
+
+    return out if walk(t, []) else "infinite"
+
+
+def _token_order(tok):
+    if type(tok) is AtomTok:
+        v = tok.payload
+        return (0, ATOM_TYPES.index(atom_type(v)), v.name if isinstance(v, Symbol) else v)
+    return (1, (0, "") if tok.label is None else (1, tok.label.name), tok.arity)
+
+
+def _decode(path) -> tuple:
+    """The values a token path spells; WILDCARD reads back as itself."""
+    values: list = []
+    i = 0
+    while i < len(path):
+        v, i = _read(path, i)
+        values.append(v)
+    return tuple(values)
+
+
+def _read(path, i):
+    tok = path[i]
+    if tok is WILDCARD or type(tok) is AtomTok:
+        return (tok if tok is WILDCARD else tok.payload), i + 1
+    fields: list = []
+    i += 1
+    for _ in range(tok.arity):
+        v, i = _read(path, i)
+        fields.append(v)
+    return (tuple(fields) if tok.label is None else Record(tok.label, tuple(fields))), i
 
 
 # ---------------------------------------------------------------------------

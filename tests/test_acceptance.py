@@ -662,6 +662,20 @@ def test_presence_work_per_member_is_flat():
     assert per_member[32][facet.__name__] < 32, per_member
 
 
+def test_presence_dispatch_builds_no_projection():
+    # Each of the K members hears a leave as a retraction, and asks
+    # whether the capture was known before with the member walk
+    # (``trie.captures``); building the projection instead made K
+    # ``trie.project`` calls per op.
+    w = _bench_workloads().Presence(1)
+    for _ in range(w.warmup_ops):
+        w.ds.handle(w.request())
+    _, calls = count_calls(lambda: [w.ds.handle(w.request()) for _ in range(5)])
+    assert w.check()
+    assert calls[trie.project.__code__] == 0
+    assert calls[trie.captures.__code__] > 0
+
+
 def _setup_calls(cls) -> Counter:
     """Calls made into each function of the ``dataspace`` package while
     one fresh copy of workload ``cls`` is set up, by (file, name)."""

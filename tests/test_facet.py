@@ -16,7 +16,7 @@ from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patc
 from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
 
-from oracles import _hashable, _match
+from oracles import _hashable, _match, trie_members
 
 S = Symbol
 
@@ -766,16 +766,17 @@ def _random_removal(rng):
 
 def _two_probe_activations(ep, delta, before, after, seen):
     """The captures ``ep`` activates on by the two-probe formula, over the
-    capture list dispatch enumerates; ``seen`` counts the captures on
-    which dropping one of the probes would change the answer, and those
-    of a wildcard-free pattern, by the rule dispatch reads them with."""
+    projection's members as the oracle enumerates them (dispatch reads
+    its captures with ``trie.captures``, the walk under ``key_set`` too);
+    ``seen`` counts the captures on which dropping one of the probes
+    would change the answer, and those of a wildcard-free pattern, by
+    the rule dispatch reads them with."""
     side = delta.added if ep.on == "asserted" else delta.removed
     if side is EMPTY:
         return []
-    try:
-        caps_list = trie.key_set(trie.project(trie.spec_items(ep.current_pattern), side))
-    except trie.InfiniteSet:
-        return "infinite"
+    caps_list = trie_members(trie.project(trie.spec_items(ep.current_pattern), side))
+    if caps_list == "infinite":
+        return caps_list
     # With no wildcard in the pattern, dispatch may skip probes: an
     # addition's when the side cannot meet before, a removal's after.
     exact = WILDCARD not in trie.spec_items(ep.current_pattern)

@@ -31,6 +31,8 @@ KERNEL = ("values", "trie", "patch", "mux", "dataflow")
 #: deleted, or listed here.
 BENCH_ONLY = {
     "trie.key_set": "a span target in bench/spans.py; the smoke test pins its calls per op at 0",
+    "trie.project": "the reference dispatch's oracle checks against, and a span target in bench/spans.py; "
+                    "dispatch probes instances with trie.captures",
     "patch.aggregate_visibility": "a span target in bench/spans.py",
     "patch.limit": "a span target in bench/spans.py",
 }

@@ -122,3 +122,14 @@ def test_trusted_patches_are_disjoint(monkeypatch):
 def test_render_sorted_and_stable():
     p = from_sets([S("b"), S("a")], [1])
     assert render(p) == "+{a, b}/-{1}"
+
+
+def test_render_writes_out_a_wide_and_a_deep_member():
+    # A member's tokens are read off one chain, so it costs O(its tokens)
+    # to enumerate, and no walk recurses per level.
+    deep = 1
+    for _ in range(1500):
+        deep = (deep,)
+    p = Patch(assertion_set([tuple(range(3000))]), assertion_set([deep]))
+    wide = "(" + " ".join(map(str, range(3000))) + ")"
+    assert render(p) == "+{" + wide + "}/-{" + "(" * 1500 + "1" + ")" * 1500 + "}"

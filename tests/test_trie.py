@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from dataspace import trie
 from dataspace.engine import ground_run
@@ -43,7 +43,7 @@ from dataspace.values import (
     parse_exact,
 )
 
-from oracles import build_universe, count_calls, match, random_pattern, _hashable, _match
+from oracles import build_universe, count_calls, match, random_pattern, trie_members, _hashable, _match
 
 S = Symbol
 U = build_universe()
@@ -311,11 +311,19 @@ def test_projection_oracle_on_finite_sets(values, p):
 
 
 def _projected_captures(items, t):
-    """The reference: enumerate the capture projection."""
-    try:
-        return [tuple(_hashable(c) for c in caps) for caps in key_set(project(items, t))]
-    except InfiniteSet:
-        return "infinite"
+    """The reference: the capture projection, as the oracle enumerates it."""
+    members = trie_members(project(items, t))
+    return members if members == "infinite" else [tuple(_hashable(c) for c in caps) for caps in members]
+
+
+def _filled(spec, fillers) -> list:
+    """Copies of ``spec``, one per filler, its marks filled in turn from
+    the fillers, starting at that one."""
+    members = []
+    for k in range(len(fillers)):
+        fill = itertools.cycle(fillers[k:] + fillers[:k])
+        members.append(_replace_leaves(spec, lambda p: next(fill) if p is CAPTURE or p is WILDCARD else p))
+    return members
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,11 +339,7 @@ def test_captures_agree_with_projection(spec, fillers, wild, others):
     # unrelated patterns.  A WILDCARD filler puts a default under a mark.
     if 0 <= wild < len(fillers):
         fillers[wild] = WILDCARD
-    members = []
-    for k in range(len(fillers)):
-        fill = itertools.cycle(fillers[k:] + fillers[:k])
-        members.append(_replace_leaves(spec, lambda p: next(fill) if p is CAPTURE or p is WILDCARD else p))
-    t = assertion_set(members + others)
+    t = assertion_set(_filled(spec, fillers) + others)
     items = spec_items(spec)
     want = _projected_captures(items, t)
     try:
@@ -348,6 +352,47 @@ def test_captures_agree_with_projection(spec, fillers, wild, others):
     # Splicing a capture's tokens in at the capture marks spells the instance.
     for toks in found:
         assert _spliced(items, toks) == spec_items(_instantiate(spec, parse_exact(toks)))
+
+
+# Tries with defaults, edges to EMPTY under them, and atoms of every kind.
+tries_with_defaults = st.builds(
+    lambda xs, ys: subtract(assertion_set(xs), assertion_set(ys)),
+    st.lists(wild_patterns, max_size=6),
+    st.lists(wild_patterns, max_size=3),
+)
+
+
+@seed(29)
+@settings(max_examples=200, deadline=None)
+@given(tries_with_defaults, wild_patterns, st.lists(wild_patterns, max_size=2))
+def test_capture_free_captures_tell_whether_some_member_matches(t, pattern, others):
+    # Dispatch asks whether an instance is known this way.  The pattern
+    # is also asked over a trie that holds it, so that both answers show.
+    items = spec_items(pattern)
+    for u in (t, union(t, assertion_set([pattern] + others))):
+        assert trie.captures(items, u) == ([()] if project(items, u) is not EMPTY else [])
+
+
+@seed(29)
+@settings(max_examples=200, deadline=None)
+@given(
+    tries_with_defaults,
+    st.one_of(subscription_specs, subscription_specs.map(lambda spec: (CAPTURE, spec, CAPTURE))),
+    st.lists(concrete_values, min_size=2, max_size=5),
+)
+def test_key_set_and_pattern_set_enumerate_as_the_oracle_does(t, spec, fillers):
+    # The trie also holds copies of the spec with its marks filled in, so
+    # that its projection holds several members, one value per mark.
+    t = union(t, assertion_set(_filled(spec, fillers)))
+    for u in (t, project(spec_items(spec), t)):
+        try:
+            got = [spec_items(m) for m in key_set(u)]
+        except InfiniteSet:
+            got = "infinite"
+        want = trie_members(u)
+        assert got == (want if want == "infinite" else [spec_items(m) for m in want])
+        want = [spec_items(m) for m in trie_members(u, WILDCARD)]
+        assert [spec_items(m) for m in trie.pattern_set(u)] == want
 
 
 def test_captures_read_several_members_in_trie_order():
