@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 from .engine import Message
 from .facet import Facet, spawn_actor
-from .values import CAPTURE, Record, Symbol, WILDCARD, inbound
+from .values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
 
 TICK = Symbol("tick")
 SET_TIMER = Symbol("set-timer")
@@ -119,7 +119,7 @@ def timestate_driver():
                 lambda: inner.react(lambda g: g.assert_(later_than(msecs))),
             )
 
-        f.during(Record(Symbol("observe"), (later_than(CAPTURE),)), serve)
+        f.during(observe(later_than(CAPTURE)), serve)
 
     return spawn_actor("timestate-driver", boot)
 

@@ -157,7 +157,9 @@ class KindDict(Mapping):
     keyed by their token tuple (``serialize``), so atom kinds stay apart:
     1, True and 1.0 are three keys, and lookups and ``in`` tell them
     apart too; so does ``keys()``, the read-only set a ``query_set``
-    holds.  Equal mappings have kind-faithfully equal values too."""
+    holds.  It equals a mapping of its length whose every key it finds,
+    with a kind-faithfully equal value (``_same``), so ``{True: "a"}``
+    does not equal ``KindDict([(1, "a")])``."""
 
     __slots__ = ("_entries",)
 
@@ -177,12 +179,18 @@ class KindDict(Mapping):
         return len(self._entries)
 
     def __eq__(self, other) -> bool:
-        if type(other) is not KindDict:
-            return Mapping.__eq__(self, other)
-        mine, theirs = self._entries, other._entries
-        return mine.keys() == theirs.keys() and all(
-            values_equal(v, theirs[t][1]) for t, (_, v) in mine.items()
-        )
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != len(self._entries):
+            return False
+        for key, value in other.items():
+            try:
+                mine = self[key]
+            except (KeyError, NotAValue):  # not a key here, or not a value
+                return False
+            if not _same(mine, value):
+                return False
+        return True
 
 
 class Endpoint:

@@ -54,11 +54,9 @@ meets an edge whose visible part is not the patch's child there (told
 by identity); from that edge on it is a copy of the patch's edge map,
 set or dropped edge by edge.  So where all of a half shows, the walk
 hands back the half itself and builds no edge map for it.
-``leaves_meeting`` reads which leaf sets a probe meets without
-building an intersection.  Where the routing trie is empty the walk
-takes the additions whole: it tags them in one shape-keeping walk, and
-reads their audience off a chain of subscription defaults without a
-``leaves_meeting`` walk.
+The walk gathers the audience as it goes, at the leaves it reaches;
+``leaves_meeting`` reads which leaf sets a probe meets without building
+an intersection.
 
 One walk reads a trie's members: ``captures`` follows a spec's
 compiled pre-order items (``spec_items``) down the trie with its own
@@ -530,12 +528,10 @@ def update_routes(routes: Trie, own: Trie, sid, added: Trie, removed: Trie, inte
     nothing can be removed and the stream comes to hold exactly the
     addition, so the walk takes a leaner branch there that carries only
     ``routes``, ``added`` and ``interests``; it builds the visible
-    addition by the same rule.  Where ``routes`` is empty, so is the own
-    set: the additions are taken whole, tagged with ``ids`` in one walk
-    that keeps their shape (``_tagged``, not ``relabel``), and their
-    audience is the leaf of ``interests`` if it is a chain of defaults
-    there (every addition meets it), or else read with ``leaves_meeting``
-    from the same node.
+    addition by the same rule.  Where ``routes`` is empty too, the same
+    branch walks the addition, the empty trie reading as a branch with
+    no edges: at each leaf the addition reaches, the value shows and
+    ``interests``' leaf set there joins the audience.
     """
     ids = frozenset((sid,))
     audience: set = set()
@@ -550,21 +546,13 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         # default, those of ``r`` and ``c``.
         if a is EMPTY:
             return r, o, EMPTY, EMPTY
-        if r is EMPTY:
-            # Nobody holds anything here, so ``a`` is all new.
-            # Subscriptions that are a chain of defaults down to a leaf
-            # meet every addition; others are read off ``c`` itself, at
-            # ``a``'s depth.
-            k = c
-            while type(k) is Branch and not k.edges:
-                k = k.default
-            if type(k) is Ok:
-                audience.update(k.value)
-            elif c is not EMPTY:
-                audience.update(leaves_meeting(c, a))
-            return Ok(ids) if type(a) is Ok else _tagged(a, Ok(ids)), a, a, EMPTY
-        if type(r) is Ok:
-            return Ok(r.value | ids), a, EMPTY, EMPTY
+        if type(a) is Ok:
+            if type(r) is Ok:
+                return Ok(r.value | ids), a, EMPTY, EMPTY
+            # Nobody holds the value, so it shows.
+            if c is not EMPTY:
+                audience.update(c.value)
+            return Ok(ids), a, a, EMPTY
         r_edges, rw = r.edges, r.default
         a_edges, aw = a.edges, a.default
         c_edges, cw = c.edges, c.default
@@ -683,19 +671,6 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         a if eva is None else Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
         d if evd is None else Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )
-
-
-def _tagged(t: Trie, leaf: Ok) -> Trie:
-    """The unit trie ``t`` rebuilt with ``leaf`` at every leaf.  One leaf
-    value for all keeps the shape, so no edge turns redundant; an edge to
-    EMPTY under a default stays EMPTY.  One frame per level, no more."""
-    if type(t) is not Branch:
-        return leaf if type(t) is Ok else EMPTY
-    edges = {}
-    for tok, child in t.edges.items():
-        edges[tok] = _tagged(child, leaf)
-    default = t.default
-    return Branch(default if default is EMPTY else _tagged(default, leaf), edges)
 
 
 def leaves_meeting(t: Trie, *probes: Trie) -> set:

@@ -697,9 +697,9 @@ def test_setup_work_is_bounded():
     # one pattern a box set-up compiles; a pattern holding no Field is
     # used as it stands, not copied.  A layer starts from a copy of one
     # shared relay state, a spawn adds its stream with no walk, an
-    # untraced set-up does no trace bookkeeping, and a fresh subtree is
-    # tagged in one walk with its audience read off the subscriptions'
-    # chain of defaults.
+    # untraced set-up does no trace bookkeeping, and a fresh subtree goes
+    # through the routing walk's join loop, which gathers its audience at
+    # the leaves it reaches, with no meeting walk.
     workloads = _bench_workloads()
     box, relay = _setup_calls(workloads.Box), _setup_calls(workloads.Relay)
     assert box[("trie.py", "compile_pattern")] <= 1, box

@@ -203,6 +203,17 @@ def test_kind_dict_equality_holds_for_deep_values():
     assert deep != KindDict([(1, _nested_tuple(1, 899))])
 
 
+def test_kind_dict_equals_a_plain_mapping_kind_faithfully():
+    # A dict merges 1, True and 1.0 into one key; a KindDict keeps three.
+    assert KindDict([(1, "a"), (True, "b"), (1.0, "c")]) != {1: "c"}
+    assert KindDict([(1, "a")]) != {True: "a"}
+    assert KindDict([(1, "a")]) != {1.0: "a"}
+    assert KindDict([(1, (1,))]) != {1: (True,)}
+    assert KindDict([(1, "a")]) == {1: "a"} and {1: "a"} == KindDict([(1, "a")])
+    assert KindDict([(1, "a")]) != {1: "a", 2: "b"}
+    assert KindDict([(1, "a")]) != {object(): "a"}
+
+
 def test_stop_when_runs_continuation_after_stop_handlers():
     log = []
 

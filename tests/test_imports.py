@@ -44,7 +44,6 @@ BENCH_ONLY = {
 RECURSIVE = {
     "trie._combine": "union, intersect and subtract: one frame per token (ROADMAP item 6)",
     "trie._project": "projection: one frame per token under a wildcard or capture mark (ROADMAP item 6)",
-    "trie._tagged": "a fresh subtree's routing tags: one frame per token (ROADMAP item 6)",
     "trie._update_routes": "a stream's routing update: one frame per token (ROADMAP item 6)",
     "trie.relabel": "Mux.all_assertions' leaf map: one frame per token (ROADMAP item 6)",
     "programs.arm": "the ticker re-arms from a later turn, not from inside its own call",

@@ -78,18 +78,27 @@ def test_adding_a_stream_with_nothing_to_add_makes_no_walk(monkeypatch):
 def test_fresh_subtree_audience_is_exact():
     # Nobody holds anything under p/2, so each addition is a fresh
     # subtree there, and its audience is read off the subscriptions at
-    # the same depth: observe(p(_, 1)) hears p(2, 1) only.
+    # the same depth: observe(p(_, 1)) hears p(2, 1) only, and of an
+    # addition that holds wildcards, only the part it meets.
     p = lambda *xs: Record(S("p"), xs)
-    for value, heard in ((p(2, 1), True), (p(1, 3), False), (p(2, 3), False)):
+    for value, heard in (
+        (p(2, 1), p(2, 1)),
+        (p(1, 3), None),
+        (p(2, 3), None),
+        (p(2, WILDCARD), p(2, 1)),
+        (p(WILDCARD, 3), None),
+        (p(WILDCARD, WILDCARD), p(WILDCARD, 1)),
+    ):
         m = Mux()
         watcher, _, _ = m.add_stream(assert_patch(observe(p(WILDCARD, 1))))
         _, _, events = m.add_stream(assert_patch(value))
-        assert events == ([(watcher, assert_patch(value))] if heard else []), value
+        assert events == ([(watcher, assert_patch(heard))] if heard else []), value
 
 
 def test_fresh_subtree_under_a_chain_of_defaults_needs_no_meeting(monkeypatch):
     # The relay's interests are a chain of defaults down to a leaf below
-    # their label: every addition there meets them, with no walk.
+    # their label: the join loop reaches that leaf along the addition,
+    # so the audience needs no separate meeting walk.
     m = Mux()
     watcher, _, _ = m.add_stream(assert_patch(observe(outbound(WILDCARD))))
     meetings, original = [], trie.leaves_meeting

@@ -645,7 +645,8 @@ def test_update_routes_hands_back_the_halves_that_show_whole():
         routes, own[sid] = routes_new, own_new
         return requested, appeared, vanished
 
-    update(1, [p(9), S("q")], [])
+    requested, appeared, _ = update(1, [p(9), S("q")], [])  # over an empty routing trie
+    assert own[1] is appeared is requested.added
     requested, appeared, _ = update(0, [p(1), p(2)], [])
     assert appeared is requested.added
     requested, appeared, _ = update(0, [p(2), p(3)], [])  # p(2) already held
