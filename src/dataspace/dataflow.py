@@ -9,7 +9,8 @@ forgotten first: its reads are set aside, and only the edges of those
 the fresh run does not repeat are dropped afterwards, so an object read
 again keeps its set of subjects, and a run that raises keeps the reads
 it made and no stale one.  A round re-runs its subjects in a
-fixed order (``order_key``, else their text), a lone one directly.
+fixed order (``order_key``, else their text), a lone one directly; a
+cycle's warning names its subjects in that order.
 """
 from __future__ import annotations
 
@@ -75,10 +76,8 @@ class Graph:
                 subjects.update(self.edges_forward.get(obj, ()))
             again = subjects & repaired
             if again:
-                print(
-                    f"Cyclic dependencies involving {sorted(map(str, again))}",
-                    file=sys.stderr,
-                )
+                names = [str(s) for s in sorted(again, key=_subject_order)]
+                print(f"Cyclic dependencies involving {names}", file=sys.stderr)
                 subjects -= again
             repaired |= subjects
             for subject in subjects if len(subjects) < 2 else sorted(subjects, key=_subject_order):

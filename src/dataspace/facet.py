@@ -28,14 +28,18 @@ values only for an activation); over an instance's items (the
 endpoint's with those tokens spliced in at the capture marks, so
 capture-free), whether what is known holds it.  Items with no ``WILDCARD``
 (``Endpoint.exact``) make each instance one member of the patch side,
-so fewer probes are needed: an addition whose side ``trie.may_meet``
-finds disjoint from what was known before fires every capture, and a
-removal, its patch's halves being disjoint, is not known after.  The
-trie the endpoint asserts is compiled from the same items under an
-``observe`` push token (``trie.compile_items`` reads the capture marks
-as wildcards), with no wildcarded copy of the pattern built.  A message is matched against
-the same items, in one pass over the body: atoms by kind and payload,
-compounds by label and arity.
+so fewer probes are needed, as the patch's halves are disjoint: a
+removal is not known after, and an addition was known before just when
+what the patch leaves of prior knowledge holds it.  That is what was
+known less the removed half, the subtraction the turn's knowledge update
+makes anyway; when it is EMPTY, as when the patch retracts all that was
+known, or ``trie.may_meet`` finds the side disjoint from it, every
+capture fires unprobed.  The trie the endpoint asserts is compiled from
+the same items under an ``observe`` push token (``trie.compile_items``
+reads the capture marks as wildcards), with no wildcarded copy of the
+pattern built.  A message is matched against the same items, in one
+pass over the body: atoms by kind and payload, compounds by label and
+arity.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -52,9 +56,14 @@ taken as they are, with no union; then one loop over the unchanged
 contributions, ``adhoc`` first, takes each off both halves, and stops
 once both are EMPTY.  Removal is therefore exact under overlap:
 retracting ``p(3)`` while ``p(*)`` stands, or while another contributor
-also asserts ``p(3)``, publishes nothing.  A flush where
-nothing changed, such as an assertion recomputed to an equal trie, only
-compares: it publishes no patch and runs no set operation.  With no
+also asserts ``p(3)``, publishes nothing.  The loop walks only a
+contribution that can meet the change at the root: one of them has a
+root default, or they share a root edge, told by one ``isdisjoint`` of
+the contribution's root edge keys against the change's, collected once
+per flush.  So a subscription, under ``observe``, costs no walk when
+only plain assertions change.  A flush where nothing changed, such as
+an assertion recomputed to an equal trie, only compares: it publishes
+no patch and runs no set operation.  With no
 note and no damage there is nothing to flush, and none is run, neither
 at the end of a turn nor before an action is emitted.
 
@@ -76,7 +85,7 @@ from typing import Callable, Dict, List, Optional
 from . import trie
 from .dataflow import Graph
 from .engine import Actor, Message, QUIT, Spawn
-from .patch import Patch, apply_patch
+from .patch import Patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
     CAPTURE,
@@ -228,6 +237,9 @@ class Endpoint:
     @property
     def order_key(self):
         return (0, self.eid)
+
+    def __repr__(self) -> str:
+        return f"<{self.kind} endpoint #{self.eid}>"
 
 
 class Facet:
@@ -431,12 +443,15 @@ class ActorRuntime(Actor):
         if event is None:
             self._add_facet(self.root, self._boot)
         elif isinstance(event, Patch):
+            # The knowledge update in its two steps: what the patch
+            # leaves of the knowledge is what dispatch probes additions
+            # against.
             before = self.knowledge
-            after = apply_patch(before, event)
-            self.knowledge = after
+            kept = trie.subtract(before, event.removed)
+            after = self.knowledge = trie.union(kept, event.added)
             for ep in self.endpoints.values():
                 if ep.kind == "sub" and ep.on != "message":
-                    self._dispatch_patch(ep, event, before, after)
+                    self._dispatch_patch(ep, event, before, after, kept)
         elif isinstance(event, Message):
             for ep in self.endpoints.values():
                 if ep.on == "message":
@@ -488,7 +503,7 @@ class ActorRuntime(Actor):
         self._refresh_endpoint(ep)
         if on == "asserted" and self.knowledge is not EMPTY:
             # Catch-up: the world as already known counts as newly asserted.
-            self._dispatch_patch(ep, Patch(self.knowledge, EMPTY), EMPTY, self.knowledge)
+            self._dispatch_patch(ep, Patch(self.knowledge, EMPTY), EMPTY, self.knowledge, EMPTY)
         return ep
 
     def _add_stop(self, facet, pattern, on, continuation) -> Endpoint:
@@ -517,7 +532,9 @@ class ActorRuntime(Actor):
 
     # -- dispatch -----------------------------------------------------------
 
-    def _dispatch_patch(self, ep: Endpoint, delta: Patch, before: Trie, after: Trie) -> None:
+    def _dispatch_patch(self, ep: Endpoint, delta: Patch, before: Trie, after: Trie, kept: Trie) -> None:
+        # kept: what the patch leaves of before (before less delta.removed),
+        # as the turn's knowledge update made it.
         asserted = ep.on == "asserted"
         side = delta.added if asserted else delta.removed
         if side is EMPTY:
@@ -531,11 +548,15 @@ class ActorRuntime(Actor):
             raise InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
         if not found:
             return
-        # An addition is known after, and an exact removal is not.
+        # An addition is known after, and an exact removal is not.  An
+        # exact addition, its halves being disjoint, was known before just
+        # when what the patch leaves of before holds it.
         if asserted:
-            probe = not ep.exact or trie.may_meet(side, before)
+            known = before
+            if ep.exact:
+                known = kept if kept is not EMPTY and trie.may_meet(side, kept) else EMPTY
             for toks in found:
-                if not probe or not trie.captures(_spliced(items, toks), before):
+                if known is EMPTY or not trie.captures(_spliced(items, toks), known):
                     self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
         else:
             for toks in found:
@@ -656,14 +677,18 @@ class ActorRuntime(Actor):
             came, gone = trie.subtract(came, gone), trie.subtract(gone, came)
         # Before: the notes (a stopped endpoint's among them) and the
         # unchanged others; now: the new tries and the same others.  So
-        # each unchanged contribution is taken off both halves.
+        # each unchanged contribution is taken off both halves, where it
+        # can meet them at the root: through a root default on either
+        # side, or a root edge it shares with the change as it was here.
+        wild = came.default is not EMPTY or gone.default is not EMPTY
+        roots = came.edges.keys() | gone.edges.keys()
         for who in chain((None,), self.endpoints.values()):
             if came is EMPTY and gone is EMPTY:
                 return
             if who in went:
                 continue
             k = self.adhoc if who is None else who.current
-            if k is EMPTY:
+            if k is EMPTY or not wild and k.default is EMPTY and k.edges.keys().isdisjoint(roots):
                 continue
             if came is not EMPTY and trie.may_meet(came, k):
                 came = trie.subtract(came, k)

@@ -1,6 +1,9 @@
 import pytest
 
 from dataspace.dataflow import Graph
+from dataspace.engine import Message
+from dataspace.facet import ActorRuntime
+from dataspace.values import Symbol
 
 
 class Cell:
@@ -148,6 +151,31 @@ def test_cycle_warned_once_per_call(capsys):
     err = capsys.readouterr().err
     assert err.count("Cyclic dependencies") == 1
     assert not g.damaged  # terminated with no outstanding damage
+
+
+def test_cycle_warning_names_its_endpoints_alike_in_every_run(capsys):
+    # Two assertions, each computed from one field and setting the other.
+    def boot(f):
+        a, b = f.field(0, "a"), f.field(0, "b")
+
+        def follow(src, dst):
+            def compute():
+                dst.value = src.value + 1
+
+            return compute
+
+        f.assert_(follow(a, b))
+        f.assert_(follow(b, a))
+        f.on_message(Symbol("step"), lambda: setattr(a, "value", 10))
+
+    errs = []
+    for _ in range(2):
+        rt = ActorRuntime(("t",), boot)
+        rt.startup()
+        rt.handle(Message(Symbol("step")))
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert "Cyclic dependencies involving ['<assert endpoint #0>', '<assert endpoint #1>']\n" in errs[0]
 
 
 def test_forget_subject_clears_both_directions():

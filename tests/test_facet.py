@@ -679,6 +679,33 @@ def test_bag_retraction_under_a_standing_wildcard_publishes_nothing():
     assert patches == [[assert_patch(rec("p", WILDCARD))], [], []]
 
 
+def test_bag_retraction_sharing_a_root_edge_publishes_nothing():
+    # The subscription asserts observe(p(1)) too: the retraction and the
+    # standing contribution meet only through the observe edge at the root.
+    facets = []
+
+    def both(f):
+        f.on_asserted(rec("p", 1), lambda: None)
+        f.react(lambda g: (facets.append(g), g.assert_(observe(rec("p", 1)))))
+
+    patches = _turn_patches([both, lambda f: facets[0].stop()])
+    assert patches == [[assert_patch(observe(rec("p", 1)))], []]
+
+
+def test_bag_move_under_a_standing_root_default_publishes_nothing():
+    # WILDCARD is a root default and no edge, and covers p(1) and p(2).
+    # (It first publishes all but the step subscription, already public.)
+    fields = []
+
+    def both(f):
+        f.assert_(WILDCARD)
+        fields.append(f.field(1, "n"))
+        f.assert_(lambda: rec("p", fields[0].value))
+
+    patches = _turn_patches([both, lambda f: setattr(fields[0], "value", 2)])
+    assert patches == [[diff(trie.compile_pattern(observe(STEP)), trie.universe())], []]
+
+
 def test_bag_two_to_one_transition_emits_nothing():
     facets = []
 
@@ -802,6 +829,8 @@ def _two_probe_activations(ep, delta, before, after, seen):
                 seen["asserted wildcard-free, may meet before"] += 1
             elif exact:
                 seen["asserted wildcard-free, disjoint from before"] += 1
+            if exact and before is not EMPTY and trie.subtract(before, delta.removed) is EMPTY:
+                seen["asserted wildcard-free, patch leaves nothing of before"] += 1
             if known_after and not known_before:
                 out.append(caps)
         else:
@@ -811,6 +840,23 @@ def _two_probe_activations(ep, delta, before, after, seen):
             if known_before and not known_after:
                 out.append(caps)
     return out
+
+
+def _leaving_nothing():
+    """Patches that leave nothing of a non-empty before, which the random
+    draws hold too few of: one removing before itself (the shape of a
+    steady round trip, where the removed half is the known trie), one
+    removing all but what it adds, one removing every q but what it adds;
+    each adds members of other atom kinds beside retracted ones."""
+    before = trie.assertion_set([rec("p", 1), rec("q", 1.0, 1)])
+    added = trie.assertion_set([rec("p", True), rec("p", 1.0), rec("q", 1.0, True), rec("q", 1, 1)])
+    yield before, Patch(added, before)
+    added = trie.assertion_set([rec("p", 1), rec("q", 1.0, S("a"))])
+    yield trie.assertion_set([rec("p", 0), rec("q", 0, "a")]), Patch(
+        added, trie.subtract(trie.universe(), added))
+    added = trie.assertion_set([rec("q", 1.0, 0.0), rec("q", (1,), 1), rec("p", False)])
+    yield trie.assertion_set([rec("q", 1.0, 0)]), Patch(
+        added, trie.subtract(trie.compile_pattern(rec("q", WILDCARD, WILDCARD)), added))
 
 
 def _kinds(activations):
@@ -837,14 +883,18 @@ def test_dispatch_matches_two_probe_oracle():
     def dispatched(ep, delta, before, after):
         got.clear()
         try:
-            rt._dispatch_patch(ep, delta, before, after)
+            rt._dispatch_patch(ep, delta, before, after, trie.subtract(before, delta.removed))
         except InfiniteMatchSet:
             return "infinite"
         return list(got)
 
-    for _ in range(300):
-        before = _random_assertions(rng, rng.randint(0, 8))
-        delta = Patch(_random_assertions(rng, rng.randint(0, 6)), _random_removal(rng))
+    def draws():
+        for _ in range(300):
+            before = _random_assertions(rng, rng.randint(0, 8))
+            yield before, Patch(_random_assertions(rng, rng.randint(0, 6)), _random_removal(rng))
+        yield from _leaving_nothing()
+
+    for before, delta in draws():
         after = apply_patch(before, delta)
         for ep in subs:
             want = _two_probe_activations(ep, delta, before, after, seen)
@@ -855,7 +905,7 @@ def test_dispatch_matches_two_probe_oracle():
                 before,
             )
     # Every case that tells the formula's probes apart was drawn.
-    assert len(seen) == 6 and min(seen.values()) >= 20, seen
+    assert len(seen) == 7 and min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------------------------

@@ -287,8 +287,8 @@ def _round_trip_trie_work(box_action):
     """Trie work of one box round trip: the client, told to bump, sends
     set-box(n), and the box (spawned by ``box_action``) re-asserts
     box-state(n), which the client learns.  Returns the calls made to
-    ``combine``, ``update_routes``, ``leaves_meeting`` and
-    ``Branch``, the calls made into the trie module, and the calls made
+    ``combine``, ``update_routes``, ``leaves_meeting``, ``Branch`` and
+    ``may_meet``, the calls made into the trie module, and the calls made
     into any ``dataspace`` module, a measure of the round trip's whole
     kernel work."""
     bump = lambda n: Record(S("bump"), (n,))
@@ -305,7 +305,8 @@ def _round_trip_trie_work(box_action):
     assert learned == [0, 1, 2]
     by_file = calls_by_file(calls)
     named = {"combine": trie.combine, "update_routes": trie.update_routes,
-             "leaves_meeting": trie.leaves_meeting, "Branch": trie.Branch.__init__}
+             "leaves_meeting": trie.leaves_meeting, "Branch": trie.Branch.__init__,
+             "may_meet": trie.may_meet}
     return {name: calls[fn.__code__] for name, fn in named.items()}, by_file[trie.__file__], package_calls(calls)
 
 
@@ -319,9 +320,13 @@ def test_box_round_trip_trie_work():
     # requested half that shows whole instead of rebuilding it; so does
     # the client's intersection with its interests.
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 7, calls
-    assert total <= 40, total
+    # The box's flush compares its old and new state; nothing else may
+    # meet: the client's patch leaves nothing of what it knew, and the
+    # box's subscription shares no root edge with its state.
+    assert calls["may_meet"] == 1, calls
+    assert total <= 37, total
     # Nor may the fixed cost of a turn, a flush or a delivery creep back.
-    assert kernel <= 98, kernel
+    assert kernel <= 94, kernel
 
 
 def test_relay_round_trip_trie_work():
@@ -334,8 +339,9 @@ def test_relay_round_trip_trie_work():
     calls, total, kernel = _round_trip_trie_work(spawn_dataspace([spawn_actor("box", box)], name="inner"))
     assert calls["combine"] <= 2 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 16, calls
-    assert total <= 59, total
-    assert kernel <= 144, kernel
+    assert calls["may_meet"] == 1, calls
+    assert total <= 56, total
+    assert kernel <= 140, kernel
 
 
 def test_published_trie_reaches_the_subscriber_whole():
