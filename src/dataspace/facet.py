@@ -9,6 +9,13 @@ tracks field reads through a dataflow graph so computed assertions stay
 current, and emits the minimal patch describing what changed during the
 turn.
 
+Every endpoint is one computation (``Endpoint.compute``), run under the
+endpoint as its own dataflow subject, so the fields it reads re-run it
+when they change.  An assertion computes its value, compiled as a
+pattern; a subscription computes its pattern, each ``Field`` in it
+replaced by the field's value (``_resolve``, which hands a pattern
+holding none back as it is), and asserts the ``observe`` of it.
+
 The runtime keeps the endpoints of its living facets in one table in
 creation order, and an incoming event is dispatched to them in that
 order.  Stopping a facet runs the stop handlers of its subtree parent
@@ -19,9 +26,8 @@ apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
 Both are read over the subscription's compiled items (``Endpoint.items``,
-from ``values.spec_items``), made once each time the endpoint's pattern
-is resolved; a pattern holding no ``Field`` is never resolved, and is
-its own resolved pattern.  Dispatch reads tries with one member walk,
+from ``values.spec_items``), made once each time the endpoint computes
+its pattern.  Dispatch reads tries with one member walk,
 ``trie.captures``: over the patch side, it gives the captures, each as
 the flat tuple of its tokens (which ``values.parse_exact`` reads into
 values only for an activation); over an instance's items (the
@@ -39,7 +45,11 @@ the same items under an ``observe`` push token (``trie.compile_items``
 reads the capture marks as wildcards), with no wildcarded copy of the
 pattern built.  A message is matched against the same items, in one
 pass over the body: atoms by kind and payload, compounds by label and
-arity.
+arity.  A wildcard in the body meets whatever item stands at its
+position: an atom item matches it, and a compound item reads it as that
+many wildcard fields, so a capture mark at or under it captures
+``WILDCARD``.  A handler fires, then, for each message the mux routes to
+it.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -207,15 +217,12 @@ class Endpoint:
         "eid",
         "facet",
         "kind",  # "assert" | "sub"
-        "compute",  # assert: () -> value or None
-        "pattern",  # sub: pattern possibly containing Field refs
-        "holds_field",  # sub: whether some part of pattern is a Field
+        "compute",  # () -> assert: value or None; sub: pattern, Field refs resolved
         "on",  # sub: "asserted" | "retracted" | "message"
         "handler",  # sub: fn(*captures)
         "priority",
         "current",  # trie contributed to the actor's published set
-        "current_pattern",  # sub: pattern with Field refs resolved
-        "items",  # sub: spec_items(current_pattern)
+        "items",  # sub: spec_items of the computed pattern
         "exact",  # sub: no WILDCARD among items
     )
 
@@ -224,13 +231,10 @@ class Endpoint:
         self.facet = facet
         self.kind = kind
         self.compute = None
-        self.pattern = None
-        self.holds_field = False
         self.on = None
         self.handler = None
         self.priority = PRIORITY_DEFAULT
         self.current = EMPTY
-        self.current_pattern = None
         self.items = None
         self.exact = False
 
@@ -264,12 +268,7 @@ class Facet:
     def assert_(self, value_or_fn) -> Endpoint:
         """Maintain an assertion, recomputed when the fields it reads change."""
         ep = self.runtime._new_endpoint(self, "assert")
-        if callable(value_or_fn):
-            ep.compute = value_or_fn
-        elif _holds_field(value_or_fn):
-            ep.compute = lambda: _resolve(value_or_fn)
-        else:
-            ep.compute = lambda: value_or_fn
+        ep.compute = value_or_fn if callable(value_or_fn) else lambda: _resolve(value_or_fn)
         self.runtime._refresh_endpoint(ep)
         return ep
 
@@ -495,8 +494,7 @@ class ActorRuntime(Actor):
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
         ep = self._new_endpoint(facet, "sub")
-        ep.pattern = pattern
-        ep.holds_field = _holds_field(pattern)
+        ep.compute = lambda: _resolve(pattern)
         ep.on = on
         ep.handler = handler
         ep.priority = priority
@@ -515,16 +513,11 @@ class ActorRuntime(Actor):
     def _refresh_endpoint(self, ep: Endpoint) -> None:
         # A repair runs this with ep as the graph's subject already.
         graph = self.graph
+        v = ep.compute() if graph.active_subject is ep else graph.with_subject(ep, ep.compute)
         if ep.kind == "assert":
-            v = ep.compute() if graph.active_subject is ep else graph.with_subject(ep, ep.compute)
             new = EMPTY if v is None else trie.compile_pattern(v)
         else:
-            pat = ep.pattern
-            if ep.holds_field:  # resolved, with its reads recorded
-                pat = (_resolve(pat) if graph.active_subject is ep
-                       else graph.with_subject(ep, lambda: _resolve(ep.pattern)))
-            ep.current_pattern = pat
-            ep.items = spec_items(pat)
+            ep.items = spec_items(v)
             ep.exact = WILDCARD not in ep.items
             new = trie.compile_items([OBSERVE_TOK] + ep.items)
         self._was.setdefault(ep, ep.current)
@@ -750,7 +743,10 @@ def _holds_field(pattern) -> bool:
 
 
 def _resolve(pattern):
-    """Replace embedded Field references with their current values."""
+    """Replace embedded Field references with their current values.  A
+    pattern holding none is handed back as it is, after one scan."""
+    if not _holds_field(pattern):
+        return pattern
     return _rebuild(pattern, lambda p: p.value if isinstance(p, Field) else p)
 
 
@@ -780,10 +776,13 @@ def _spliced(items: list, toks: tuple) -> list:
 
 
 def _captures(items: list, body) -> Optional[list]:
-    """Match a value against spec items: the captured values in order, or
-    None.  One pass over the items, walking the body in pre-order with
-    an explicit stack: atoms compare by kind and payload, compounds by
-    label and arity."""
+    """Match a message body against spec items: the captured values in
+    order, or None.  One pass over the items, walking the body in
+    pre-order with an explicit stack: atoms compare by kind and payload,
+    compounds by label and arity.  A ``WILDCARD`` in the body meets any
+    item, a compound one as that many wildcard fields, so a capture mark
+    under it captures ``WILDCARD``; it is tested for only where a
+    comparison has failed."""
     caps: list = []
     todo = [body]
     for item in items:
@@ -793,7 +792,7 @@ def _captures(items: list, body) -> Optional[list]:
         elif item is WILDCARD:
             continue
         elif type(item) is AtomTok:
-            if v != item[1] or atom_kind(v) != item[0]:
+            if (v != item[1] or atom_kind(v) != item[0]) and v is not WILDCARD:
                 return None
         else:
             label, arity = item
@@ -802,7 +801,9 @@ def _captures(items: list, body) -> Optional[list]:
                     return None
                 v = v.fields
             elif label is not None or not isinstance(v, tuple):
-                return None
+                if v is not WILDCARD:
+                    return None
+                v = (WILDCARD,) * arity
             if len(v) != arity:
                 return None
             todo.extend(reversed(v))

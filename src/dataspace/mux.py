@@ -57,9 +57,10 @@ when it is the author, is served exactly.
 A message is routed by value: the index is walked along the message
 body, with no token list or ``observe(body)`` built.  A body holding a
 wildcard is compiled as a pattern, and its audience is every
-subscription it could meet, read by ``trie.leaves_meeting``.  A body
-that is neither a value nor a pattern makes ``compile_pattern`` raise
-ValueError.
+subscription it could meet, read by ``trie.leaves_meeting``; a facet
+actor fires the handlers of those subscriptions, each capture under a
+wildcard of the body read as ``WILDCARD``.  A body that is neither a
+value nor a pattern makes ``compile_pattern`` raise ValueError.
 """
 from __future__ import annotations
 

@@ -114,6 +114,8 @@ class Record(Frozen):
     __slots__ = ("label", "fields")
 
     def __init__(self, label: Symbol, fields: tuple):
+        if type(label) is not Symbol or type(fields) is not tuple:
+            raise NotAValue(f"a record takes a Symbol label and a tuple of fields, not {label!r}, {fields!r}")
         _set_label(self, label)
         _set_fields(self, fields)
 
@@ -222,9 +224,10 @@ def inbound(v: Value) -> Record:
 # payload) and a push token is (label, arity).  Hashing and equality are
 # the tuple's own, so an edge lookup runs no Python code.  The kind is
 # part of the tuple, so 1, 1.0 and True are three different tokens; a
-# push token's label is a Symbol or None, never a kind string, so no
-# push token equals an atom token.  Symbols are interned, so a label
-# hashes and compares by identity.
+# push token's label is a Symbol or None, never a kind string (``Record``
+# refuses any label but a Symbol, and any fields but a tuple), so no push
+# token equals an atom token.  Symbols are interned, so a label hashes and
+# compares by identity.
 
 
 class AtomTok(tuple):

@@ -14,7 +14,7 @@ from dataspace.facet import (
 )
 from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patch
 from dataspace.trie import EMPTY
-from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe
+from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, parse_exact
 
 from oracles import _hashable, _match, trie_members
 
@@ -84,6 +84,48 @@ def test_field_assignment_keeps_kinds_apart_inside_compounds():
     assert [type(v[1][0]) for v in log] == [int, int, bool]
     assert trie.search_value(rec("value", (True,)), ds.assertions()) == ()
     assert trie.search_value(rec("value", (1,)), ds.assertions()) is None
+
+
+def test_a_subscription_follows_the_field_in_its_pattern():
+    log = []
+
+    def source(f):
+        f.assert_(rec("p", 1, "a"))
+        f.assert_(rec("p", 2, "b"))
+
+    def watcher(f):
+        which = f.field(1, "which")
+
+        def heard(x):
+            log.append(x)
+            if len(log) < 3:
+                which.value = 2 if x == "a" else 1
+
+        f.on_asserted(rec("p", which, CAPTURE), heard)
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    assert ds.crashes == {}
+    assert log == ["a", "b", "a"]
+
+
+def test_a_wildcard_message_fires_the_handlers_it_is_routed_to():
+    # A wildcard in the body meets whatever item stands at its position:
+    # an atom, or a compound read as that many wildcard fields.
+    log = []
+
+    def listener(f):
+        f.on_message(rec("p", 3), lambda: log.append("p(3)"))
+        f.on_message(rec("p", CAPTURE), lambda x: log.append(("p($)", x)))
+        f.on_message(rec("p", (CAPTURE, 1)), lambda x: log.append(("p(($ 1))", x)))
+        f.on_message(rec("p", 3, 4), lambda: log.append("p(3 4)"))
+        f.on_message(rec("q", CAPTURE), lambda x: log.append("q($)"))
+
+    def sender(f):
+        f.on_start(lambda: f.send(rec("p", WILDCARD)))
+
+    ds = ground_run([spawn_actor("listen", listener), spawn_actor("send", sender)])
+    assert ds.crashes == {}
+    assert log == ["p(3)", ("p($)", WILDCARD), ("p(($ 1))", WILDCARD)]
 
 
 def test_during_child_lifecycle_and_captures():
@@ -812,15 +854,16 @@ def _two_probe_activations(ep, delta, before, after, seen):
     side = delta.added if ep.on == "asserted" else delta.removed
     if side is EMPTY:
         return []
-    caps_list = trie_members(trie.project(trie.spec_items(ep.current_pattern), side))
+    pattern = parse_exact(ep.items)[0]
+    caps_list = trie_members(trie.project(trie.spec_items(pattern), side))
     if caps_list == "infinite":
         return caps_list
     # With no wildcard in the pattern, dispatch may skip probes: an
     # addition's when the side cannot meet before, a removal's after.
-    exact = WILDCARD not in trie.spec_items(ep.current_pattern)
+    exact = WILDCARD not in trie.spec_items(pattern)
     out = []
     for caps in caps_list:
-        inst = trie.compile_pattern(_instantiate(ep.current_pattern, caps))
+        inst = trie.compile_pattern(_instantiate(pattern, caps))
         known_before = trie.intersect(inst, before) is not EMPTY
         known_after = trie.intersect(inst, after) is not EMPTY
         if ep.on == "asserted":
@@ -900,7 +943,7 @@ def test_dispatch_matches_two_probe_oracle():
             want = _two_probe_activations(ep, delta, before, after, seen)
             assert _kinds(dispatched(ep, delta, before, after)) == _kinds(want), (
                 ep.on,
-                ep.current_pattern,
+                parse_exact(ep.items)[0],
                 delta,
                 before,
             )
@@ -933,6 +976,23 @@ def _pattern_of(rng, v):
     if isinstance(v, tuple):
         return tuple(_pattern_of(rng, f) for f in v)
     return v
+
+
+def _wildcarded(rng, v):
+    """``v`` with one part replaced by WILDCARD: a field at some depth of a
+    compound, or an atom itself."""
+    if isinstance(v, Record):
+        label, fields = v.label, v.fields
+    elif isinstance(v, tuple):
+        label, fields = None, v
+    else:
+        return WILDCARD
+    if not fields:
+        return WILDCARD
+    i = rng.randrange(len(fields))
+    field = WILDCARD if rng.random() < 0.5 else _wildcarded(rng, fields[i])
+    fields = fields[:i] + (field,) + fields[i + 1 :]
+    return fields if label is None else Record(label, fields)
 
 
 def _mutated(rng, v):
@@ -973,6 +1033,24 @@ def test_message_matcher_agrees_with_structural_oracle():
         if want is not None:
             assert _kinds([got]) == _kinds([want]), (pattern, body)
         outcomes[want is not None] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+    # A body holding wildcards matches just when it meets the pattern:
+    # the two compiled patterns intersect.  A capture is what the body
+    # holds at the mark, a wildcard under a wildcard of the body.
+    outcomes.clear()
+    for _ in range(3000):
+        v = _random_value(rng)
+        pattern = _pattern_of(rng, v)
+        body = _wildcarded(rng, _mutated(rng, v) if rng.random() < 0.8 else v)
+        items = trie.spec_items(pattern)
+        met = trie.intersect(trie.compile_items(items), trie.compile_pattern(body)) is not EMPTY
+        got = _captures(items, body)
+        assert (got is not None) == met, (pattern, body)
+        if met:
+            assert len(got) == items.count(CAPTURE), (pattern, body)
+            inst = trie.compile_pattern(_instantiate(pattern, got))
+            assert trie.intersect(inst, trie.compile_pattern(body)) is not EMPTY, (pattern, body, got)
+        outcomes[met] += 1
     assert min(outcomes.values()) >= 500, outcomes
 
 

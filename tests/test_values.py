@@ -244,6 +244,17 @@ def test_push_token_equals_no_atom_token():
     assert PushTok((S("int"), 1)) != AtomTok(("int", 1))
 
 
+def test_record_takes_only_a_symbol_label_and_a_tuple_of_fields():
+    # A string label would spell an atom token: Record("int", (5,)) would
+    # read as the atom 1 then 5, and Record(None, (1,)) as the tuple (1,).
+    for label, fields in (("int", (5,)), (None, (1,)), (1, ()), (S("p"), [1]), (S("p"), 1)):
+        with pytest.raises(NotAValue):
+            Record(label, fields)
+    v = Record(S("int"), (5,))
+    assert serialize(v) == [PushTok((S("int"), 1)), atom_token(5)]
+    assert parse_exact(serialize(v)) == (v,)
+
+
 def test_token_lookup_and_symbol_hash_run_no_python_code():
     edges = {atom_token(7): 0, PushTok((S("x"), 2)): 1}
     # Equal to the stored keys, but distinct objects.
