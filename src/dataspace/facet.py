@@ -9,12 +9,16 @@ tracks field reads through a dataflow graph so computed assertions stay
 current, and emits the minimal patch describing what changed during the
 turn.
 
-Every endpoint is one computation (``Endpoint.compute``), run under the
-endpoint as its own dataflow subject, so the fields it reads re-run it
-when they change.  An assertion computes its value, compiled as a
-pattern; a subscription computes its pattern, each ``Field`` in it
-replaced by the field's value (``_resolve``, which hands a pattern
-holding none back as it is), and asserts the ``observe`` of it.
+Every endpoint is one computation (``Endpoint.compute``) and one walk
+of its result into pre-order items (``_items``, with its own stack),
+run under the endpoint as its own dataflow subject, so the fields they
+read re-run them when they change.  The walk reads each ``Field`` it
+meets in place, so no copy of the pattern is built.  An assertion
+computes its value and compiles its items, which may hold no capture
+mark; a subscription computes its pattern, keeps its items and asserts
+the ``observe`` of them.  A ``during`` child watches the match it was
+made for: the subscription's items, its capture tokens spliced in, read
+back as a value, which holds no ``Field``.
 
 The runtime keeps the endpoints of its living facets in one table in
 creation order, and an incoming event is dispatched to them in that
@@ -25,12 +29,12 @@ one endpoint, a patch's captures activate in trie order, atom kinds
 apart.  An ``asserted`` capture fires if its instance was not known
 before (it is known after, which holds the additions); a ``retracted``
 one, if known before and not after (a removal need not have been known).
-Both are read over the subscription's compiled items (``Endpoint.items``,
-from ``values.spec_items``), made once each time the endpoint computes
-its pattern.  Dispatch reads tries with one member walk,
-``trie.captures``: over the patch side, it gives the captures, each as
-the flat tuple of its tokens (which ``values.parse_exact`` reads into
-values only for an activation); over an instance's items (the
+Both are read over the subscription's items (``Endpoint.items``), made
+once each time the endpoint computes its pattern.  Dispatch reads tries
+with one member walk, ``trie.captures``: over the patch side, it gives
+the captures, each as the flat tuple of its tokens (which
+``values.parse_exact`` reads into values only for an activation, and
+``during`` into its match); over an instance's items (the
 endpoint's with those tokens spliced in at the capture marks, so
 capture-free), whether what is known holds it.  Items with no ``WILDCARD``
 (``Endpoint.exact``) make each instance one member of the patch side,
@@ -98,22 +102,21 @@ from .engine import Actor, Message, QUIT, Spawn
 from .patch import Patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
+    ATOM_KIND_OF_TYPE,
     CAPTURE,
     OBSERVE_TOK,
     AtomTok,
     NotAValue,
+    PushTok,
     Record,
     Symbol,
     Value,
     WILDCARD,
     atom_kind,
-    decompose,
     format_value,
-    is_compound,
     observe,
     parse_exact,
     serialize,
-    spec_items,
     values_equal,
 )
 
@@ -162,7 +165,7 @@ def _same(a, b) -> bool:
     is not ``(True,)``, and without recursion), anything else by ``==``."""
     if type(a) is not type(b):
         return False
-    if not isinstance(a, (tuple, Record)):  # is_compound, without a call
+    if not isinstance(a, (tuple, Record)):
         return a == b
     try:
         return values_equal(a, b)
@@ -217,12 +220,12 @@ class Endpoint:
         "eid",
         "facet",
         "kind",  # "assert" | "sub"
-        "compute",  # () -> assert: value or None; sub: pattern, Field refs resolved
+        "compute",  # () -> assert: value or None; sub: pattern; either may hold Fields
         "on",  # sub: "asserted" | "retracted" | "message"
         "handler",  # sub: fn(*captures)
         "priority",
         "current",  # trie contributed to the actor's published set
-        "items",  # sub: spec_items of the computed pattern
+        "items",  # sub: _items of the computed pattern
         "exact",  # sub: no WILDCARD among items
     )
 
@@ -268,7 +271,7 @@ class Facet:
     def assert_(self, value_or_fn) -> Endpoint:
         """Maintain an assertion, recomputed when the fields it reads change."""
         ep = self.runtime._new_endpoint(self, "assert")
-        ep.compute = value_or_fn if callable(value_or_fn) else lambda: _resolve(value_or_fn)
+        ep.compute = value_or_fn if callable(value_or_fn) else lambda: value_or_fn
         self.runtime._refresh_endpoint(ep)
         return ep
 
@@ -305,19 +308,23 @@ class Facet:
         self.runtime._schedule(PRIORITY_DEFAULT, None, self.runtime._stop_facet, (self, continuation))
 
     def during(self, pattern, body: Callable) -> Endpoint:
-        """Scoped reaction: run ``body`` in a child facet for each match,
-        stopping the child when the match is withdrawn."""
+        """Scoped reaction: run ``body`` in a child facet for each match.
+        The child belongs to its match, and stops when that match is
+        retracted, whatever the fields in ``pattern`` read by then."""
 
         def on_add(*caps):
-            inst = _instantiate(pattern, caps)
+            # The match: the endpoint's items with the capture tokens (the
+            # captures' tuple less its push token) spliced in.
+            match = parse_exact(_spliced(ep.items, serialize(caps)[1:]))[0]
 
             def child(f: Facet):
-                f.stop_when_retracted(inst)
+                f.stop_when_retracted(match)
                 body(f, *caps)
 
             self.react(child)
 
-        return self.on_asserted(pattern, on_add)
+        ep = self.on_asserted(pattern, on_add)
+        return ep
 
     def during_spawn(self, pattern, name: str, body: Callable) -> Endpoint:
         """Like during, but each match gets a whole actor of its own.
@@ -494,7 +501,7 @@ class ActorRuntime(Actor):
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
         ep = self._new_endpoint(facet, "sub")
-        ep.compute = lambda: _resolve(pattern)
+        ep.compute = lambda: pattern
         ep.on = on
         ep.handler = handler
         ep.priority = priority
@@ -511,15 +518,23 @@ class ActorRuntime(Actor):
         return self._add_sub(facet, pattern, on, fire)
 
     def _refresh_endpoint(self, ep: Endpoint) -> None:
-        # A repair runs this with ep as the graph's subject already.
+        # A repair runs this with ep as the graph's subject already.  The
+        # item walk runs under it, so the fields it reads are ep's.
         graph = self.graph
-        v = ep.compute() if graph.active_subject is ep else graph.with_subject(ep, ep.compute)
-        if ep.kind == "assert":
-            new = EMPTY if v is None else trie.compile_pattern(v)
+        if graph.active_subject is ep:
+            items = _items(ep.compute())
         else:
-            ep.items = spec_items(v)
-            ep.exact = WILDCARD not in ep.items
-            new = trie.compile_items([OBSERVE_TOK] + ep.items)
+            items = graph.with_subject(ep, lambda: _items(ep.compute()))
+        if ep.kind == "assert":
+            if items is not None and CAPTURE in items:
+                raise ValueError("capture marks are not allowed in plain patterns")
+            new = EMPTY if items is None else trie.compile_items(items)
+        elif items is None:
+            raise ValueError("neither a value nor a pattern: None")
+        else:
+            ep.items = items
+            ep.exact = WILDCARD not in items
+            new = trie.compile_items([OBSERVE_TOK] + items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
 
@@ -703,58 +718,40 @@ def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
 # Pattern helpers
 
 
-def _rebuild(pattern, leaf: Callable):
-    """Copy ``pattern``, replacing each non-compound part ``p`` by ``leaf(p)``.
-
-    ``leaf`` sees the parts in pre-order.  The open compounds are kept on
-    an explicit stack, as ``values.parse_exact`` keeps them, so a deep
-    pattern takes no Python frame per level.
-    """
-    fields: list = []  # where the next rebuilt part goes
-    stack: list = []  # per open compound: its label, its arity, the fields it goes into
-    todo = [pattern]
+def _items(spec) -> Optional[list]:
+    """An endpoint's pattern's pre-order items, as ``values.spec_items``
+    reads them, each ``Field`` met read in place: its value is walked as
+    the part the field stands for, and the read is the dependency of the
+    endpoint whose computation runs the walk.  The walk keeps its own
+    stack.  A pattern that reads as None, an assertion of nothing, gives
+    None.  Raises ValueError, naming the part, for a part that is neither
+    a pattern nor a value."""
+    items: list = []
+    todo = [spec]
     while todo:
         p = todo.pop()
-        if is_compound(p):
-            label, parts = decompose(p)
-            stack.append((label, len(parts), fields))
-            fields = []
-            todo += parts[::-1]
+        kind = ATOM_KIND_OF_TYPE.get(type(p))
+        if kind is not None:
+            items.append(AtomTok((kind, p)))
+        elif p is WILDCARD or p is CAPTURE:
+            items.append(p)
+        elif isinstance(p, Record):
+            fields = p.fields
+            items.append(PushTok((p.label, len(fields))))
+            todo += fields[::-1]
+        elif isinstance(p, tuple):
+            items.append(PushTok((None, len(p))))
+            todo += p[::-1]
+        elif isinstance(p, Field):
+            todo.append(p.value)
+        elif p is None and not items:  # the whole pattern
+            return None
         else:
-            fields.append(leaf(p))
-        # Close every compound whose fields are all rebuilt.
-        while stack and len(fields) == stack[-1][1]:
-            label, _, outer = stack.pop()
-            outer.append(tuple(fields) if label is None else Record(label, tuple(fields)))
-            fields = outer
-    return fields[0]
-
-
-def _holds_field(pattern) -> bool:
-    """Whether some part of ``pattern`` is a ``Field``."""
-    todo = [pattern]
-    while todo:
-        p = todo.pop()
-        if isinstance(p, Field):
-            return True
-        if is_compound(p):
-            todo += decompose(p)[1]
-    return False
-
-
-def _resolve(pattern):
-    """Replace embedded Field references with their current values.  A
-    pattern holding none is handed back as it is, after one scan."""
-    if not _holds_field(pattern):
-        return pattern
-    return _rebuild(pattern, lambda p: p.value if isinstance(p, Field) else p)
-
-
-def _instantiate(pattern, caps):
-    caps = list(caps)
-    result = _rebuild(pattern, lambda p: caps.pop(0) if p is CAPTURE else p)
-    assert not caps, "capture arity mismatch"
-    return result
+            kind = atom_kind(p)
+            if kind is None:
+                raise ValueError(f"neither a value nor a pattern: {p!r}")
+            items.append(AtomTok((kind, p)))
+    return items
 
 
 def _spliced(items: list, toks: tuple) -> list:

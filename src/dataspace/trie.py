@@ -21,8 +21,9 @@ tokens): a token is an edge and a wildcard a default.
 ``compile_items`` builds it as a right fold over the items, reading a
 capture mark as a wildcard, and neither it nor ``spec_items``
 recurses, so a pattern of any depth compiles.  ``compile_pattern`` is
-that fold for a plain pattern, and a subscription compiles the trie it
-asserts from the items its projections walk.
+that fold for a plain pattern; a facet endpoint compiles the trie it
+asserts from the items it walks its pattern into, and a subscription's
+projections walk the same items.
 
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion;

@@ -15,6 +15,8 @@ explicit stack; ``serialize`` is that walk refusing a wildcard or
 capture mark, and ``values_equal`` compares two token sequences, so
 neither recurses on a deep value.  ``parse_exact`` reads values back
 off a token sequence, such as a trie path, with a stack of its own.
+The facet runtime walks an endpoint's pattern the same way, reading
+the fields it holds as it goes (``facet._items``).
 
 Text is the third form of a value, written from and read into the same
 items: ``format_value`` writes ``spec_items`` out, and ``parse_text``
@@ -186,17 +188,6 @@ def atom_kind(a) -> Optional[str]:
     return None
 
 
-def is_compound(v) -> bool:
-    return isinstance(v, (tuple, Record))
-
-
-def decompose(v) -> tuple:
-    """Split a compound into (label-or-None, fields)."""
-    if isinstance(v, Record):
-        return v.label, v.fields
-    return None, v
-
-
 def unwrap(ctor: Symbol, v) -> Optional[Value]:
     if isinstance(v, Record) and v.label is ctor and len(v.fields) == 1:
         return v.fields[0]
@@ -290,9 +281,11 @@ def spec_items(spec) -> list:
     """A value's or pattern's pre-order items: tokens, ``WILDCARD`` and
     ``CAPTURE``.  This is the one walk from a value to its tokens:
     ``serialize`` is it for a value, and a pattern's items compile to its
-    trie (``trie.compile_items``).  A subscription's items are made once,
-    when its pattern is resolved, and every projection of it walks them.
-    The walk keeps its own stack, and works out each atom's kind once.
+    trie (``trie.compile_items``).  A facet endpoint's items come from the
+    same walk reading the fields in its pattern as it meets them
+    (``facet._items``), once each time the endpoint computes, and every
+    projection of a subscription walks them.  The walk keeps its own
+    stack, and works out each atom's kind once.
     Raises ValueError, naming the part, for a part that is neither."""
     items: list = []
     todo = [spec]

@@ -26,8 +26,6 @@ from dataspace.values import (
     Record,
     Symbol,
     WILDCARD,
-    decompose,
-    is_compound,
     observe,
 )
 
@@ -44,6 +42,17 @@ ATOM_TYPES = (bool, int, float, str, Symbol)
 def atom_type(v):
     """The atom type ``v`` is of, or None for a non-atom."""
     return next((t for t in ATOM_TYPES if isinstance(v, t)), None)
+
+
+def is_compound(v) -> bool:
+    return isinstance(v, (tuple, Record))
+
+
+def decompose(v) -> tuple:
+    """Split a compound into (label-or-None, fields)."""
+    if isinstance(v, Record):
+        return v.label, v.fields
+    return None, v
 
 
 def kind_equal(a, b) -> bool:
@@ -132,6 +141,26 @@ def _match(pattern, value):
         raise ValueError(f"not a pattern: {p!r}")
 
     return caps if go(pattern, value) else None
+
+
+def _instantiate(pattern, caps):
+    """``pattern`` with its capture marks filled in by ``caps``, in order,
+    by structural recursion: the reference for splicing a capture's
+    tokens into a pattern's items (``facet._spliced``)."""
+    caps = list(caps)
+
+    def go(p):
+        if p is CAPTURE:
+            return caps.pop(0)
+        if is_compound(p):
+            label, fields = decompose(p)
+            fields = tuple(go(f) for f in fields)
+            return fields if label is None else Record(label, fields)
+        return p
+
+    result = go(pattern)
+    assert not caps, "capture arity mismatch"
+    return result
 
 
 def random_pattern(rng: random.Random, depth: int = 2, wild_p: float = 0.25):

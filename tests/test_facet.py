@@ -9,14 +9,13 @@ from dataspace.facet import (
     KindDict,
     PRIORITY_QUERY_ADD,
     _captures,
-    _instantiate,
     spawn_actor,
 )
 from dataspace.patch import Patch, apply_patch, assert_patch, diff, retract_patch
 from dataspace.trie import EMPTY
 from dataspace.values import CAPTURE, Record, Symbol, WILDCARD, inbound, observe, parse_exact
 
-from oracles import _hashable, _match, trie_members
+from oracles import _hashable, _instantiate, _match, trie_members
 
 S = Symbol
 
@@ -87,25 +86,27 @@ def test_field_assignment_keeps_kinds_apart_inside_compounds():
 
 
 def test_a_subscription_follows_the_field_in_its_pattern():
-    log = []
+    # The field may hold an atom or a compound, walked in place.
+    for one, two in ((1, 2), ((1, 2), 2)):
+        log = []
 
-    def source(f):
-        f.assert_(rec("p", 1, "a"))
-        f.assert_(rec("p", 2, "b"))
+        def source(f):
+            f.assert_(rec("p", one, "a"))
+            f.assert_(rec("p", two, "b"))
 
-    def watcher(f):
-        which = f.field(1, "which")
+        def watcher(f):
+            which = f.field(one, "which")
 
-        def heard(x):
-            log.append(x)
-            if len(log) < 3:
-                which.value = 2 if x == "a" else 1
+            def heard(x):
+                log.append(x)
+                if len(log) < 3:
+                    which.value = two if x == "a" else one
 
-        f.on_asserted(rec("p", which, CAPTURE), heard)
+            f.on_asserted(rec("p", which, CAPTURE), heard)
 
-    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
-    assert ds.crashes == {}
-    assert log == ["a", "b", "a"]
+        ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+        assert ds.crashes == {}
+        assert log == ["a", "b", "a"], one
 
 
 def test_a_wildcard_message_fires_the_handlers_it_is_routed_to():
@@ -151,10 +152,44 @@ def test_during_child_lifecycle_and_captures():
     assert log == [("up", S("x")), ("down", S("x"))]
 
 
+def test_a_during_child_watches_the_match_it_was_made_for():
+    # The child made for p(1, "a") stops when p(1, "a") is retracted,
+    # though the field in the during's pattern has moved on to 2.
+    log = []
+
+    def source(f):
+        f.assert_(rec("p", 2, "b"))
+
+        def held(g):
+            g.assert_(rec("p", 1, "a"))
+            g.stop_when_message(inbound(S("drop")))
+
+        f.react(held)
+
+    def watcher(f):
+        which = f.field(1, "which")
+
+        def body(g, x):
+            log.append(("up", x))
+            g.on_stop(lambda: log.append(("down", x)))
+
+        def switch():
+            which.value = 2
+
+        f.during(rec("p", which, CAPTURE), body)
+        f.on_message(inbound(S("switch")), switch)
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    ds.handle(Message(S("switch")))
+    ds.handle(Message(S("drop")))
+    assert ds.crashes == {}
+    assert log == [("up", "a"), ("up", "b"), ("down", "a")]
+
+
 def test_deep_patterns_resolve_and_instantiate():
-    # A pattern holding a Field is resolved, and a during's match
-    # instantiated, by copying it part by part; the copy keeps its own
-    # stack, so a pattern nested 900 deep works end to end.
+    # A pattern holding a Field is walked into items, and a during's
+    # match read back off them, each walk with a stack of its own, so a
+    # pattern nested 900 deep works end to end.
     def nest(x, depth=900):
         for _ in range(depth):
             x = rec("n", x)
@@ -334,6 +369,49 @@ def test_query_updates_retract_before_add():
 
     ground_run([spawn_actor("cell", cell), spawn_actor("rd", reader)])
     assert log == [("+", 1), ("-", 1), ("+", 2)]
+
+
+def test_an_assertion_of_a_capture_mark_crashes_only_its_author():
+    # An assertion's items may hold no capture mark, whether its pattern
+    # holds one or a field in it does.
+    for mark in (lambda f: CAPTURE, lambda f: f.field(CAPTURE, "x")):
+
+        def author(f):
+            f.assert_(rec("p", mark(f)))
+
+        def bystander(f):
+            f.assert_(rec("q", 1))
+
+        ds = ground_run([spawn_actor("author", author), spawn_actor("bystander", bystander)])
+        assert [type(e) for e in ds.crashes.values()] == [ValueError]
+        assert "capture marks" in str(*ds.crashes.values())
+        assert ds.living_names() == {"bystander#2"}
+
+
+def test_a_pattern_reading_none_asserts_nothing_and_subscribes_to_nothing():
+    # An assertion whose pattern reads as None, through a field or not,
+    # asserts nothing until the field moves on; a subscription to None
+    # crashes only its author.
+    log = []
+
+    def author(f):
+        x = f.field(None, "x")
+        f.assert_(None)
+        f.assert_(x)
+        f.on_message(inbound(S("set")), lambda: setattr(x, "value", rec("p", 1)))
+
+    def watcher(f):
+        f.on_asserted(rec("p", CAPTURE), log.append)
+
+    def bad(f):
+        f.on_asserted(None, log.append)
+
+    ds = ground_run([spawn_actor("author", author), spawn_actor("watch", watcher), spawn_actor("bad", bad)])
+    assert log == []
+    ds.handle(Message(S("set")))
+    assert log == [1]
+    assert [repr(e) for e in ds.crashes.values()] == ["ValueError('neither a value nor a pattern: None')"]
+    assert ds.living_names() == {"author#1", "watch#2"}
 
 
 def test_infinite_match_kills_only_observer():

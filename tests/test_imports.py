@@ -4,10 +4,11 @@ where it would run again on each call.  Every function, class and public
 method the package defines is named somewhere in the sources, tests or
 benchmark; one of a kernel module must be named by the sources outside
 its own body, or be listed in ``BENCH_ONLY`` with the reason the
-benchmark alone keeps it."""
+benchmark alone keeps it.  Every test the README cites is defined."""
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -304,3 +305,29 @@ def test_scan_finds_a_self_calling_helper():
         "    def show(self, t):\n        return t.show() + str(show)\n"
     )
     assert self_calling("m", source) == ["C.visit", "m.inner", "m.walk"]
+
+
+def missing_citations(text: str, sources: list) -> list:
+    """The test names ``text`` cites (``test_…``, not a module path such
+    as ``tests/test_mux.py``) that no function of ``sources`` defines."""
+    cited = set(re.findall(r"(?<![\w/.])test_\w+\b(?!\.py)", text))
+    defined = {
+        node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    return sorted(cited - defined)
+
+
+def test_the_readme_cites_only_defined_tests():
+    # A cost contract names the test that holds it; the name must not
+    # outlive the test.
+    sources = [path.read_text() for path in sorted((ROOT / "tests").rglob("*.py"))]
+    assert missing_citations((ROOT / "README.md").read_text(), sources) == []
+
+
+def test_scan_finds_a_missing_citation():
+    text = "Held by `test_kept` and `test_gone`; see `tests/test_mod.py::test_moved` and test_mod.py."
+    sources = ["def test_kept():\n    pass\n", "class T:\n    def test_other(self):\n        pass\n"]
+    assert missing_citations(text, sources) == ["test_gone", "test_moved"]

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from dataspace import trie
 from dataspace.engine import ground_run
-from dataspace.facet import _instantiate, _spliced, spawn_actor
+from dataspace.facet import _spliced, spawn_actor
 from dataspace.patch import Patch, aggregate_visibility, apply_patch, limit, observation_bodies
 from dataspace.trace import Tracer
 from dataspace.trie import (
@@ -38,12 +38,21 @@ from dataspace.values import (
     Symbol,
     WILDCARD,
     atom_token,
-    decompose,
     observe,
     parse_exact,
 )
 
-from oracles import build_universe, count_calls, match, random_pattern, trie_members, _hashable, _match
+from oracles import (
+    _hashable,
+    _instantiate,
+    _match,
+    build_universe,
+    count_calls,
+    decompose,
+    match,
+    random_pattern,
+    trie_members,
+)
 
 S = Symbol
 U = build_universe()
