@@ -10,15 +10,14 @@ current, and emits the minimal patch describing what changed during the
 turn.
 
 Every endpoint is one computation (``Endpoint.compute``) and one walk
-of its result into pre-order items (``_items``, with its own stack),
-run under the endpoint as its own dataflow subject, so the fields they
-read re-run them when they change.  The walk reads each ``Field`` it
-meets in place, so no copy of the pattern is built.  An assertion
-computes its value and compiles its items, which may hold no capture
-mark; a subscription computes its pattern, keeps its items and asserts
-the ``observe`` of them.  A ``during`` child watches the match it was
-made for: the subscription's items, its capture tokens spliced in, read
-back as a value, which holds no ``Field``.
+of its result into pre-order items, the package's one pattern walk
+(``values.spec_items``, with its own stack), run under the endpoint as
+its own dataflow subject, so the fields they read re-run them when they
+change.  The walk reads each ``Field`` it meets in place, so no copy of
+the pattern is built.  An assertion computes its value and compiles its
+items, which may hold no capture mark; one whose whole pattern reads as
+None asserts nothing.  A subscription computes its pattern, keeps its
+items and asserts the ``observe`` of them.
 
 The runtime keeps the endpoints of its living facets in one table in
 creation order, and an incoming event is dispatched to them in that
@@ -32,11 +31,17 @@ one, if known before and not after (a removal need not have been known).
 Both are read over the subscription's items (``Endpoint.items``), made
 once each time the endpoint computes its pattern.  Dispatch reads tries
 with one member walk, ``trie.captures``: over the patch side, it gives
-the captures, each as the flat tuple of its tokens (which
-``values.parse_exact`` reads into values only for an activation, and
-``during`` into its match); over an instance's items (the
-endpoint's with those tokens spliced in at the capture marks, so
-capture-free), whether what is known holds it.  Items with no ``WILDCARD``
+the captures, each as the flat tuple of its tokens, the actor's one
+identity for a match; over an instance's items (the endpoint's with
+those tokens spliced in at the capture marks, so capture-free), whether
+what is known holds it.  An activation gets the match as dispatch found
+it: its tokens and the items they were found over.  A user's handler
+(``Facet.on_asserted``, ``on_retracted``) hears the captures read as
+values (``values.parse_exact``); a query keys its table on the tokens;
+and a ``during`` child watches the match it was made for, those items
+with the tokens spliced in, read back as a value, which holds no
+``Field``.  So the child watches that match, whatever the fields in the
+pattern read by the time its activation runs.  Items with no ``WILDCARD``
 (``Endpoint.exact``) make each instance one member of the patch side,
 so fewer probes are needed, as the patch's halves are disjoint: a
 removal is not known after, and an addition was known before just when
@@ -83,10 +88,11 @@ at the end of a turn nor before an action is emitted.
 
 The four queries (``Facet.query_set``, ``query_value``, ``query_count``
 and ``query_hash``) are four views of one table per query, which maps
-each standing match's capture token tuple to its captures, in the order
-they were asserted.  One add/rem handler pair, retract first, keeps it
-and damages the query's field through the dataflow graph when it
-changes.  The view is built anew when the field is next read after a
+each standing match's capture token tuple, as dispatch found it, to its
+captures, read once when the match is added; the table keeps them in
+the order they were asserted.  One add/rem handler pair, retract first,
+keeps it and damages the query's field through the dataflow graph when
+it changes.  The view is built anew when the field is next read after a
 change, not once per capture, so a value a reader kept stays as it was.
 """
 from __future__ import annotations
@@ -102,12 +108,10 @@ from .engine import Actor, Message, QUIT, Spawn
 from .patch import Patch
 from .trie import EMPTY, InfiniteSet, Trie
 from .values import (
-    ATOM_KIND_OF_TYPE,
     CAPTURE,
     OBSERVE_TOK,
     AtomTok,
     NotAValue,
-    PushTok,
     Record,
     Symbol,
     Value,
@@ -117,6 +121,7 @@ from .values import (
     observe,
     parse_exact,
     serialize,
+    spec_items,
     values_equal,
 )
 
@@ -222,10 +227,12 @@ class Endpoint:
         "kind",  # "assert" | "sub"
         "compute",  # () -> assert: value or None; sub: pattern; either may hold Fields
         "on",  # sub: "asserted" | "retracted" | "message"
-        "handler",  # sub: fn(*captures)
+        # sub: on a message, fn(*captures); else fn(toks, items), the match
+        # as dispatch finds it: its capture tokens, the items they fill
+        "handler",
         "priority",
         "current",  # trie contributed to the actor's published set
-        "items",  # sub: _items of the computed pattern
+        "items",  # sub: spec_items of the computed pattern
         "exact",  # sub: no WILDCARD among items
     )
 
@@ -270,16 +277,16 @@ class Facet:
 
     def assert_(self, value_or_fn) -> Endpoint:
         """Maintain an assertion, recomputed when the fields it reads change."""
-        ep = self.runtime._new_endpoint(self, "assert")
-        ep.compute = value_or_fn if callable(value_or_fn) else lambda: value_or_fn
-        self.runtime._refresh_endpoint(ep)
-        return ep
+        compute = value_or_fn if callable(value_or_fn) else lambda: value_or_fn
+        return self.runtime._new_endpoint(self, "assert", compute)
 
     def on_asserted(self, pattern, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
-        return self.runtime._add_sub(self, pattern, "asserted", handler, priority)
+        hear = lambda toks, _items: handler(*parse_exact(toks))
+        return self.runtime._add_sub(self, pattern, "asserted", hear, priority)
 
     def on_retracted(self, pattern, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
-        return self.runtime._add_sub(self, pattern, "retracted", handler, priority)
+        hear = lambda toks, _items: handler(*parse_exact(toks))
+        return self.runtime._add_sub(self, pattern, "retracted", hear, priority)
 
     def on_message(self, pattern, handler) -> Endpoint:
         return self.runtime._add_sub(self, pattern, "message", handler)
@@ -309,13 +316,15 @@ class Facet:
 
     def during(self, pattern, body: Callable) -> Endpoint:
         """Scoped reaction: run ``body`` in a child facet for each match.
-        The child belongs to its match, and stops when that match is
-        retracted, whatever the fields in ``pattern`` read by then."""
+        The child belongs to the match dispatch found, and stops when that
+        match is retracted, whatever the fields in ``pattern`` read when
+        the child is made or after."""
 
-        def on_add(*caps):
-            # The match: the endpoint's items with the capture tokens (the
-            # captures' tuple less its push token) spliced in.
-            match = parse_exact(_spliced(ep.items, serialize(caps)[1:]))[0]
+        def on_add(toks, items):
+            # The match as dispatch found it: the items it was found over
+            # with its capture tokens spliced in.
+            match = parse_exact(_spliced(items, toks))[0]
+            caps = parse_exact(toks)
 
             def child(f: Facet):
                 f.stop_when_retracted(match)
@@ -323,8 +332,7 @@ class Facet:
 
             self.react(child)
 
-        ep = self.on_asserted(pattern, on_add)
-        return ep
+        return self.runtime._add_sub(self, pattern, "asserted", on_add)
 
     def during_spawn(self, pattern, name: str, body: Callable) -> Endpoint:
         """Like during, but each match gets a whole actor of its own.
@@ -380,7 +388,8 @@ class Facet:
 
 
 class _Query(Field):
-    """A query's field: its value is ``view`` of its table's captures."""
+    """A query's field: its value is ``view`` of its table's captures,
+    which it keys on each match's capture tokens."""
 
     __slots__ = ("_matches", "_view")
 
@@ -388,8 +397,8 @@ class _Query(Field):
         super().__init__(facet.runtime, name, _STALE)
         self._matches: dict = {}
         self._view = view
-        facet.on_asserted(pattern, self._add, PRIORITY_QUERY_ADD)
-        facet.on_retracted(pattern, self._rem, PRIORITY_QUERY_RETRACT)
+        self._runtime._add_sub(facet, pattern, "asserted", self._add, PRIORITY_QUERY_ADD)
+        self._runtime._add_sub(facet, pattern, "retracted", self._rem, PRIORITY_QUERY_RETRACT)
 
     @property
     def value(self):
@@ -397,13 +406,13 @@ class _Query(Field):
             self._value = self._view(list(self._matches.values()))
         return super().value
 
-    def _add(self, *caps):
-        self._matches[tuple(serialize(caps))] = caps
+    def _add(self, toks, _items):
+        self._matches[toks] = parse_exact(toks)
         self._value = _STALE
         self._runtime.graph.record_damage(self)
 
-    def _rem(self, *caps):
-        if self._matches.pop(tuple(serialize(caps)), None) is not None:
+    def _rem(self, toks, _items):
+        if self._matches.pop(toks, None) is not None:
             self._value = _STALE
             self._runtime.graph.record_damage(self)
 
@@ -490,22 +499,22 @@ class ActorRuntime(Actor):
 
     # -- endpoint plumbing --------------------------------------------------
 
-    def _new_endpoint(self, facet: Facet, kind: str) -> Endpoint:
+    def _new_endpoint(self, facet: Facet, kind: str, compute: Callable) -> Endpoint:
         if not facet.alive:
             raise RuntimeError("cannot add endpoints to a stopped facet")
         ep = Endpoint(self._eid, facet, kind)
         self._eid += 1
         facet.endpoints.append(ep)
         self.endpoints[ep.eid] = ep
+        ep.compute = compute
+        self.graph.with_subject(ep, lambda: self._refresh_endpoint(ep))
         return ep
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
-        ep = self._new_endpoint(facet, "sub")
-        ep.compute = lambda: pattern
+        ep = self._new_endpoint(facet, "sub", lambda: pattern)
         ep.on = on
         ep.handler = handler
         ep.priority = priority
-        self._refresh_endpoint(ep)
         if on == "asserted" and self.knowledge is not EMPTY:
             # Catch-up: the world as already known counts as newly asserted.
             self._dispatch_patch(ep, Patch(self.knowledge, EMPTY), EMPTY, self.knowledge, EMPTY)
@@ -518,23 +527,23 @@ class ActorRuntime(Actor):
         return self._add_sub(facet, pattern, on, fire)
 
     def _refresh_endpoint(self, ep: Endpoint) -> None:
-        # A repair runs this with ep as the graph's subject already.  The
-        # item walk runs under it, so the fields it reads are ep's.
-        graph = self.graph
-        if graph.active_subject is ep:
-            items = _items(ep.compute())
-        else:
-            items = graph.with_subject(ep, lambda: _items(ep.compute()))
-        if ep.kind == "assert":
-            if items is not None and CAPTURE in items:
-                raise ValueError("capture marks are not allowed in plain patterns")
-            new = EMPTY if items is None else trie.compile_items(items)
-        elif items is None:
-            raise ValueError("neither a value nor a pattern: None")
-        else:
-            ep.items = items
+        # This runs with ep as the graph's subject (a repair, or
+        # _new_endpoint, makes it so), so the fields its pattern's walk
+        # reads in place are ep's dependencies.
+        spec = ep.compute()
+        while isinstance(spec, Field):
+            spec = spec.value
+        if ep.kind == "sub":
+            ep.items = items = spec_items(spec, Field)  # None is no pattern
             ep.exact = WILDCARD not in items
             new = trie.compile_items([OBSERVE_TOK] + items)
+        elif spec is None:  # the whole pattern: an assertion of nothing
+            new = EMPTY
+        else:
+            items = spec_items(spec, Field)
+            if CAPTURE in items:
+                raise ValueError("capture marks are not allowed in plain patterns")
+            new = trie.compile_items(items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
 
@@ -565,12 +574,12 @@ class ActorRuntime(Actor):
                 known = kept if kept is not EMPTY and trie.may_meet(side, kept) else EMPTY
             for toks in found:
                 if known is EMPTY or not trie.captures(_spliced(items, toks), known):
-                    self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
+                    self._schedule(ep.priority, ep.facet, ep.handler, (toks, items))
         else:
             for toks in found:
                 inst = _spliced(items, toks)
                 if trie.captures(inst, before) and (ep.exact or not trie.captures(inst, after)):
-                    self._schedule(ep.priority, ep.facet, ep.handler, parse_exact(toks))
+                    self._schedule(ep.priority, ep.facet, ep.handler, (toks, items))
 
     def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
         caps = _captures(ep.items, body)
@@ -579,7 +588,7 @@ class ActorRuntime(Actor):
 
     def _schedule(self, priority: int, facet: Optional[Facet], fn: Callable, args: tuple = ()) -> None:
         # An entry holds the script's function and arguments, not a closure
-        # (for an activation, the handler and captures; the turn loop drops
+        # (for an activation, the handler and its match; the turn loop drops
         # it if the facet has stopped by then).
         if facet is not None:
             facet.pending_scripts += 1
@@ -716,42 +725,6 @@ def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
 
 # ---------------------------------------------------------------------------
 # Pattern helpers
-
-
-def _items(spec) -> Optional[list]:
-    """An endpoint's pattern's pre-order items, as ``values.spec_items``
-    reads them, each ``Field`` met read in place: its value is walked as
-    the part the field stands for, and the read is the dependency of the
-    endpoint whose computation runs the walk.  The walk keeps its own
-    stack.  A pattern that reads as None, an assertion of nothing, gives
-    None.  Raises ValueError, naming the part, for a part that is neither
-    a pattern nor a value."""
-    items: list = []
-    todo = [spec]
-    while todo:
-        p = todo.pop()
-        kind = ATOM_KIND_OF_TYPE.get(type(p))
-        if kind is not None:
-            items.append(AtomTok((kind, p)))
-        elif p is WILDCARD or p is CAPTURE:
-            items.append(p)
-        elif isinstance(p, Record):
-            fields = p.fields
-            items.append(PushTok((p.label, len(fields))))
-            todo += fields[::-1]
-        elif isinstance(p, tuple):
-            items.append(PushTok((None, len(p))))
-            todo += p[::-1]
-        elif isinstance(p, Field):
-            todo.append(p.value)
-        elif p is None and not items:  # the whole pattern
-            return None
-        else:
-            kind = atom_kind(p)
-            if kind is None:
-                raise ValueError(f"neither a value nor a pattern: {p!r}")
-            items.append(AtomTok((kind, p)))
-    return items
 
 
 def _spliced(items: list, toks: tuple) -> list:

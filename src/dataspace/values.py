@@ -15,8 +15,8 @@ explicit stack; ``serialize`` is that walk refusing a wildcard or
 capture mark, and ``values_equal`` compares two token sequences, so
 neither recurses on a deep value.  ``parse_exact`` reads values back
 off a token sequence, such as a trie path, with a stack of its own.
-The facet runtime walks an endpoint's pattern the same way, reading
-the fields it holds as it goes (``facet._items``).
+The facet runtime walks an endpoint's pattern with ``spec_items`` too,
+which reads the fields the pattern holds as it goes.
 
 Text is the third form of a value, written from and read into the same
 items: ``format_value`` writes ``spec_items`` out, and ``parse_text``
@@ -277,15 +277,18 @@ def atom_token(a) -> AtomTok:
     return AtomTok((kind, a))
 
 
-def spec_items(spec) -> list:
+def spec_items(spec, cell: Optional[type] = None) -> list:
     """A value's or pattern's pre-order items: tokens, ``WILDCARD`` and
-    ``CAPTURE``.  This is the one walk from a value to its tokens:
-    ``serialize`` is it for a value, and a pattern's items compile to its
-    trie (``trie.compile_items``).  A facet endpoint's items come from the
-    same walk reading the fields in its pattern as it meets them
-    (``facet._items``), once each time the endpoint computes, and every
-    projection of a subscription walks them.  The walk keeps its own
-    stack, and works out each atom's kind once.
+    ``CAPTURE``.  This is the one walk from a value or pattern to its
+    tokens: ``serialize`` is it for a value, and a pattern's items compile
+    to its trie (``trie.compile_items``).  A part that is an instance of
+    ``cell`` is read in place, through its ``.value``, as the part it
+    stands for: a facet endpoint passes ``facet.Field``, so its items come
+    from this walk reading the fields in its pattern as it meets them,
+    once each time the endpoint computes, and every projection of a
+    subscription walks them.  The walk keeps its own stack, and works out
+    each atom's kind once; the cell test runs only for a part no other
+    branch takes.
     Raises ValueError, naming the part, for a part that is neither."""
     items: list = []
     todo = [spec]
@@ -305,9 +308,12 @@ def spec_items(spec) -> list:
             todo += p[::-1]
         else:
             kind = atom_kind(p)
-            if kind is None:
+            if kind is not None:
+                items.append(AtomTok((kind, p)))
+            elif cell is not None and isinstance(p, cell):
+                todo.append(p.value)
+            else:
                 raise ValueError(f"neither a value nor a pattern: {p!r}")
-            items.append(AtomTok((kind, p)))
     return items
 
 

@@ -662,6 +662,20 @@ def test_presence_work_per_member_is_flat():
     assert per_member[32][facet.__name__] < 32, per_member
 
 
+def test_presence_keys_its_matches_on_tokens():
+    # Dispatch finds each match as its capture tokens, and a query keys
+    # its table on them, so a steady op serializes no value; keying the
+    # table on the parsed captures made 3 calls per member, 24 at K = 8.
+    workloads = _bench_workloads()
+    for k in (8, 32):
+        w = type("Presence", (workloads.Presence,), {"size": k})(1)
+        for _ in range(w.warmup_ops):
+            w.ds.handle(w.request())
+        _, calls = count_calls(lambda: w.ds.handle(w.request()))
+        assert w.check()
+        assert calls[serialize.__code__] == 0, (k, calls[serialize.__code__])
+
+
 def test_presence_dispatch_builds_no_projection():
     # Each of the K members hears a leave as a retraction, and asks
     # whether the capture was known before with the member walk

@@ -186,6 +186,39 @@ def test_a_during_child_watches_the_match_it_was_made_for():
     assert log == [("up", "a"), ("up", "b"), ("down", "a")]
 
 
+def test_a_during_child_made_later_in_a_turn_watches_its_own_match():
+    # p(1, "a") and p(1, "c") arrive in one patch.  The child for "a"
+    # moves the field in the during's pattern to 2 and sends, which
+    # repairs the endpoint before the activation for "c" runs; that
+    # child still watches p(1, "c"), the match dispatch found.  The
+    # standing p(_, _) interest keeps p(1, "c") in view while the field
+    # moves, so it is retracted only when the source drops it.
+    log = []
+
+    def source(f):
+        f.assert_(rec("p", 1, "a"))
+        f.assert_(rec("p", 1, "c"))
+        f.stop_when_message(inbound(S("drop")))
+
+    def watcher(f):
+        which = f.field(1, "which")
+
+        def body(g, x):
+            log.append(("up", x))
+            g.on_stop(lambda: log.append(("down", x)))
+            if x == "a":
+                which.value = 2
+                g.send(S("moved"))
+
+        f.during(rec("p", which, CAPTURE), body)
+        f.on_asserted(rec("p", WILDCARD, WILDCARD), lambda *_: None)
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    ds.handle(Message(S("drop")))
+    assert ds.crashes == {}
+    assert log == [("up", "a"), ("up", "c"), ("down", "a"), ("down", "c")]
+
+
 def test_deep_patterns_resolve_and_instantiate():
     # A pattern holding a Field is walked into items, and a during's
     # match read back off them, each walk with a stack of its own, so a
@@ -999,7 +1032,7 @@ def test_dispatch_matches_two_probe_oracle():
     rt.startup()
     subs = [ep for ep in rt.endpoints.values() if ep.kind == "sub"]
     got = []
-    rt._schedule = lambda _priority, _facet, _handler, caps: got.append(caps)
+    rt._schedule = lambda _priority, _facet, _handler, match: got.append(parse_exact(match[0]))
 
     def dispatched(ep, delta, before, after):
         got.clear()
