@@ -60,6 +60,18 @@ many wildcard fields, so a capture mark at or under it captures
 ``WILDCARD``.  A handler fires, then, for each message the mux routes to
 it.
 
+A patch subscription's view is what the actor knows as its items read
+it: the capture-token tuples ``trie.captures`` finds over them in the
+knowledge.  When a refresh finds the items changed (there are none
+before the first), and something is known, the view moves: an
+``asserted`` endpoint hears each tuple found only under the new items,
+a ``retracted`` one each found only under the old, with the items it
+was found over, in endpoint order as for a patch.  So a new
+subscription hears what is already known, and a query over a field
+keeps only the matches of its pattern as it stands.  A turn repairs its
+damaged endpoints whenever its queue runs empty, so the activations a
+move schedules run in the same turn.
+
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
 (``Endpoint.current``).  A contributor's first change since the last
@@ -471,9 +483,10 @@ class ActorRuntime(Actor):
             for ep in self.endpoints.values():
                 if ep.on == "message":
                     self._dispatch_message(ep, event.body)
-        # Pruning runs stop handlers, which may schedule more scripts:
-        # drain and prune again until the queue stays empty.
-        while self._queue:
+        # Pruning runs stop handlers, which may schedule more scripts, and
+        # a repair may move a subscription's view, which schedules its
+        # activations: drain, prune and repair until nothing is left.
+        while self._queue or self.graph.damaged:
             idle: List[Facet] = []
             while self._queue:
                 _, _, facet, fn, args = heapq.heappop(self._queue)
@@ -486,7 +499,9 @@ class ActorRuntime(Actor):
                 fn(*args)
             for facet in idle:
                 self._maybe_prune(facet)
-        if self._was or self.graph.damaged:
+            if not self._queue and self.graph.damaged:
+                self.graph.repair_damage(self._refresh_endpoint)
+        if self._was:
             self._flush()
         actions = self._actions
         self._actions = []
@@ -499,26 +514,20 @@ class ActorRuntime(Actor):
 
     # -- endpoint plumbing --------------------------------------------------
 
-    def _new_endpoint(self, facet: Facet, kind: str, compute: Callable) -> Endpoint:
+    def _new_endpoint(self, facet: Facet, kind: str, compute: Callable, on=None, handler=None,
+                      priority=PRIORITY_DEFAULT) -> Endpoint:
         if not facet.alive:
             raise RuntimeError("cannot add endpoints to a stopped facet")
         ep = Endpoint(self._eid, facet, kind)
         self._eid += 1
         facet.endpoints.append(ep)
         self.endpoints[ep.eid] = ep
-        ep.compute = compute
+        ep.compute, ep.on, ep.handler, ep.priority = compute, on, handler, priority
         self.graph.with_subject(ep, lambda: self._refresh_endpoint(ep))
         return ep
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
-        ep = self._new_endpoint(facet, "sub", lambda: pattern)
-        ep.on = on
-        ep.handler = handler
-        ep.priority = priority
-        if on == "asserted" and self.knowledge is not EMPTY:
-            # Catch-up: the world as already known counts as newly asserted.
-            self._dispatch_patch(ep, Patch(self.knowledge, EMPTY), EMPTY, self.knowledge, EMPTY)
-        return ep
+        return self._new_endpoint(facet, "sub", lambda: pattern, on, handler, priority)
 
     def _add_stop(self, facet, pattern, on, continuation) -> Endpoint:
         def fire(*_caps):
@@ -534,9 +543,11 @@ class ActorRuntime(Actor):
         while isinstance(spec, Field):
             spec = spec.value
         if ep.kind == "sub":
-            ep.items = items = spec_items(spec, Field)  # None is no pattern
-            ep.exact = WILDCARD not in items
+            items = spec_items(spec, Field)  # None is no pattern
+            old, ep.items, ep.exact = ep.items, items, WILDCARD not in items
             new = trie.compile_items([OBSERVE_TOK] + items)
+            if ep.on != "message" and items != old and self.knowledge is not EMPTY:
+                self._move_view(ep, old, items)
         elif spec is None:  # the whole pattern: an assertion of nothing
             new = EMPTY
         else:
@@ -546,6 +557,26 @@ class ActorRuntime(Actor):
             new = trie.compile_items(items)
         self._was.setdefault(ep, ep.current)
         ep.current = new
+
+    def _move_view(self, ep: Endpoint, old: Optional[list], new: list) -> None:
+        """A patch subscription's items moved from ``old`` (None at its
+        creation) to ``new``: its view of what is known, the capture-token
+        tuples found over its items, moves with them.  An ``asserted``
+        endpoint hears each tuple found only under the new items, a
+        ``retracted`` one each found only under the old, with the items
+        it was found over."""
+        items, other = (new, old) if ep.on == "asserted" else (old, new)
+        if items is None:
+            return
+        try:
+            found = trie.captures(items, self.knowledge)
+            if found and other is not None:
+                stays = set(trie.captures(other, self.knowledge))
+                found = [toks for toks in found if toks not in stays]
+        except InfiniteSet:
+            raise _infinite(new)
+        for toks in found:
+            self._schedule(ep.priority, ep.facet, ep.handler, (toks, items))
 
     # -- dispatch -----------------------------------------------------------
 
@@ -560,9 +591,7 @@ class ActorRuntime(Actor):
         try:
             found = trie.captures(items, side)
         except InfiniteSet:
-            # The subscription as asserted: capture marks read as wildcards.
-            sub = parse_exact([WILDCARD if i is CAPTURE else i for i in items])[0]
-            raise InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
+            raise _infinite(items)
         if not found:
             return
         # An addition is known after, and an exact removal is not.  An
@@ -725,6 +754,14 @@ def spawn_actor(name: str, boot: Callable[[Facet], None]) -> Spawn:
 
 # ---------------------------------------------------------------------------
 # Pattern helpers
+
+
+def _infinite(items: list) -> InfiniteMatchSet:
+    """The error for a subscription over ``items`` whose captures met a
+    default (``trie.InfiniteSet``), naming the subscription as asserted:
+    capture marks read as wildcards."""
+    sub = parse_exact([WILDCARD if i is CAPTURE else i for i in items])[0]
+    return InfiniteMatchSet(f"subscription {format_value(sub)} matched infinitely many values")
 
 
 def _spliced(items: list, toks: tuple) -> list:

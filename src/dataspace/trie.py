@@ -11,9 +11,10 @@ and an empty default, so a walk may take a node's ``edges`` and
 ``default`` without first testing it for emptiness.
 
 The kernel's operations are the set operations ``union``,
-``intersect`` and ``subtract`` (all through ``combine``), the routing
-walk ``update_routes``, and the read-only walks ``search_value`` (one
-value's leaf), ``leaves_meeting`` and ``captures`` (the member walk).
+``intersect`` and ``subtract`` (all through ``combine``: where both
+operands hold a leaf, the left one, dropped by a subtraction), the
+routing walk ``update_routes``, and the read-only walks ``search_value``
+(one value's leaf), ``leaves_meeting`` and ``captures`` (the member walk).
 
 A pattern compiles to a chain, one node per pre-order item
 (``values.spec_items``, the one walk from a value or pattern to its
@@ -302,29 +303,29 @@ def search_value(v: Value, t: Trie):
 # ---------------------------------------------------------------------------
 # Set operations
 
-def combine(t1: Trie, t2: Trie, f: Callable, keep_left: bool = True, keep_right: bool = True) -> Trie:
+def combine(t1: Trie, t2: Trie, keep_left: bool = True, keep_right: bool = True) -> Trie:
     """Generic structural set operation on two tries of equal depth.
 
-    ``f`` combines leaves (both arguments are Ok nodes).  ``keep_left``
-    and ``keep_right`` state whether a subtree present on only that side
-    is kept unchanged or dropped.  The walk recurses through
-    ``_combine``, which takes ``f`` and the one-sided flags as
-    arguments, so a call leaves no reference cycle behind (see the
-    module docstring).  A result equal to ``t1`` is ``t1`` itself: a
-    node whose default and every edge came back as ``t1``'s own objects
-    is returned as it was, not rebuilt.  (A leaf is taken from ``t1``,
-    so a result equal to ``t2`` is not always ``t2``.)
+    ``keep_left`` and ``keep_right`` state whether a subtree present on
+    only that side is kept unchanged or dropped.  Where both sides hold
+    a leaf, the result is the left leaf, or EMPTY when only one side is
+    kept (a subtraction).  The walk recurses through ``_combine``, which
+    takes the flags as arguments, so a call leaves no reference cycle
+    behind (see the module docstring).  A result equal to ``t1`` is
+    ``t1`` itself: a node whose default and every edge came back as
+    ``t1``'s own objects is returned as it was, not rebuilt.  (A leaf is
+    taken from ``t1``, so a result equal to ``t2`` is not always ``t2``.)
     """
-    return _combine(t1, t2, f, keep_left, keep_right)
+    return _combine(t1, t2, keep_left, keep_right)
 
 
-def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -> Trie:
+def _combine(a: Trie, b: Trie, keep_left: bool, keep_right: bool) -> Trie:
     if a is EMPTY:
         return b if keep_right else EMPTY
     if b is EMPTY:
         return a if keep_left else EMPTY
     if type(a) is Ok or type(b) is Ok:
-        return f(a, b)
+        return a if keep_left == keep_right else EMPTY
     w, bw = a.default, b.default
     # A default with EMPTY on the other side is kept or dropped whole.
     if bw is EMPTY:
@@ -332,7 +333,7 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
     elif w is EMPTY:
         w = bw if keep_right else EMPTY
     else:
-        w = _combine(w, bw, f, keep_left, keep_right)
+        w = _combine(w, bw, keep_left, keep_right)
     # Iterate the smaller edge map; ties go to the left operand.
     left_small = len(a.edges) <= len(b.edges)
     small, large = (a, b) if left_small else (b, a)
@@ -343,8 +344,8 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
             if tok not in small_edges:
                 n = tok.arity
                 tail = make_tail(n, small.default) if n else small.default
-                child = (_combine(tail, child, f, keep_left, keep_right) if left_small
-                         else _combine(child, tail, f, keep_left, keep_right))
+                child = (_combine(tail, child, keep_left, keep_right) if left_small
+                         else _combine(child, tail, keep_left, keep_right))
                 if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
                     edges[tok] = child
     elif keep_right if left_small else keep_left:
@@ -363,8 +364,8 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
         if other is EMPTY:
             child = child if (keep_left if left_small else keep_right) else EMPTY
         else:
-            child = (_combine(child, other, f, keep_left, keep_right) if left_small
-                     else _combine(other, child, f, keep_left, keep_right))
+            child = (_combine(child, other, keep_left, keep_right) if left_small
+                     else _combine(other, child, keep_left, keep_right))
         if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
             edges[tok] = child
         elif tok in edges:
@@ -383,14 +384,6 @@ def _combine(a: Trie, b: Trie, f: Callable, keep_left: bool, keep_right: bool) -
     return Branch(w, edges)
 
 
-def _leaf_left(a: Ok, _b: Ok) -> Trie:
-    return a
-
-
-def _leaf_none(_a: Ok, _b: Ok) -> Trie:
-    return EMPTY
-
-
 # union, intersect and subtract answer at once when an operand is EMPTY
 # or both are the same trie.
 
@@ -400,7 +393,7 @@ def union(t1: Trie, t2: Trie) -> Trie:
         return t2
     if t2 is EMPTY:
         return t1
-    return combine(t1, t2, _leaf_left)
+    return combine(t1, t2)
 
 
 def intersect(t1: Trie, t2: Trie) -> Trie:
@@ -408,7 +401,7 @@ def intersect(t1: Trie, t2: Trie) -> Trie:
         return EMPTY
     if t1 is t2:
         return t1
-    return combine(t1, t2, _leaf_left, False, False)
+    return combine(t1, t2, False, False)
 
 
 def subtract(t1: Trie, t2: Trie) -> Trie:
@@ -416,7 +409,7 @@ def subtract(t1: Trie, t2: Trie) -> Trie:
         return EMPTY
     if t2 is EMPTY:
         return t1
-    return combine(t1, t2, _leaf_none, True, False)
+    return combine(t1, t2, True, False)
 
 
 def may_meet(t1: Trie, t2: Trie) -> bool:
@@ -582,12 +575,7 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             else:
                 er[tok] = kr
             if kva is not ka or eva is not None:
-                if eva is None:
-                    eva = a_edges.copy()
-                if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
-                    eva[tok] = kva
-                else:
-                    eva.pop(tok, None)
+                eva = _visible_edge(eva, a_edges, tok, n, kva, wva)
         return (
             Branch(wr, er),
             a,
@@ -640,19 +628,9 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
             ids, audience,
         )
         if kva is not ka or eva is not None:
-            if eva is None:
-                eva = a_edges.copy()
-            if kva is not EMPTY if wva is EMPTY else not _redundant(kva, n, wva):
-                eva[tok] = kva
-            else:
-                eva.pop(tok, None)
+            eva = _visible_edge(eva, a_edges, tok, n, kva, wva)
         if kvd is not kd or evd is not None:
-            if evd is None:
-                evd = d_edges.copy()
-            if kvd is not EMPTY if wvd is EMPTY else not _redundant(kvd, n, wvd):
-                evd[tok] = kvd
-            else:
-                evd.pop(tok, None)
+            evd = _visible_edge(evd, d_edges, tok, n, kvd, wvd)
         if kn is ko and wo is ow:
             continue  # unchanged here, under unchanged defaults
         same = False
@@ -672,6 +650,19 @@ def _update_routes(r: Trie, o: Trie, a: Trie, d: Trie, c: Trie, ids: frozenset, 
         a if eva is None else Branch(wva, eva) if eva or wva is not EMPTY else EMPTY,
         d if evd is None else Branch(wvd, evd) if evd or wvd is not EMPTY else EMPTY,
     )
+
+
+def _visible_edge(edges, request_edges: dict, tok, n: int, child: Trie, w: Trie) -> dict:
+    """Set or drop edge ``tok`` of a visible half under its default ``w``
+    and hand back the half's edge map, a copy of the request's edge map
+    ``request_edges`` if ``edges`` is None (the half was the request's)."""
+    if edges is None:
+        edges = request_edges.copy()
+    if child is not EMPTY if w is EMPTY else not _redundant(child, n, w):
+        edges[tok] = child
+    else:
+        edges.pop(tok, None)
+    return edges
 
 
 def leaves_meeting(t: Trie, *probes: Trie) -> set:

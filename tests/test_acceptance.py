@@ -252,7 +252,7 @@ def test_repeated_runs_trace_identically(name, tmp_path):
         tracer = Tracer(path)
         PROGRAMS[name](lambda line: None, tracer=tracer)
         tracer.close()
-    first, second = (open(p, "rb").read() for p in paths)
+    first, second = (pathlib.Path(p).read_bytes() for p in paths)
     assert first == second
     assert first  # non-trivial trace
 

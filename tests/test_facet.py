@@ -109,6 +109,77 @@ def test_a_subscription_follows_the_field_in_its_pattern():
         assert log == ["a", "b", "a"], one
 
 
+def test_a_query_over_a_field_follows_its_pattern():
+    # The query's view moves with its pattern: as the field goes 1 -> 2,
+    # p(1, "a") leaves the query and p(2, "b") joins it.
+    read = []
+
+    def source(f):
+        f.assert_(rec("p", 1, "a"))
+        f.assert_(rec("p", 2, "b"))
+
+    def watcher(f):
+        which = f.field(1, "which")
+        seen = f.query_set(rec("p", which, CAPTURE))
+        f.on_message(inbound(S("switch")), lambda: setattr(which, "value", 2))
+        f.on_message(inbound(S("read")), lambda: read.append(sorted(seen.value)))
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    for event in ("read", "switch", "read"):
+        ds.handle(Message(S(event)))
+    assert ds.crashes == {}
+    assert read == [["a"], ["b"]]
+
+
+def test_a_subscription_hears_its_view_move_over_what_is_known():
+    # p(_, $) keeps every p known, so no patch arrives as the field
+    # moves; the view's move alone is heard: as which goes 1 -> 2, b is
+    # added and a removed, and as it goes 2 -> 3, a is added and b removed.
+    log = []
+
+    def source(f):
+        for n, x in ((1, "a"), (2, "b"), (3, "a")):
+            f.assert_(rec("p", n, x))
+
+    def watcher(f):
+        which = f.field(1, "which")
+        f.on_asserted(rec("p", WILDCARD, CAPTURE), lambda x: None)
+        f.on_asserted(rec("p", which, CAPTURE), lambda x: log.append("+" + x))
+        f.on_retracted(rec("p", which, CAPTURE), lambda x: log.append("-" + x))
+        f.on_message(inbound(rec("move", CAPTURE)), lambda n: setattr(which, "value", n))
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    for n in (2, 3):
+        ds.handle(Message(rec("move", n)))
+    assert ds.crashes == {}
+    assert log == ["+a", "+b", "-a", "+a", "-b"]
+
+
+def test_a_move_that_keeps_the_view_fires_nothing():
+    # p(1, "a") and p(2, "a") are both known, so the view reads a before
+    # and after the field goes 1 -> 2.
+    log, read = [], []
+
+    def source(f):
+        f.assert_(rec("p", 1, "a"))
+        f.assert_(rec("p", 2, "a"))
+
+    def watcher(f):
+        which = f.field(1, "which")
+        f.on_asserted(rec("p", WILDCARD, WILDCARD), lambda: None)
+        value = f.query_value(rec("p", which, CAPTURE))
+        f.on_asserted(rec("p", which, CAPTURE), lambda x: log.append("+" + x))
+        f.on_retracted(rec("p", which, CAPTURE), lambda x: log.append("-" + x))
+        f.on_message(inbound(S("switch")), lambda: setattr(which, "value", 2))
+        f.on_message(inbound(S("read")), lambda: read.append(value.value))
+
+    ds = ground_run([spawn_actor("src", source), spawn_actor("watch", watcher)])
+    for event in ("read", "switch", "read"):
+        ds.handle(Message(S(event)))
+    assert ds.crashes == {}
+    assert log == ["+a"] and read == ["a", "a"]
+
+
 def test_a_wildcard_message_fires_the_handlers_it_is_routed_to():
     # A wildcard in the body meets whatever item stands at its position:
     # an atom, or a compound read as that many wildcard fields.

@@ -287,10 +287,10 @@ def _round_trip_trie_work(box_action):
     """Trie work of one box round trip: the client, told to bump, sends
     set-box(n), and the box (spawned by ``box_action``) re-asserts
     box-state(n), which the client learns.  Returns the calls made to
-    ``combine``, ``update_routes``, ``leaves_meeting``, ``Branch`` and
-    ``may_meet``, the calls made into the trie module, and the calls made
-    into any ``dataspace`` module, a measure of the round trip's whole
-    kernel work."""
+    ``combine``, ``update_routes``, ``leaves_meeting``, ``Branch``,
+    ``may_meet`` and the routing walk's visible-half helper, the calls
+    made into the trie module, and the calls made into any ``dataspace``
+    module, a measure of the round trip's whole kernel work."""
     bump = lambda n: Record(S("bump"), (n,))
     learned = []
 
@@ -306,7 +306,7 @@ def _round_trip_trie_work(box_action):
     by_file = calls_by_file(calls)
     named = {"combine": trie.combine, "update_routes": trie.update_routes,
              "leaves_meeting": trie.leaves_meeting, "Branch": trie.Branch.__init__,
-             "may_meet": trie.may_meet}
+             "may_meet": trie.may_meet, "visible_edge": trie._visible_edge}
     return {name: calls[fn.__code__] for name, fn in named.items()}, by_file[trie.__file__], package_calls(calls)
 
 
@@ -320,6 +320,8 @@ def test_box_round_trip_trie_work():
     # requested half that shows whole instead of rebuilding it; so does
     # the client's intersection with its interests.
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 7, calls
+    # Every visible half shows whole, so none is copied edge by edge.
+    assert calls["visible_edge"] == 0, calls
     # The box's flush compares its old and new state; nothing else may
     # meet: the client's patch leaves nothing of what it knew, and the
     # box's subscription shares no root edge with its state.
@@ -339,6 +341,7 @@ def test_relay_round_trip_trie_work():
     calls, total, kernel = _round_trip_trie_work(spawn_dataspace([spawn_actor("box", box)], name="inner"))
     assert calls["combine"] <= 2 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 16, calls
+    assert calls["visible_edge"] == 0, calls
     assert calls["may_meet"] == 1, calls
     assert total <= 56, total
     assert kernel <= 140, kernel
