@@ -131,7 +131,6 @@ class Dataspace(Actor):
         tracer: Optional[Tracer] = None,
         path: Tuple[str, ...] = (),
     ):
-        self.name = name
         self.tracer = tracer
         self.path = path + (name,)
         self.mux = self._relay_only.copy()
@@ -223,10 +222,8 @@ class Dataspace(Actor):
             self.actors[sid], startup = action.boot(self.path + (self.names[sid],))
             if type(startup) is not list:
                 startup = list(startup)  # drained first: a faulty one queues nothing
-            if self.tracer is None:
-                front = [(sid, a, -1) for a in startup]
-            else:
-                front = [(sid, a, self._trace("action-produced", sid, a, seq)) for a in startup]
+            front = [(sid, a, -1 if self.tracer is None else self._trace("action-produced", sid, a, seq))
+                     for a in startup]
         except Exception as e:
             self._crash(sid, e, seq)
             return
@@ -248,14 +245,9 @@ class Dataspace(Actor):
             actions = handler.handle(event)
             if type(actions) is not list:
                 actions = list(actions)  # drained first: a failed turn queues nothing
-            if self.tracer is None:
-                # Inline appends: cheaper than one extend over a comprehension
-                # for the zero to two actions a turn usually returns.
-                for a in actions:
-                    self.pending.append((target, a, -1))
-            else:
-                for a in actions:
-                    self._enqueue(target, a, seq)
+            for a in actions:
+                self.pending.append((target, a, -1 if self.tracer is None
+                                     else self._trace("action-produced", target, a, seq)))
         except Exception as e:
             self._crash(target, e, seq)
 
@@ -284,14 +276,14 @@ class Dataspace(Actor):
 
     # -- inspection ---------------------------------------------------------
 
-    def assertions(self, include_relay: bool = False) -> trie.Trie:
-        """Everything currently asserted; relay bookkeeping excluded by default."""
-        return self.mux.all_assertions(None if include_relay else META)
+    def assertions(self) -> trie.Trie:
+        """Everything currently asserted, relay bookkeeping excluded."""
+        return self.mux.all_assertions(META)
 
     def layer_assertions(self) -> trie.Trie:
         """All assertions in this layer, relay mirror included, synthetic
         relay subscriptions excluded."""
-        return trie.subtract(self.assertions(include_relay=True), self.relay_interests)
+        return trie.subtract(self.mux.all_assertions(), self.relay_interests)
 
     def find_actors(self, cls) -> list:
         return [a for a in self.actors.values() if isinstance(a, cls)]
@@ -341,18 +333,13 @@ def spawn_dataspace(boot_actions: List[Action], name: str = "ds") -> Spawn:
 # Ground layer
 
 
-def ground_run(
-    boot_actions: List[Action],
-    injector=None,
-    tracer: Optional[Tracer] = None,
-    name: str = "ground",
-) -> Dataspace:
+def ground_run(boot_actions: List[Action], injector=None, tracer: Optional[Tracer] = None) -> Dataspace:
     """Run a dataspace at ground level until it and its injector are quiet.
 
     The injector is the source of external events: its ``next_event()``
     returns the next event to deliver, or None when it is quiet.
     """
-    ds = Dataspace(boot_actions, name=name, tracer=tracer)
+    ds = Dataspace(boot_actions, name="ground", tracer=tracer)
     ds.run()
     if injector is not None:
         while True:

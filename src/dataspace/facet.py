@@ -52,13 +52,14 @@ known, or ``trie.may_meet`` finds the side disjoint from it, every
 capture fires unprobed.  The trie the endpoint asserts is compiled from
 the same items under an ``observe`` push token (``trie.compile_items``
 reads the capture marks as wildcards), with no wildcarded copy of the
-pattern built.  A message is matched against the same items, in one
-pass over the body: atoms by kind and payload, compounds by label and
-arity.  A wildcard in the body meets whatever item stands at its
-position: an atom item matches it, and a compound item reads it as that
-many wildcard fields, so a capture mark at or under it captures
-``WILDCARD``.  A handler fires, then, for each message the mux routes to
-it.
+pattern built.  The turn matches a message against the same items of
+each message endpoint (``_captures``, one pass over the body: atoms by
+kind and payload, compounds by label and arity) and schedules a match's
+handler with its captures.  A wildcard in the body meets whatever item
+stands at its position: an atom item matches it, and a compound item
+reads it as that many wildcard fields, so a capture mark at or under it
+captures ``WILDCARD``.  A handler fires, then, for each message the mux
+routes to it.
 
 A patch subscription's view is what the actor knows as its items read
 it: the capture-token tuples ``trie.captures`` finds over them in the
@@ -70,7 +71,8 @@ was found over, in endpoint order as for a patch.  So a new
 subscription hears what is already known, and a query over a field
 keeps only the matches of its pattern as it stands.  A turn repairs its
 damaged endpoints whenever its queue runs empty, so the activations a
-move schedules run in the same turn.
+move schedules run in the same turn, and ``_emit`` repairs them before
+it emits an action.
 
 What an actor publishes is the union of its contributions: the
 actor-level ``adhoc`` set and each living endpoint's trie
@@ -94,9 +96,8 @@ the contribution's root edge keys against the change's, collected once
 per flush.  So a subscription, under ``observe``, costs no walk when
 only plain assertions change.  A flush where nothing changed, such as
 an assertion recomputed to an equal trie, only compares: it publishes
-no patch and runs no set operation.  With no
-note and no damage there is nothing to flush, and none is run, neither
-at the end of a turn nor before an action is emitted.
+no patch and runs no set operation.  ``_flush`` only publishes, and is
+run only when a contributor has a note.
 
 The four queries (``Facet.query_set``, ``query_value``, ``query_count``
 and ``query_hash``) are four views of one table per query, which maps
@@ -236,9 +237,8 @@ class Endpoint:
     __slots__ = (
         "eid",
         "facet",
-        "kind",  # "assert" | "sub"
         "compute",  # () -> assert: value or None; sub: pattern; either may hold Fields
-        "on",  # sub: "asserted" | "retracted" | "message"
+        "on",  # None marks an assertion; sub: "asserted" | "retracted" | "message"
         # sub: on a message, fn(*captures); else fn(toks, items), the match
         # as dispatch finds it: its capture tokens, the items they fill
         "handler",
@@ -248,10 +248,9 @@ class Endpoint:
         "exact",  # sub: no WILDCARD among items
     )
 
-    def __init__(self, eid, facet, kind):
+    def __init__(self, eid, facet):
         self.eid = eid
         self.facet = facet
-        self.kind = kind
         self.compute = None
         self.on = None
         self.handler = None
@@ -265,7 +264,7 @@ class Endpoint:
         return (0, self.eid)
 
     def __repr__(self) -> str:
-        return f"<{self.kind} endpoint #{self.eid}>"
+        return f"<{self.on or 'assert'} endpoint #{self.eid}>"
 
 
 class Facet:
@@ -290,7 +289,7 @@ class Facet:
     def assert_(self, value_or_fn) -> Endpoint:
         """Maintain an assertion, recomputed when the fields it reads change."""
         compute = value_or_fn if callable(value_or_fn) else lambda: value_or_fn
-        return self.runtime._new_endpoint(self, "assert", compute)
+        return self.runtime._new_endpoint(self, compute)
 
     def on_asserted(self, pattern, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
         hear = lambda toks, _items: handler(*parse_exact(toks))
@@ -477,12 +476,14 @@ class ActorRuntime(Actor):
             kept = trie.subtract(before, event.removed)
             after = self.knowledge = trie.union(kept, event.added)
             for ep in self.endpoints.values():
-                if ep.kind == "sub" and ep.on != "message":
+                if ep.on == "asserted" or ep.on == "retracted":
                     self._dispatch_patch(ep, event, before, after, kept)
         elif isinstance(event, Message):
             for ep in self.endpoints.values():
                 if ep.on == "message":
-                    self._dispatch_message(ep, event.body)
+                    caps = _captures(ep.items, event.body)
+                    if caps is not None:
+                        self._schedule(ep.priority, ep.facet, ep.handler, caps)
         # Pruning runs stop handlers, which may schedule more scripts, and
         # a repair may move a subscription's view, which schedules its
         # activations: drain, prune and repair until nothing is left.
@@ -514,11 +515,11 @@ class ActorRuntime(Actor):
 
     # -- endpoint plumbing --------------------------------------------------
 
-    def _new_endpoint(self, facet: Facet, kind: str, compute: Callable, on=None, handler=None,
+    def _new_endpoint(self, facet: Facet, compute: Callable, on=None, handler=None,
                       priority=PRIORITY_DEFAULT) -> Endpoint:
         if not facet.alive:
             raise RuntimeError("cannot add endpoints to a stopped facet")
-        ep = Endpoint(self._eid, facet, kind)
+        ep = Endpoint(self._eid, facet)
         self._eid += 1
         facet.endpoints.append(ep)
         self.endpoints[ep.eid] = ep
@@ -527,7 +528,7 @@ class ActorRuntime(Actor):
         return ep
 
     def _add_sub(self, facet, pattern, on, handler, priority=PRIORITY_DEFAULT) -> Endpoint:
-        return self._new_endpoint(facet, "sub", lambda: pattern, on, handler, priority)
+        return self._new_endpoint(facet, lambda: pattern, on, handler, priority)
 
     def _add_stop(self, facet, pattern, on, continuation) -> Endpoint:
         def fire(*_caps):
@@ -542,7 +543,7 @@ class ActorRuntime(Actor):
         spec = ep.compute()
         while isinstance(spec, Field):
             spec = spec.value
-        if ep.kind == "sub":
+        if ep.on is not None:
             items = spec_items(spec, Field)  # None is no pattern
             old, ep.items, ep.exact = ep.items, items, WILDCARD not in items
             new = trie.compile_items([OBSERVE_TOK] + items)
@@ -570,11 +571,14 @@ class ActorRuntime(Actor):
             return
         try:
             found = trie.captures(items, self.knowledge)
-            if found and other is not None:
-                stays = set(trie.captures(other, self.knowledge))
-                found = [toks for toks in found if toks not in stays]
         except InfiniteSet:
-            raise _infinite(new)
+            raise _infinite(items)
+        if found and other is not None:
+            try:
+                stays = set(trie.captures(other, self.knowledge))
+            except InfiniteSet:
+                raise _infinite(other)
+            found = [toks for toks in found if toks not in stays]
         for toks in found:
             self._schedule(ep.priority, ep.facet, ep.handler, (toks, items))
 
@@ -609,11 +613,6 @@ class ActorRuntime(Actor):
                 inst = _spliced(items, toks)
                 if trie.captures(inst, before) and (ep.exact or not trie.captures(inst, after)):
                     self._schedule(ep.priority, ep.facet, ep.handler, (toks, items))
-
-    def _dispatch_message(self, ep: Endpoint, body: Value) -> None:
-        caps = _captures(ep.items, body)
-        if caps is not None:
-            self._schedule(ep.priority, ep.facet, ep.handler, tuple(caps))
 
     def _schedule(self, priority: int, facet: Optional[Facet], fn: Callable, args: tuple = ()) -> None:
         # An entry holds the script's function and arguments, not a closure
@@ -691,15 +690,13 @@ class ActorRuntime(Actor):
         self.adhoc = trie.subtract(self.adhoc, trie.compile_pattern(v))
 
     def _emit(self, action) -> None:
-        if self._was or self.graph.damaged:
+        if self.graph.damaged:
+            self.graph.repair_damage(self._refresh_endpoint)
+        if self._was:
             self._flush()
         self._actions.append(action)
 
     def _flush(self) -> None:
-        if self.graph.damaged:
-            self.graph.repair_damage(self._refresh_endpoint)
-        if not self._was:
-            return
         was, self._was = self._was, {}
         # Who changed: probe before comparing, as disjoint tries are unequal.
         went: set = set()
@@ -782,9 +779,9 @@ def _spliced(items: list, toks: tuple) -> list:
     return out
 
 
-def _captures(items: list, body) -> Optional[list]:
+def _captures(items: list, body) -> Optional[tuple]:
     """Match a message body against spec items: the captured values in
-    order, or None.  One pass over the items, walking the body in
+    order, as a tuple, or None.  One pass over the items, walking the body in
     pre-order with an explicit stack: atoms compare by kind and payload,
     compounds by label and arity.  A ``WILDCARD`` in the body meets any
     item, a compound one as that many wildcard fields, so a capture mark
@@ -814,4 +811,4 @@ def _captures(items: list, body) -> Optional[list]:
             if len(v) != arity:
                 return None
             todo.extend(reversed(v))
-    return caps
+    return tuple(caps)

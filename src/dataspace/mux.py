@@ -7,56 +7,58 @@ else's assertions and (b) covered by their own subscriptions, while the
 updating stream additionally receives feedback for subscriptions it just
 added or removed.
 
-An update makes one walk over the routing index
-(``trie.update_routes``), down the stream's own set and the two halves
-of its patch together.  The walk moves the stream's id into or out of
-the index's leaf sets where the patch changes the stream's own set, and
-reads what became visible or invisible off those leaf sets (an assertion
-shows when its leaf set fills from empty, and goes when it empties).  A
-half of the patch that shows whole comes back as it came, not rebuilt:
-the walk copies a half's edge map only at a node where one of its edges
-first differs.
-If the walk hands back the old own set itself, the patch changed
-nothing and the update ends there.  The subscriptions the stream adds
-and drops are the differences of its subscriptions
-(``observation_bodies``) after and before, worked out only when those
-are not the same object.  Retracting a wildcard can remove only what the
-stream holds, so under a removal wildcard the walk follows the stream's
-own set, not the index.  ``trie.update_routes`` gives the cost, which
-counts the fan-out of each index node the walk rebuilds, as a rebuilt
-node copies its edges.  ``remove_stream``, which retracts the universe,
-costs O(|own set|).
+An update makes one walk over the routing index (``trie.update_routes``;
+``test_box_round_trip_trie_work``), down the stream's own set and the
+two halves of its patch together.  The walk moves the stream's id into
+or out of the index's leaf sets where the patch changes the stream's own
+set, and reads what became visible or invisible off those leaf sets (an
+assertion shows when its leaf set fills from empty, and goes when it
+empties).  A half of the patch that shows whole comes back as it came,
+not rebuilt: the walk copies a half's edge map only at a node where one
+of its edges first differs
+(``test_update_routes_hands_back_the_halves_that_show_whole``).  If the
+walk hands back the old own set itself, the patch changed nothing and
+the update ends there.  The subscriptions the stream adds and drops are
+the differences of its subscriptions (``observation_bodies``) after and
+before, worked out only when those are not the same object.  Retracting
+a wildcard can remove only what the stream holds, so under a removal
+wildcard the walk follows the stream's own set, not the index
+(``test_wildcard_retraction_work_does_not_grow_with_peers``).
+``trie.update_routes`` gives the cost, which counts the fan-out of each
+index node the walk rebuilds, as a rebuilt node copies its edges (not
+gated).  ``remove_stream``, which retracts the universe, costs
+O(|own set|) (``test_remove_stream_work_does_not_grow_with_what_it_watched``).
 
 The audience of a change, the streams whose subscriptions meet the
-visible change, is read by the same walk: it carries a fifth cursor
-down the subscriptions standing before the update (``observation_bodies``
-of the index) and collects their leaf sets wherever a value becomes
-visible or invisible.  It visits the subscriptions' edges only where it
-visits the index's (under an addition wildcard, or where the stream's
-own set has a default), so a removal wildcard still costs only what the
-stream holds.  The updating stream is served in the same pass as its
-peers, in stream order, and only when it is in that audience or its
-subscriptions change; otherwise its feedback is empty, so none is
-worked out.  A peer hears the visible change intersected with its
+visible change, is read by the same walk: it carries a fifth cursor down
+the subscriptions standing before the update (``observation_bodies`` of
+the index) and collects their leaf sets wherever a value becomes visible
+or invisible.  It visits the subscriptions' edges only where it visits
+the index's (under an addition wildcard, or where the stream's own set
+has a default), so a removal wildcard still costs only what the stream
+holds.  The updating stream is served in the same pass as its peers, in
+stream order, and only when it is in that audience or its subscriptions
+change; otherwise its feedback is empty, so none is worked out (not
+gated).  A peer hears the visible change intersected with its
 subscriptions; where they cover a visible half, that half comes back
 from ``trie.intersect`` as itself, so a peer hears the publisher's own
-trie, and a later patch that removes it removes the very object the
-peer holds.  Every delta is built as a trusted disjoint patch (see
-``patch``).
+trie, and a later patch that removes it removes the very object the peer
+holds (``test_published_trie_reaches_the_subscriber_whole``).  Every
+delta is built as a trusted disjoint patch (see ``patch``).
 
 A mux built with ``relay=sid`` serves stream ``sid`` as its layer's
 relay to the containing layer: in the audience, the relay hears the
-whole visible change, not its intersection with its subscriptions.
-This is exact for the engine's relay, because all it does with what it
-hears is ``patch.drop_outbound``, which reads only the ``outbound(_)``
-and ``observe(inbound(_))`` parts of a patch, and those are exactly
-what the relay subscribes to: translating the intersection gives what
-translating the whole change gives.  Every other peer, and the relay
-when it is the author, is served exactly.
+whole visible change, not its intersection with its subscriptions.  This
+is exact for the engine's relay, because all it does with what it hears
+is ``patch.drop_outbound``, which reads only the ``outbound(_)`` and
+``observe(inbound(_))`` parts of a patch, and those are exactly what the
+relay subscribes to: translating the intersection gives what translating
+the whole change gives.  Every other peer, and the relay when it is the
+author, is served exactly.
 
 A message is routed by value: the index is walked along the message
-body, with no token list or ``observe(body)`` built.  A body holding a
-wildcard is compiled as a pattern, and its audience is every
+body, with no token list or ``observe(body)`` built (not gated).  A body
+holding a wildcard is compiled as a pattern, and its audience is every
 subscription it could meet, read by ``trie.leaves_meeting``; a facet
 actor fires the handlers of those subscriptions, each capture under a
 wildcard of the body read as ``WILDCARD``.  A body that is neither a

@@ -18,23 +18,22 @@ routing walk ``update_routes``, and the read-only walks ``search_value``
 
 A pattern compiles to a chain, one node per pre-order item
 (``values.spec_items``, the one walk from a value or pattern to its
-tokens): a token is an edge and a wildcard a default.
-``compile_items`` builds it as a right fold over the items, reading a
-capture mark as a wildcard, and neither it nor ``spec_items``
-recurses, so a pattern of any depth compiles.  ``compile_pattern`` is
-that fold for a plain pattern; a facet endpoint compiles the trie it
-asserts from the items it walks its pattern into, and a subscription's
-projections walk the same items.
+tokens): a token is an edge and a wildcard a default.  ``compile_items``
+builds it as a right fold over the items, reading a capture mark as a
+wildcard, and neither it nor ``spec_items`` recurses, so a pattern of any
+depth compiles (``test_compile_pattern_takes_a_deeply_nested_value``).
+``compile_pattern`` is that fold for a plain pattern; a facet endpoint
+compiles the trie it asserts from the items it walks its pattern into,
+and a subscription's projections walk the same items.
 
 Equality is structural, with an identity fast path, and walks the two
 tries with an explicit stack, so deep tries compare without recursion;
-so does ``render``.
-Canonical form is kept per rebuilt edge: ``combine`` checks
-only the edges it recomputes, because an edge copied unchanged from a
-canonical operand, under that operand's own default, stays canonical.
-An edge is redundant when its child is ``make_tail(arity, default)``;
-``_redundant`` finds that by walking the child, without building the
-tail.
+so does ``render`` (not gated).  Canonical form is kept per rebuilt
+edge: ``combine`` checks only the edges it recomputes (not gated),
+because an edge copied unchanged from a canonical operand, under that
+operand's own default, stays canonical.  An edge is redundant when its
+child is ``make_tail(arity, default)``; ``_redundant`` finds that by
+walking the child, without building the tail.
 
 A set operation hands back the left operand it keeps whole: where the
 node it would build has that operand's own default and the same child
@@ -42,43 +41,47 @@ object on every edge, ``combine`` returns the operand, not a copy.
 Told by identity, with no equality walk, this holds at every depth, so
 ``union(a, b)``, ``intersect(a, b)`` and ``subtract(a, b)`` are ``a``
 itself whenever they equal ``a``, and a caller handed the result can
-tell it unchanged with ``is``.
+tell it unchanged with ``is``
+(``test_set_ops_hand_back_the_left_operand_they_keep_whole``).
 
 A routing trie has frozensets of stream ids as leaves.
 ``update_routes`` applies one stream's patch to it in a single walk
-with four results: the new routing trie, the stream's new own set (the
-old one itself if the patch changes nothing), and the part of the
-change that becomes visible, added and removed; it also collects the
-audience, the leaf sets of a second routing trie (the standing
-subscriptions) at the values that become visible or invisible.
-A visible half is the patch's own node, not rebuilt, until the walk
-meets an edge whose visible part is not the patch's child there (told
-by identity); from that edge on it is a copy of the patch's edge map,
-set or dropped edge by edge.  So where all of a half shows, the walk
-hands back the half itself and builds no edge map for it.
+(``test_box_round_trip_trie_work``) with four results: the new routing
+trie, the stream's new own set (the old one itself if the patch changes
+nothing), and the part of the change that becomes visible, added and
+removed; it also collects the audience, the leaf sets of a second
+routing trie (the standing subscriptions) at the values that become
+visible or invisible.  A visible half is the patch's own node, not
+rebuilt, until the walk meets an edge whose visible part is not the
+patch's child there (told by identity); from that edge on it is a copy
+of the patch's edge map, set or dropped edge by edge.  So where all of a
+half shows, the walk hands back the half itself and builds no edge map
+for it (``test_update_routes_hands_back_the_halves_that_show_whole``).
 The walk gathers the audience as it goes, at the leaves it reaches;
 ``leaves_meeting`` reads which leaf sets a probe meets without building
-an intersection.
+an intersection (not gated).
 
-One walk reads a trie's members: ``captures`` follows a spec's
-compiled pre-order items (``spec_items``) down the trie with its own
-stack, and spells each match's captures as a flat token tuple without
-building the projected trie.  Facet dispatch reads captures with it and
-asks it whether an instance is known (capture-free items, answered at
-the first match); ``key_set`` and ``pattern_set`` are it with a capture
-mark per value.  ``project`` builds the projected trie, one frame per
-token; no runtime path calls it, and it stays as the reference dispatch
-is checked against and as a span target of the benchmark.
+One walk reads a trie's members: ``captures`` follows a spec's compiled
+pre-order items (``spec_items``) down the trie with its own stack, and
+spells each match's captures as a flat token tuple without building the
+projected trie (``test_presence_dispatch_builds_no_projection``).
+Facet dispatch reads captures with it and asks it whether an instance
+is known (capture-free items, answered at the first match; not gated);
+``key_set`` and ``pattern_set`` are it with a capture mark per value.
+``project`` builds the projected trie, one frame per token; no runtime
+path calls it, and it stays as the reference dispatch is checked
+against and as a span target of the benchmark.
 
 ``combine``, ``project`` and ``update_routes`` recurse through
 module-level helpers that take their context as arguments.  A nested
 function that calls itself is a reference cycle (it holds its own
 closure cell) that only the cyclic collector frees, so its garbage
 would make that collector run over the whole heap now and then; the
-walkers define none, and an event leaves the collector nothing.
+walkers define none, and an event leaves the collector nothing
+(``test_event_path_leaves_no_cyclic_garbage``).
 
 Edge labels are tokens (see ``values``): tuples, so an edge lookup
-hashes and compares in C.
+hashes and compares in C (not gated).
 """
 from __future__ import annotations
 
@@ -456,12 +459,8 @@ def relabel(f: Callable, t: Trie) -> Trie:
         default = relabel(f, default)
     edges = {}
     for tok, child in t.edges.items():
-        child = relabel(f, child)
-        if not _redundant(child, tok.arity, default):
-            edges[tok] = child
-    if not edges and default is EMPTY:
-        return EMPTY
-    return Branch(default, edges)
+        edges[tok] = relabel(f, child)
+    return branch(default, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -539,6 +539,23 @@ def test_infinite_match_kills_only_observer():
     assert "narrow#1" not in ds.living_names()
 
 
+def test_a_view_move_names_the_subscription_it_walked():
+    # The retracted endpoint's move walks its old items, p(1, $), which
+    # meet the peer's p(1, _): the crash names those items, not p(2, $).
+    def peer(f):
+        f.assert_(rec("p", 1, WILDCARD))
+
+    def watcher(f):
+        which = f.field(1, "which")
+        f.on_retracted(rec("p", which, CAPTURE), lambda x: None)
+        f.on_message(inbound(rec("move", CAPTURE)), lambda n: setattr(which, "value", n))
+
+    ds = ground_run([spawn_actor("peer", peer), spawn_actor("watch", watcher)])
+    assert ds.crashes == {}
+    ds.handle(Message(rec("move", 2)))
+    assert [str(e) for e in ds.crashes.values()] == ["subscription #p(1 _) matched infinitely many values"]
+
+
 def test_during_spawn_creates_and_tears_down_actor():
     log = []
 
@@ -1101,7 +1118,7 @@ def test_dispatch_matches_two_probe_oracle():
 
     rt = ActorRuntime(("t",), boot)
     rt.startup()
-    subs = [ep for ep in rt.endpoints.values() if ep.kind == "sub"]
+    subs = [ep for ep in rt.endpoints.values() if ep.on is not None]
     got = []
     rt._schedule = lambda _priority, _facet, _handler, match: got.append(parse_exact(match[0]))
 

@@ -16,6 +16,7 @@ from click.testing import CliRunner
 
 from dataspace.cli import main
 from dataspace.programs import PROGRAMS
+from dataspace.trace import ENV_VAR
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,3 +34,11 @@ def test_run_matches_golden_transcript_and_trace(name, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert trace_path.read_bytes() == (GOLDEN / f"{name}.trace").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_untraced_run_matches_golden_transcript(name):
+    # An untraced run makes no trace call, and prints what a traced one does.
+    result = CliRunner().invoke(main, ["run", name], env={ENV_VAR: None})
+    assert result.exit_code == 0, result.output
+    assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")

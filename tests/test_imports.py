@@ -327,6 +327,15 @@ def test_the_readme_cites_only_defined_tests():
     assert missing_citations((ROOT / "README.md").read_text(), sources) == []
 
 
+def test_the_modules_cite_only_defined_tests():
+    # The trie and mux docstrings repeat the README's cost contracts and
+    # cite the same tests.
+    sources = [path.read_text() for path in sorted((ROOT / "tests").rglob("*.py"))]
+    assert {path.name: missing_citations(path.read_text(), sources) for path in MODULES} == {
+        path.name: [] for path in MODULES
+    }
+
+
 def test_scan_finds_a_missing_citation():
     text = "Held by `test_kept` and `test_gone`; see `tests/test_mod.py::test_moved` and test_mod.py."
     sources = ["def test_kept():\n    pass\n", "class T:\n    def test_other(self):\n        pass\n"]

@@ -361,7 +361,7 @@ def test_published_trie_reaches_the_subscriber_whole():
     ds = Dataspace([spawn_actor("box", _box(box_state, set_box)), spawn_actor("client", client)])
     ds.run()
     box_rt, client_rt = ds.find_actors(ActorRuntime)
-    (state,) = [ep for ep in box_rt.endpoints.values() if ep.kind == "assert"]
+    (state,) = [ep for ep in box_rt.endpoints.values() if ep.on is None]
     combines = []
     handle = client_rt.handle
 
