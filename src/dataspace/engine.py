@@ -8,26 +8,24 @@ queue.  A dataspace is itself an actor: stream 0 is the relay to its
 container, which translates between the layer's own vocabulary and the
 ``outbound``/``inbound`` wrappers used across the boundary.
 
-The relay subscribes to ``outbound(_)`` and ``observe(inbound(_))``
-(``relay_interests``, one trie every layer shares, installed by a
-trusted disjoint patch), exactly the parts of a patch that
-``patch.drop_outbound`` reads.  The mux therefore hands the relay the
-whole visible change without intersecting it with those interests
-(``Mux(relay=META)``), and ``_outward`` selects them as it translates.
-The two must select the same parts: if ``drop_outbound`` read a part
-the relay does not watch, the container would hear changes to it.
-``tests/test_engine.py::test_relay_translation_needs_no_restriction``
-checks that translating a patch equals translating its intersection
-with the relay's interests.  ``drop_outbound`` normalizes its result
-only when a side holds an ``observe(inbound(_))`` part, the one part
-that can cancel against the other side; a patch of ``outbound`` parts
-alone translates with no set operation past the unwrapping.
+The relay holds what the container asserts, lifted into ``inbound(_)``,
+and subscribes to nothing.  The engine hands the container
+``drop_outbound`` of each visible change the mux hands back (the
+``outbound(c)`` parts as ``c``, the ``observe(inbound(c))`` parts as
+``observe(c)``), and ``c`` for a routed message ``outbound(c)``, after
+routing and before the action's other deliveries, where stream 0 falls
+in ascending stream order.  ``patch.may_cross`` reads the roots first,
+so a change with no ``outbound`` or ``observe`` root edge and no root
+default, as a ground ``box`` update is, builds no patch and unwraps
+nothing (``test_box_round_trip_trie_work``).  No subscription stands in
+a layer on the container's behalf, so an actor watching
+``observe(outbound(_))`` hears only its peers.
 
-Setting up pays only for what the newcomer asserts.  The mux of a layer
-holding its relay's interests alone is built once per process, and each
-layer starts from a copy of it (``Mux.copy``); a spawned actor's stream
-is added with nothing in it, which makes no walk.  An untraced layer
-makes no trace call: not per action, delivery, spawn, crash or exit.
+Setting up pays only for what the newcomer asserts: a layer starts with
+an empty mux holding its relay's empty stream, and a spawned actor's
+stream is added with nothing in it, so neither makes a walk.  An
+untraced layer makes no trace call: not per action, delivery, spawn,
+crash or exit.
 
 An actor fails one way, through ``_crash``: a handler or boot that
 raises, a turn or startup that is not an iterable of actions, a
@@ -57,11 +55,12 @@ from .patch import (
     drop_outbound,
     lift_inbound,
     lift_message,
+    may_cross,
     render,
 )
 from .mux import Mux, StreamId
 from .trace import Tracer
-from .values import Frozen, NotAValue, Value, WILDCARD, format_value, inbound, observe, outbound
+from .values import Frozen, NotAValue, Value, format_value
 
 
 class Message(Frozen):
@@ -113,17 +112,6 @@ META = 0  # stream id of the relay to the containing layer
 
 
 class Dataspace(Actor):
-    #: The relay subscribes on behalf of the container: it must see
-    #: outbound assertions and interest in inbound ones.  Every layer
-    #: shares this one trie, and the mux state built from it.
-    relay_interests = trie.assertion_set(
-        [observe(outbound(WILDCARD)), observe(observe(inbound(WILDCARD)))]
-    )
-    #: The mux of a layer holding its relay's interests and nothing
-    #: else, built once and never changed: every layer starts from a copy.
-    _relay_only = Mux(relay=META)
-    _relay_only.add_stream(Patch.disjoint(relay_interests, trie.EMPTY))
-
     def __init__(
         self,
         boot_actions: List[Action],
@@ -133,7 +121,8 @@ class Dataspace(Actor):
     ):
         self.tracer = tracer
         self.path = path + (name,)
-        self.mux = self._relay_only.copy()
+        self.mux = Mux()
+        self.mux.add_stream()  # META, the relay
         self.actors: dict = {}
         self.names: dict = {META: "<relay>"}
         self.crashes: dict = {}
@@ -174,35 +163,39 @@ class Dataspace(Actor):
         while self.pending:
             author, action, cause = self.pending.popleft()
             seq = -1 if self.tracer is None else self._trace("action-interpreted", author, action, cause)
-            if isinstance(action, Patch):
-                self._interpret_patch(author, action, seq, outward)
+            if isinstance(action, Patch) or action is _RETIRE:
+                self._interpret_change(author, action, seq, outward)
             elif isinstance(action, Message):
                 self._interpret_message(author, action, seq, outward)
             elif isinstance(action, Spawn):
                 self._interpret_spawn(action, seq)
-            elif action is _RETIRE:
-                self._interpret_retire(author, seq, outward)
             elif action is QUIT:
                 self._kill(author, seq)
             else:
                 self._crash(author, TypeError(f"not an action: {action!r}"), seq)
         return outward
 
-    def _interpret_patch(self, author, action: Patch, cause, outward) -> None:
-        try:
-            _, events = self.mux.update_stream(author, action)
-        except Exception as e:
-            # A patch the mux cannot take (one too deep for its trie
-            # walkers, say) changed nothing.
-            self._crash(author, e, cause)
-            return
+    def _interpret_change(self, author, action, cause, outward) -> None:
+        """A patch, or the retirement of an ended actor's stream: the
+        container hears what of the visible change crosses out, then the
+        audience hears its events."""
+        if action is _RETIRE:
+            (added, removed), events = self.mux.remove_stream(author)
+            del self.names[author]
+        else:
+            try:
+                (added, removed), events = self.mux.update_stream(author, action)
+            except Exception as e:
+                # A patch the mux cannot take (one too deep for its trie
+                # walkers, say) changed nothing.
+                self._crash(author, e, cause)
+                return
+        if may_cross(added, removed):
+            out = drop_outbound(Patch.disjoint(added, removed))
+            if not out.is_empty():
+                self._hand_out(out, cause, outward)
         for target, delta in events:
             self._deliver(target, delta, cause, outward)
-
-    def _interpret_retire(self, author, cause, outward) -> None:
-        for target, delta in self.mux.remove_stream(author):
-            self._deliver(target, delta, cause, outward)
-        del self.names[author]
 
     def _interpret_message(self, author, action: Message, cause, outward) -> None:
         try:
@@ -210,6 +203,9 @@ class Dataspace(Actor):
         except Exception as e:  # a body that is neither a value nor a pattern
             self._crash(author, e, cause)
             return
+        body = drop_message(action.body)
+        if body is not None:
+            self._hand_out(Message(body), cause, outward)
         for target in targets:
             self._deliver(target, action, cause, outward)
 
@@ -229,14 +225,12 @@ class Dataspace(Actor):
             return
         self.pending.extendleft(reversed(front))
 
+    def _hand_out(self, event: Event, cause, outward) -> None:
+        if self.tracer is not None:
+            self._trace("event-delivered", META, event, cause)
+        outward.append(event)
+
     def _deliver(self, target: StreamId, event: Event, cause, outward) -> None:
-        if target == META:
-            out = _outward(event)
-            if out is not None:
-                if self.tracer is not None:
-                    self._trace("event-delivered", META, out, cause)
-                outward.append(out)
-            return
         handler = self.actors.get(target)
         if handler is None:
             return  # exited actors receive nothing further
@@ -281,9 +275,8 @@ class Dataspace(Actor):
         return self.mux.all_assertions(META)
 
     def layer_assertions(self) -> trie.Trie:
-        """All assertions in this layer, relay mirror included, synthetic
-        relay subscriptions excluded."""
-        return trie.subtract(self.mux.all_assertions(), self.relay_interests)
+        """All assertions in this layer, relay mirror included."""
+        return self.mux.all_assertions()
 
     def find_actors(self, cls) -> list:
         return [a for a in self.actors.values() if isinstance(a, cls)]
@@ -293,14 +286,6 @@ class Dataspace(Actor):
 
 
 _RETIRE = object()
-
-
-def _outward(event: Event):
-    if isinstance(event, Patch):
-        translated = drop_outbound(event)
-        return None if translated.is_empty() else translated
-    body = drop_message(event.body)
-    return Message(body) if body is not None else None
 
 
 def _describe(action) -> str:

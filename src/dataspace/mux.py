@@ -26,6 +26,10 @@ wildcard the walk follows the stream's own set, not the index
 (``test_wildcard_retraction_work_does_not_grow_with_peers``).
 ``trie.update_routes`` gives the cost, which counts the fan-out of each
 index node the walk rebuilds, as a rebuilt node copies its edges (not
+gated).  It also counts the fan-in of each value the update changes: its
+leaf set, the set of the streams holding it, is rebuilt whole, so an
+update at a value k streams hold costs O(k), 3.0 µs at k = 10 and
+61.5 µs at k = 10 000 on Python 3.11.7 on a shared 2-vCPU VM (not
 gated).  ``remove_stream``, which retracts the universe, costs
 O(|own set|) (``test_remove_stream_work_does_not_grow_with_what_it_watched``).
 
@@ -46,15 +50,10 @@ trie, and a later patch that removes it removes the very object the peer
 holds (``test_published_trie_reaches_the_subscriber_whole``).  Every
 delta is built as a trusted disjoint patch (see ``patch``).
 
-A mux built with ``relay=sid`` serves stream ``sid`` as its layer's
-relay to the containing layer: in the audience, the relay hears the
-whole visible change, not its intersection with its subscriptions.  This
-is exact for the engine's relay, because all it does with what it hears
-is ``patch.drop_outbound``, which reads only the ``outbound(_)`` and
-``observe(inbound(_))`` parts of a patch, and those are exactly what the
-relay subscribes to: translating the intersection gives what translating
-the whole change gives.  Every other peer, and the relay when it is the
-author, is served exactly.
+Each update also hands back the visible change, as the two tries
+(added, removed) the walk read off the leaf sets; the engine translates
+it for the layer's container, so a layer's relay (see ``engine``) is a
+stream like any other, which subscribes to nothing.
 
 A message is routed by value: the index is walked along the message
 body, with no token list or ``observe(body)`` built (not gated).  A body
@@ -74,6 +73,8 @@ from .trie import EMPTY, Trie
 from .values import NotAValue, Value
 
 StreamId = int
+Visible = Tuple[Trie, Trie]  # a visible change: (added, removed)
+Events = List[Tuple[StreamId, Patch]]
 
 
 class Mux:
@@ -82,62 +83,46 @@ class Mux:
     The index maps each assertion to the frozenset of stream ids
     currently asserting it, so candidate audiences for a change are
     found by one walk along the change instead of a scan over all
-    streams.  ``relay``, if given, is the stream that hears the visible
-    change unrestricted; ``Mux()`` has none.  Adding a stream whose
-    initial patch adds nothing makes no walk: a fresh stream holds
-    nothing a removal could take.  ``copy`` gives a mux in the same state
-    that changes apart from this one, sharing its immutable tries.
+    streams.  Adding a stream whose initial patch adds nothing makes no
+    walk: a fresh stream holds nothing a removal could take.  A stream's
+    own set is ``streams[sid]``.
     """
 
-    __slots__ = ("next_id", "streams", "routes", "relay")
+    __slots__ = ("next_id", "streams", "routes")
 
-    def __init__(self, relay: Optional[StreamId] = None):
+    def __init__(self):
         self.next_id: StreamId = 0
         self.streams: Dict[StreamId, Trie] = {}
         self.routes: Trie = EMPTY
-        self.relay = relay
 
-    def copy(self) -> "Mux":
-        """A mux in this one's state that changes apart from it.  The
-        tries are immutable, so they are shared; only ``streams`` is
-        copied."""
-        twin = Mux(self.relay)
-        twin.next_id = self.next_id
-        twin.streams = dict(self.streams)
-        twin.routes = self.routes
-        return twin
-
-    def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Trie, List[Tuple[StreamId, Patch]]]:
+    def add_stream(self, initial: Patch = EMPTY_PATCH) -> Tuple[StreamId, Visible, Events]:
         sid = self.next_id
         self.next_id += 1
         self.streams[sid] = EMPTY
         if initial.added is EMPTY:
             # A fresh stream holds nothing to remove: no walk.
-            return sid, EMPTY, []
-        own, events = self._update(sid, initial, feedback=True)
-        return sid, own, events
+            return sid, (EMPTY, EMPTY), []
+        visible, events = self._update(sid, initial, feedback=True)
+        return sid, visible, events
 
-    def remove_stream(self, sid: StreamId) -> List[Tuple[StreamId, Patch]]:
+    def remove_stream(self, sid: StreamId) -> Tuple[Visible, Events]:
         # The departing stream hears nothing, so its feedback is not worked out.
-        _, events = self._update(sid, RETRACT_ALL, feedback=False)
+        result = self._update(sid, RETRACT_ALL, feedback=False)
         del self.streams[sid]
-        return events
+        return result
 
     def all_assertions(self, hide: Optional[StreamId] = None) -> Trie:
         """Every assertion some stream holds, except those held by ``hide`` alone."""
         return trie.relabel(lambda ids: () if ids - {hide} else None, self.routes)
 
-    def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Trie, List[Tuple[StreamId, Patch]]]:
-        """Apply a stream's patch; returns the stream's assertion set
-        after it (the one before, the same object, if the patch changes
-        nothing) and the events it yields, ordered by stream.  Nothing
-        changes if the trie work raises, so a caller may drop the patch
-        and carry on."""
+    def update_stream(self, sid: StreamId, requested: Patch) -> Tuple[Visible, Events]:
+        """Apply a stream's patch; returns the visible change, as
+        (added, removed), and the events it yields, ordered by stream.
+        Nothing changes if the trie work raises, so a caller may drop
+        the patch and carry on."""
         return self._update(sid, requested, feedback=True)
 
-    def _update(
-        self, sid: StreamId, requested: Patch, feedback: bool
-    ) -> Tuple[Trie, List[Tuple[StreamId, Patch]]]:
+    def _update(self, sid: StreamId, requested: Patch, feedback: bool) -> Tuple[Visible, Events]:
         old = self.streams[sid]
         routes_old = self.routes
         # The audience, the streams whose subscriptions meet the visible
@@ -147,7 +132,7 @@ class Mux:
             routes_old, old, sid, requested.added, requested.removed, observation_bodies(routes_old)
         )
         if own_new is old:
-            return old, []
+            return (EMPTY, EMPTY), []
 
         came = gone = EMPTY
         if feedback:
@@ -169,7 +154,7 @@ class Mux:
         else:
             audience.discard(sid)
 
-        events: List[Tuple[StreamId, Patch]] = []
+        events: Events = []
         for peer in sorted(audience):
             if peer == sid:
                 # Subscriptions the stream keeps hear what became visible;
@@ -183,9 +168,6 @@ class Mux:
                         trie.union(trie.intersect(appeared, kept), trie.intersect(came, routes_new)),
                         trie.union(trie.intersect(vanished, kept), trie.intersect(gone, routes_old)),
                     )
-            elif peer == self.relay:
-                # The relay's translation selects its interests itself.
-                delta = Patch.disjoint(appeared, vanished)
             else:
                 interests = observation_bodies(self.streams[peer])
                 delta = Patch.disjoint(
@@ -197,7 +179,7 @@ class Mux:
 
         self.streams[sid] = own_new
         self.routes = routes_new
-        return own_new, events
+        return (appeared, vanished), events
 
     def route_message(self, body: Value) -> List[StreamId]:
         """Stream ids subscribed to a message body, ascending.

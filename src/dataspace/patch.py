@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import trie
-from .values import INBOUND, OBSERVE, OBSERVE_TOK, OUTBOUND, Frozen, Value, format_value, inbound, unwrap
+from .values import INBOUND, OBSERVE, OBSERVE_TOK, OUTBOUND, UNARY_TOKS, Frozen, Value, format_value, inbound, unwrap
 from .trie import EMPTY, Branch, Trie
 
 
@@ -61,6 +61,8 @@ class Patch(Frozen):
 
 
 EMPTY_PATCH = Patch(EMPTY, EMPTY)
+
+_OUTBOUND_TOK = UNARY_TOKS[OUTBOUND]
 
 #: Retract-everything patch: removes the universe of single values.
 RETRACT_ALL = Patch(EMPTY, trie.universe(1))
@@ -121,6 +123,15 @@ def observation_bodies(t: Trie) -> Trie:
 def lift_inbound(p: Patch) -> Patch:
     """Wrap an incoming outer-layer patch for consumption inside a nested layer."""
     return label_patch(p, INBOUND)
+
+
+def may_cross(added: Trie, removed: Trie) -> bool:
+    """False if ``drop_outbound`` of a change with these halves is
+    empty, read off the roots: an ``outbound(_)`` or ``observe(inbound(_))``
+    part lies under a root ``outbound`` or ``observe`` edge or default."""
+    return (added.default is not EMPTY or removed.default is not EMPTY
+            or _OUTBOUND_TOK in added.edges or _OUTBOUND_TOK in removed.edges
+            or OBSERVE_TOK in added.edges or OBSERVE_TOK in removed.edges)
 
 
 def drop_outbound(p: Patch) -> Patch:

@@ -59,7 +59,10 @@ half shows, the walk hands back the half itself and builds no edge map
 for it (``test_update_routes_hands_back_the_halves_that_show_whole``).
 The walk gathers the audience as it goes, at the leaves it reaches;
 ``leaves_meeting`` reads which leaf sets a probe meets without building
-an intersection (not gated).
+an intersection (not gated).  A leaf set the patch changes is rebuilt
+whole, so an update also pays the fan-in of each value it changes: at a
+value k streams hold it costs O(k), 3.0 µs at k = 10 and 61.5 µs at
+k = 10 000 on Python 3.11.7 on a shared 2-vCPU VM (not gated).
 
 One walk reads a trie's members: ``captures`` follows a spec's compiled
 pre-order items (``spec_items``) down the trie with its own stack, and

@@ -355,7 +355,7 @@ def test_random_programs_match_shadow_model():
             before = shadow.syllabi()
             if len(sids) > 1 and rng.random() < 0.1:
                 shadow.remove_actor(actor)
-                events = m.remove_stream(actor)
+                _, events = m.remove_stream(actor)
                 del pools[sids.index(actor)]
                 sids.remove(actor)
             else:
@@ -706,11 +706,11 @@ def _setup_calls(cls) -> Counter:
 def test_setup_work_is_bounded():
     # Conversations start all the time, so the fixed cost of starting
     # actors and layers is gated by counted work, as a round trip's is.
-    # A subscription compiles its trie from its items, and every layer
-    # shares one relay-interests trie, so the box's own assertion is the
-    # one pattern a box set-up compiles; a pattern holding no Field is
-    # used as it stands, not copied.  A layer starts from a copy of one
-    # shared relay state, a spawn adds its stream with no walk, an
+    # A subscription compiles its trie from its items, and a layer's relay
+    # subscribes to nothing, so the box's own assertion is the one pattern
+    # a box set-up compiles; a pattern holding no Field is used as it
+    # stands, not copied.  A layer starts with an empty mux and its
+    # relay's empty stream, a spawn adds its stream with no walk, an
     # untraced set-up does no trace bookkeeping, and a fresh subtree goes
     # through the routing walk's join loop, which gathers its audience at
     # the leaves it reaches, with no meeting walk.

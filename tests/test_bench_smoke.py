@@ -10,8 +10,8 @@ client hears, which its knowledge cannot meet, is known new without a
 known-before probe), one mux update per layer
 crossed, two ``combine`` calls per op on both plus one in the first op,
 and one dataflow repair per op, the box's (a flush with no damage
-repairs nothing).  A nested layer's relay hears the visible change
-without intersecting it with its interests.  The client comes to know
+repairs nothing).  A nested layer translates its whole visible change
+for its container; its relay subscribes to nothing.  The client comes to know
 the box's own published trie, so a knowledge update subtracts that same
 object and combines nothing, except in the first op, which subtracts the
 catch-up trie that set-up rebuilt.

@@ -10,14 +10,12 @@ from dataspace.engine import (
     Message,
     QUIT,
     Spawn,
-    _outward,
     ground_run,
     spawn_dataspace,
     spawn_full_state,
 )
 from dataspace.facet import spawn_actor
-from dataspace.mux import Mux
-from dataspace.patch import Patch, assert_patch, drop_outbound, from_sets, observation_bodies, retract_patch
+from dataspace.patch import Patch, assert_patch, drop_outbound, from_sets, may_cross, retract_patch
 from dataspace.trace import Tracer, render_sequence_diagram
 from dataspace.trie import assertion_set, intersect, project, spec_items, subtract, union, update_routes
 from dataspace.values import (
@@ -417,17 +415,54 @@ def test_full_state_adapter_emits_minimal_patches():
     ]
 
 
-def test_layers_start_from_one_relay_state_apart():
-    # Every layer starts from a copy of one mux holding the relay's
-    # interests, which one layer's changes leave to the others.
-    built = Mux(relay=META)
-    built.add_stream(Patch.disjoint(Dataspace.relay_interests, trie.EMPTY))
+def test_layers_start_with_only_the_relays_empty_stream():
+    # A fresh layer's mux holds the relay's stream, with nothing in it,
+    # and no routes; one layer's changes leave another's alone.
+    fresh = ({META: trie.EMPTY}, trie.EMPTY, 1)
     first, second = Dataspace([]), Dataspace([])
     for ds in (first, second):
-        assert (ds.mux.routes, ds.mux.streams, ds.mux.next_id) == (built.routes, built.streams, built.next_id)
+        assert (ds.mux.streams, ds.mux.routes, ds.mux.next_id) == fresh
     first.mux.add_stream(assert_patch(S("x")))
+    assert first.mux.routes is not trie.EMPTY
     for ds in (second, Dataspace([])):
-        assert (ds.mux.routes, ds.mux.streams, ds.mux.next_id) == (built.routes, built.streams, built.next_id)
+        assert (ds.mux.streams, ds.mux.routes, ds.mux.next_id) == fresh
+
+
+def _job(n):
+    return Record(S("job"), (n,))
+
+
+def test_watching_subscriptions_to_outbound_hears_only_actors():
+    # No subscription stands in a layer on its container's behalf, so an
+    # actor watching who subscribes to outbound(_) hears its peers, not
+    # an infinite wildcard it cannot enumerate.
+    heard = []
+    ds = ground_run(
+        [
+            spawn_actor("watcher", lambda f: f.on_asserted(observe(outbound(CAPTURE)), heard.append)),
+            spawn_probe(Probe(), [assert_patch(observe(outbound(_job(1))))]),
+        ]
+    )
+    assert heard == [_job(1)]
+    assert ds.crashes == {}
+
+
+def test_watching_interest_in_inbound_in_a_nested_layer_hears_only_actors():
+    heard = []
+    ds = ground_run(
+        [
+            spawn_dataspace(
+                [
+                    spawn_actor("watcher", lambda f: f.on_asserted(observe(observe(inbound(CAPTURE))), heard.append)),
+                    spawn_probe(Probe(), [assert_patch(observe(observe(inbound(_job(2)))))]),
+                ],
+                name="inner",
+            )
+        ]
+    )
+    (inner,) = ds.find_actors(Dataspace)
+    assert heard == [_job(2)]
+    assert ds.crashes == {} and inner.crashes == {}
 
 
 def test_untraced_run_does_no_trace_bookkeeping(monkeypatch):
@@ -489,11 +524,12 @@ def _relay_assertion(rng):
 
 
 def test_relay_translation_needs_no_restriction():
-    # The mux hands a layer's relay the whole visible change, not its
-    # intersection with what the relay watches: translating it outwards
-    # reads only outbound(_) and observe(inbound(_)), which are exactly
-    # the relay's interests, so the restriction would change nothing.
-    interests = observation_bodies(Dataspace([]).relay_interests)
+    # A layer hands its container the translation of its whole visible
+    # change.  A relay subscribed to outbound(_) and observe(inbound(_))
+    # would hear only the change's intersection with those, and
+    # translating that gives the same: drop_outbound reads nothing else.
+    # Nor does the root test pass over a change that crosses.
+    interests = assertion_set([outbound(WILDCARD), observe(inbound(WILDCARD))])
     rng = random.Random(7)
     crossed = 0
     for _ in range(5000):
@@ -504,9 +540,10 @@ def test_relay_translation_needs_no_restriction():
         restricted = Patch.disjoint(
             intersect(delta.added, interests), intersect(delta.removed, interests)
         )
-        out = _outward(delta)
-        assert out == _outward(restricted), delta
-        crossed += out is not None
+        out = drop_outbound(delta)
+        assert out == drop_outbound(restricted), delta
+        assert may_cross(delta.added, delta.removed) or out.is_empty(), delta
+        crossed += not out.is_empty()
     assert crossed > 2000, crossed
 
 

@@ -100,9 +100,10 @@ def test_package_leaves_dataclasses_and_inspect_unimported():
 def test_relay_round_trip_runs_optimized():
     # Under ``python -O`` no assert runs, so no state may be set up inside
     # one: a relay round trip still works, and a fresh layer holds its
-    # relay stream.
+    # relay's empty stream.
     code = (
         "from dataspace.engine import META, Dataspace, Message, spawn_dataspace\n"
+        "from dataspace.trie import EMPTY\n"
         "from dataspace.facet import spawn_actor\n"
         "from dataspace.values import CAPTURE, Record, Symbol, inbound, outbound\n"
         "rec = lambda label: lambda *fields: Record(Symbol(label), fields)\n"
@@ -121,7 +122,7 @@ def test_relay_round_trip_runs_optimized():
         "ds.run()\n"
         "ds.handle(Message(bump(1)))\n"
         "fresh = Dataspace([])\n"
-        "print(__debug__, learned, fresh.mux.streams == {META: Dataspace.relay_interests}, fresh.mux.next_id)"
+        "print(__debug__, learned, fresh.mux.streams == {META: EMPTY}, fresh.mux.next_id)"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(dataspace.__file__).parent.parent))
     run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)

@@ -56,11 +56,11 @@ def test_no_op_patch_produces_no_events():
     m.add_stream(assert_patch(observe(pres(WILDCARD))))
     s, _, _ = m.add_stream(assert_patch(pres(S("a"))))
     before, routes = m.streams[s], m.routes
-    own, events = m.update_stream(s, assert_patch(pres(S("a"))))
+    visible, events = m.update_stream(s, assert_patch(pres(S("a"))))
     # A patch that changes nothing leaves the stream's set as it was:
     # the same object, not an equal copy.
-    assert own is before and m.streams[s] is before and m.routes is routes
-    assert events == []
+    assert m.streams[s] is before and m.routes is routes
+    assert visible == (trie.EMPTY, trie.EMPTY) and events == []
 
 
 def test_adding_a_stream_with_nothing_to_add_makes_no_walk(monkeypatch):
@@ -69,8 +69,8 @@ def test_adding_a_stream_with_nothing_to_add_makes_no_walk(monkeypatch):
     routes = m.routes
     walks = []
     monkeypatch.setattr(trie, "update_routes", lambda *args: walks.append(args))
-    assert m.add_stream() == (1, trie.EMPTY, [])
-    assert m.add_stream(EMPTY_PATCH) == (2, trie.EMPTY, [])
+    assert m.add_stream() == (1, (trie.EMPTY, trie.EMPTY), [])
+    assert m.add_stream(EMPTY_PATCH) == (2, (trie.EMPTY, trie.EMPTY), [])
     assert m.routes is routes and walks == []
     assert m.streams[1] is m.streams[2] is trie.EMPTY
 
@@ -134,10 +134,10 @@ def test_remove_stream_retracts_everything():
     s, _, _ = m.add_stream(
         from_sets(added=[pres(S("a")), pres(S("b"))])
     )
-    events = m.remove_stream(s)
-    assert events == [
-        (watcher, from_sets(removed=[pres(S("a")), pres(S("b"))]))
-    ]
+    visible, events = m.remove_stream(s)
+    gone = from_sets(removed=[pres(S("a")), pres(S("b"))])
+    assert events == [(watcher, gone)]
+    assert visible == (gone.added, gone.removed)
     assert s not in m.streams
 
 
@@ -160,7 +160,7 @@ def test_remove_stream_work_does_not_grow_with_what_it_watched():
         ref = Mux()
         ref.next_id, ref.streams, ref.routes = m.next_id, dict(m.streams), m.routes
         _, ref_events = ref.update_stream(leaving, RETRACT_ALL)
-        events, calls = _trie_calls(lambda: m.remove_stream(leaving))
+        (_, events), calls = _trie_calls(lambda: m.remove_stream(leaving))
         assert events == [(t, p) for t, p in ref_events if t != leaving]
         assert events == [(meta, retract_patch(observe(pres(WILDCARD))))]
         assert m.routes == ref.routes and m.streams == {
@@ -185,11 +185,12 @@ def test_wildcard_retraction_work_does_not_grow_with_peers():
         holder, _, _ = m.add_stream(assert_patch(pres(3), pres("3")))
         ref = Mux()
         ref.next_id, ref.streams, ref.routes = m.next_id, dict(m.streams), m.routes
-        ref_own, ref_events = ref.update_stream(holder, retract_patch(pres(3), pres("3")))
-        (own, events), calls = _trie_calls(
+        ref_visible, ref_events = ref.update_stream(holder, retract_patch(pres(3), pres("3")))
+        (visible, events), calls = _trie_calls(
             lambda: m.update_stream(holder, retract_patch(pres(WILDCARD)))
         )
-        assert own == ref_own == ref.streams[holder] and events == ref_events
+        assert visible == ref_visible == (trie.EMPTY, retract_patch(pres("3")).removed)
+        assert events == ref_events
         assert events == [(watcher, retract_patch(pres("3")))]
         assert m.routes == ref.routes and m.streams == ref.streams
         work.append(calls)
@@ -288,9 +289,10 @@ def _round_trip_trie_work(box_action):
     set-box(n), and the box (spawned by ``box_action``) re-asserts
     box-state(n), which the client learns.  Returns the calls made to
     ``combine``, ``update_routes``, ``leaves_meeting``, ``Branch``,
-    ``may_meet`` and the routing walk's visible-half helper, the calls
-    made into the trie module, and the calls made into any ``dataspace``
-    module, a measure of the round trip's whole kernel work."""
+    ``may_meet``, the routing walk's visible-half helper and
+    ``unwrap_trie``, the calls made into the trie module, and the calls
+    made into any ``dataspace`` module, a measure of the round trip's
+    whole kernel work."""
     bump = lambda n: Record(S("bump"), (n,))
     learned = []
 
@@ -306,7 +308,8 @@ def _round_trip_trie_work(box_action):
     by_file = calls_by_file(calls)
     named = {"combine": trie.combine, "update_routes": trie.update_routes,
              "leaves_meeting": trie.leaves_meeting, "Branch": trie.Branch.__init__,
-             "may_meet": trie.may_meet, "visible_edge": trie._visible_edge}
+             "may_meet": trie.may_meet, "visible_edge": trie._visible_edge,
+             "unwrap_trie": trie.unwrap_trie}
     return {name: calls[fn.__code__] for name, fn in named.items()}, by_file[trie.__file__], package_calls(calls)
 
 
@@ -326,6 +329,9 @@ def test_box_round_trip_trie_work():
     # meet: the client's patch leaves nothing of what it knew, and the
     # box's subscription shares no root edge with its state.
     assert calls["may_meet"] == 1, calls
+    # No update at ground has a part that could cross to a container, so
+    # the root test keeps the engine from unwrapping anything.
+    assert calls["unwrap_trie"] == 0, calls
     assert total <= 37, total
     # Nor may the fixed cost of a turn, a flush or a delivery creep back.
     assert kernel <= 94, kernel
@@ -334,15 +340,16 @@ def test_box_round_trip_trie_work():
 def test_relay_round_trip_trie_work():
     # As above, with the box inside a nested dataspace, speaking
     # outbound(box-state(n)) and hearing inbound(set-box(n)): each update
-    # crosses the layer once.  The inner relay hears the visible change
-    # unrestricted, since dropping it to the outer layer selects what
-    # the relay watches anyway.
+    # crosses the layer once.  The inner layer translates its whole
+    # visible change for its container: it unwraps the outbound part of
+    # each half, and reads no observe part, as neither half has one.
     box = _box(lambda n: outbound(box_state(n)), lambda n: inbound(set_box(n)))
     calls, total, kernel = _round_trip_trie_work(spawn_dataspace([spawn_actor("box", box)], name="inner"))
     assert calls["combine"] <= 2 and calls["update_routes"] == 2, calls
     assert calls["leaves_meeting"] == 0 and calls["Branch"] <= 16, calls
     assert calls["visible_edge"] == 0, calls
     assert calls["may_meet"] == 1, calls
+    assert calls["unwrap_trie"] == 2, calls
     assert total <= 56, total
     assert kernel <= 140, kernel
 
